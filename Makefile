@@ -1,13 +1,17 @@
 # Build/test/benchmark entry points. `make ci` is the gate every change
-# must pass: vet, the package-doc check, build, the full test suite under
-# the race detector, and a one-shot benchmark smoke pass proving the
-# harness still runs.
+# must pass: gofmt, vet, the package-doc check, build, the full test
+# suite under the race detector, and a one-shot benchmark smoke pass
+# proving the harness still runs.
 
 GO ?= go
 
-.PHONY: ci vet doccheck docs build test race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke bench bench-solver bench-sparse bench-sparse-smoke
+.PHONY: ci fmt vet doccheck docs build test race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke bench bench-solver bench-sparse bench-sparse-smoke
 
-ci: vet doccheck docs build race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke
+ci: fmt vet doccheck docs build race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke
+
+# Every Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -47,6 +47,8 @@ func (c *Circuit) TransientAdaptive(spec AdaptiveSpec) (*Waveforms, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	c.meterOn()
+	defer c.flushMetrics()
 	c.prepare()
 	n := c.NumUnknowns()
 	if n == 0 {

@@ -35,6 +35,10 @@ type Circuit struct {
 	// backend selects the linear-solver matrix representation; see
 	// SetMatrixBackend.
 	backend MatrixBackend
+	// meter stages the solver metrics between flushes; see metrics.go.
+	meter meter
+	// mosfets caches the name-sorted MOSFET list; addElement drops it.
+	mosfets []*MOSFET
 }
 
 // MatrixBackend selects the linear-solver matrix representation.
@@ -72,7 +76,7 @@ func (c *Circuit) SetMatrixBackend(b MatrixBackend) {
 		return
 	}
 	c.backend = b
-	c.slv = nil
+	c.dropSolver()
 }
 
 // UsingSparse reports whether the most recently built solve context runs
@@ -146,6 +150,7 @@ func (c *Circuit) addElement(e element) {
 	}
 	c.elements = append(c.elements, e)
 	c.byName[e.name()] = e
+	c.mosfets = nil
 }
 
 func (c *Circuit) newBranch() int {
@@ -275,16 +280,28 @@ func (c *Circuit) MOSFETByName(name string) (*MOSFET, error) {
 	return m, nil
 }
 
-// MOSFETs returns all MOSFET elements, sorted by name.
+// MOSFETs returns all MOSFET elements, sorted by name, in a fresh slice
+// the caller owns.
 func (c *Circuit) MOSFETs() []*MOSFET {
-	var out []*MOSFET
-	for _, e := range c.elements {
-		if m, ok := e.(*MOSFET); ok {
-			out = append(out, m)
+	return append([]*MOSFET(nil), c.MOSFETList()...)
+}
+
+// MOSFETList returns the circuit's cached name-sorted MOSFET list without
+// copying it — the per-trial path of Monte-Carlo mismatch sampling. The
+// slice is shared: callers must not modify it. Adding an element builds a
+// new list and leaves slices handed out earlier untouched.
+func (c *Circuit) MOSFETList() []*MOSFET {
+	if c.mosfets == nil {
+		out := []*MOSFET{}
+		for _, e := range c.elements {
+			if m, ok := e.(*MOSFET); ok {
+				out = append(out, m)
+			}
 		}
+		sort.Slice(out, func(i, j int) bool { return out[i].nm < out[j].nm })
+		c.mosfets = out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].nm < out[j].nm })
-	return out
+	return c.mosfets
 }
 
 // ResistorNames returns every resistor's name in sorted order — the

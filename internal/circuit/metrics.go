@@ -26,14 +26,15 @@ type pkgMetrics struct {
 var met atomic.Pointer[pkgMetrics]
 
 // SetMetrics wires the circuit solver's instrumentation into reg, or
-// disables it when reg is nil. The Newton loop pays one atomic pointer
-// load per newtonDC call when disabled; iteration counts are added once
-// per solve (not per iteration), so enabling metrics does not perturb the
-// loop body either.
+// disables it when reg is nil. Every public solve call (OperatingPoint,
+// DCSweep, Transient, TransientAdaptive) loads the instruments once, stages
+// its accounting in the circuit's meter and flushes it before returning,
+// so the registry is exact whenever no call is in flight and the Newton
+// loop body never touches shared memory.
 //
 // Metrics registered:
 //
-//	circuit_newton_iterations_total  count  Newton iterations across all solves
+//	circuit_newton_iterations_total  count  Newton iterations across all solves (DC and transient)
 //	circuit_op_total                 count  OperatingPoint calls
 //	circuit_op_warm_total            count  solves converged from the warm start (stage 0)
 //	circuit_op_gmin_total            count  solves that entered the gmin ladder (stage 2)
@@ -60,4 +61,65 @@ func SetMetrics(reg *obs.Registry) {
 		sparseFallbacks: reg.Counter("circuit_sparse_fallbacks_total", "1", "sparse solves that fell back to dense"),
 		opSeconds:       reg.Histogram("circuit_op_seconds", "s", "OperatingPoint latency", nil),
 	})
+}
+
+// meter stages one circuit's solver accounting between flushes: plain
+// counters and single-owner histogram buffers, so metering a solve touches
+// no shared memory until the public call that ran it returns. The rare
+// fallback and failure counters bypass it and increment the instruments
+// directly.
+type meter struct {
+	// inst is the instrument set bound at the last call start (nil while
+	// metrics are off); counts staged while unbound are discarded.
+	inst *pkgMetrics
+	// iters0 is c.newtonIters when the meter last published.
+	iters0                      int64
+	ops, warmHits, sparseSolves int64
+	opSec                       obs.HistBuf
+}
+
+// meterOn binds the circuit's meter to the live instruments at the start
+// of a public solve call and returns them (nil when metrics are off).
+func (c *Circuit) meterOn() *pkgMetrics {
+	m := met.Load()
+	mt := &c.meter
+	if mt.inst != m {
+		c.flushMetrics()
+		mt.inst = m
+		mt.iters0 = c.newtonIters
+		mt.ops, mt.warmHits, mt.sparseSolves = 0, 0, 0
+		if m != nil {
+			mt.opSec.Bind(m.opSeconds)
+		}
+	}
+	return m
+}
+
+// flushMetrics publishes everything staged since the last flush — the
+// circuit's own counters and histogram plus its solver's LU meters — so
+// the registry is exact again. Every public solve call ends here.
+func (c *Circuit) flushMetrics() {
+	mt := &c.meter
+	if m := mt.inst; m != nil {
+		m.newtonIters.Add(c.newtonIters - mt.iters0)
+		mt.iters0 = c.newtonIters
+		m.opSolves.Add(mt.ops)
+		m.opWarmHits.Add(mt.warmHits)
+		m.sparseSolves.Add(mt.sparseSolves)
+		mt.ops, mt.warmHits, mt.sparseSolves = 0, 0, 0
+		mt.opSec.Flush()
+	}
+	if c.slv != nil {
+		c.slv.flushMetrics()
+	}
+}
+
+// flushMetrics publishes the solver's staged LU metrics, dense and sparse.
+func (s *solver) flushMetrics() {
+	if s.ws != nil {
+		s.ws.FlushMetrics()
+	}
+	if s.spMeter != nil {
+		s.spMeter.Flush()
+	}
 }

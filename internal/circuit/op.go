@@ -71,23 +71,26 @@ func defaultOPConfig() opConfig {
 // ladder mirrors production SPICE behaviour and is the unconditional
 // fallback whenever a warm start fails to converge.
 func (c *Circuit) OperatingPoint() (*Solution, error) {
-	m := met.Load()
-	sp := obs.Span{}
+	m := c.meterOn()
+	var t0 int64
 	if m != nil {
-		sp = obs.StartSpan(m.opSeconds)
-		m.opSolves.Inc()
+		t0 = obs.Mono()
 	}
-	sol, err := c.operatingPoint(m)
-	sp.End()
-	if err != nil && m != nil {
-		m.noConverge.Inc()
+	sol, err := c.operatingPoint()
+	if m != nil {
+		c.meter.ops++
+		c.meter.opSec.ObserveNanos(obs.Mono() - t0)
+		if err != nil {
+			m.noConverge.Inc()
+		}
 	}
+	c.flushMetrics()
 	return sol, err
 }
 
-// operatingPoint runs the warm-start attempt and the cold ladder; m (nil
-// when metrics are disabled) receives the per-stage fallback accounting.
-func (c *Circuit) operatingPoint(m *pkgMetrics) (*Solution, error) {
+// operatingPoint runs the warm-start attempt and the cold ladder, staging
+// the per-stage fallback accounting in the circuit's meter.
+func (c *Circuit) operatingPoint() (*Solution, error) {
 	c.prepare()
 	n := c.NumUnknowns()
 	if n == 0 {
@@ -104,9 +107,7 @@ func (c *Circuit) operatingPoint(m *pkgMetrics) (*Solution, error) {
 	if slv.haveLast {
 		copy(x, slv.lastX)
 		if err := c.newtonDC(x, 0, 1, cfg); err == nil {
-			if m != nil {
-				m.opWarmHits.Inc()
-			}
+			c.meter.warmHits++
 			return c.finishDC(slv, x), nil
 		}
 	}
@@ -119,7 +120,7 @@ func (c *Circuit) operatingPoint(m *pkgMetrics) (*Solution, error) {
 
 	// Stage 2: gmin stepping. Start with a heavy leak to ground and relax
 	// it decade by decade, warm-starting each solve.
-	if m != nil {
+	if m := c.meter.inst; m != nil {
 		m.opGminFalls.Inc()
 	}
 	zeroVec(x)
@@ -135,7 +136,7 @@ func (c *Circuit) operatingPoint(m *pkgMetrics) (*Solution, error) {
 	}
 
 	// Stage 3: source stepping — ramp all independent sources from 0.
-	if m != nil {
+	if m := c.meter.inst; m != nil {
 		m.opSourceFalls.Inc()
 	}
 	zeroVec(x)
@@ -169,26 +170,11 @@ func (c *Circuit) captureAll(x []float64) {
 // After the first call on a circuit it performs zero heap allocations per
 // iteration: the linear elements are stamped once into the solver baseline,
 // each iteration replays the baseline by copy, stamps only the nonlinear
-// elements, and factors and solves inside the reusable workspace. With
-// metrics enabled the iteration and singular-matrix accounting is added
-// once per call, outside the loop, so the loop body is identical either
-// way.
+// elements, and factors and solves inside the reusable workspace. The
+// iteration count accumulates on the circuit and reaches the metrics when
+// the enclosing public call flushes, so the loop body is identical with
+// metrics on or off.
 func (c *Circuit) newtonDC(x []float64, gmin, srcScale float64, cfg opConfig) error {
-	m := met.Load()
-	if m == nil {
-		return c.newtonDCRun(x, gmin, srcScale, cfg)
-	}
-	before := c.newtonIters
-	err := c.newtonDCRun(x, gmin, srcScale, cfg)
-	m.newtonIters.Add(c.newtonIters - before)
-	if err != nil && errors.Is(err, ErrSingular) {
-		m.singulars.Inc()
-	}
-	return err
-}
-
-// newtonDCRun is the uninstrumented Newton loop.
-func (c *Circuit) newtonDCRun(x []float64, gmin, srcScale float64, cfg opConfig) error {
 	slv := c.solver()
 	st := &slv.st
 	*st = stamp{X: x, Mode: modeDC, Gmin: gmin, SrcScale: srcScale}
@@ -198,6 +184,9 @@ func (c *Circuit) newtonDCRun(x []float64, gmin, srcScale float64, cfg opConfig)
 		c.stampIteration(slv, st)
 		xNew, err := c.factorAndSolve(slv, st)
 		if err != nil {
+			if m := c.meter.inst; m != nil {
+				m.singulars.Inc()
+			}
 			return fmt.Errorf("%w: %v", ErrSingular, err)
 		}
 		// Damped update: limit the largest voltage change per iteration to
@@ -245,6 +234,8 @@ func anyNaN(x []float64) bool {
 // through values, warm-starting each point from the previous one. It
 // returns one Solution per value.
 func (c *Circuit) DCSweep(sourceName string, values []float64) ([]*Solution, error) {
+	c.meterOn()
+	defer c.flushMetrics()
 	c.prepare()
 	e, ok := c.byName[sourceName]
 	if !ok {

@@ -51,7 +51,8 @@ type solver struct {
 	spA0         []float64
 	spIter       []float64
 	spLU         sparse.LU
-	res          []float64 // residual-guard scratch
+	spMeter      *linalg.LUMeter // stages the sparse LU metrics
+	res          []float64       // residual-guard scratch
 }
 
 // solver returns the circuit's solve context, (re)building buffers and the
@@ -172,7 +173,16 @@ func (c *Circuit) ResetSolverState() {
 	if c.slv != nil {
 		c.slv.haveLast = false
 		if c.slv.sparseFailed {
-			c.slv = nil
+			c.dropSolver()
 		}
 	}
+}
+
+// dropSolver discards the solve context for a rebuild at the next solve,
+// publishing its staged metrics first.
+func (c *Circuit) dropSolver() {
+	if c.slv != nil {
+		c.slv.flushMetrics()
+	}
+	c.slv = nil
 }

@@ -49,6 +49,9 @@ func (c *Circuit) chooseBackend(s *solver, n int) {
 	s.spIter = make([]float64, nnz)
 	s.res = make([]float64, n)
 	s.spLU = sparse.LU{}
+	if s.spMeter == nil {
+		s.spMeter = &linalg.LUMeter{Sparse: true}
+	}
 	s.useSparse = true
 }
 
@@ -82,25 +85,27 @@ func (c *Circuit) factorAndSolve(slv *solver, st *stamp) ([]float64, error) {
 	ws := slv.ws
 	if slv.useSparse {
 		forced := sparseFailHook != nil && sparseFailHook()
-		if err := slv.spLU.FactorInto(slv.spMat); err == nil {
+		lm := slv.spMeter
+		lm.Begin()
+		err := slv.spLU.FactorInto(slv.spMat)
+		lm.Factored()
+		if err == nil {
 			slv.spLU.SolveInto(ws.X, ws.B)
+			lm.Solved()
 			slv.spMat.MulVecInto(slv.res, ws.X)
 			axInf := linalg.VecNormInf(slv.res)
 			linalg.VecSubInto(slv.res, slv.res, ws.B)
 			scale := 1 + axInf + linalg.VecNormInf(ws.B)
-			if m := met.Load(); m != nil {
-				m.sparseSolves.Inc()
-			}
+			c.meter.sparseSolves++
 			if !forced && linalg.VecNormInf(slv.res) <= sparseResidualTol*scale {
 				return ws.X, nil
 			}
 		}
 		c.fallbackToDense(slv, st)
 	}
-	if err := ws.Factor(); err != nil {
+	if err := ws.FactorSolve(); err != nil {
 		return nil, err
 	}
-	ws.Solve()
 	return ws.X, nil
 }
 
@@ -110,7 +115,7 @@ func (c *Circuit) factorAndSolve(slv *solver, st *stamp) ([]float64, error) {
 func (c *Circuit) fallbackToDense(slv *solver, st *stamp) {
 	slv.useSparse = false
 	slv.sparseFailed = true
-	if m := met.Load(); m != nil {
+	if m := c.meter.inst; m != nil {
 		m.sparseFallbacks.Inc()
 	}
 	c.stampBaseline(slv, st)

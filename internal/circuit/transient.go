@@ -60,6 +60,8 @@ func (c *Circuit) Transient(spec TranSpec) (*Waveforms, error) {
 	if spec.Stop <= 0 || spec.Step <= 0 {
 		return nil, fmt.Errorf("circuit: invalid transient spec stop=%g step=%g", spec.Stop, spec.Step)
 	}
+	c.meterOn()
+	defer c.flushMetrics()
 	c.prepare()
 	n := c.NumUnknowns()
 	if n == 0 {

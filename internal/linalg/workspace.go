@@ -1,7 +1,5 @@
 package linalg
 
-import "repro/internal/obs"
-
 // Workspace bundles the reusable buffers of one dense solve pipeline: a
 // system matrix A, a right-hand side B, a solution scratch X and an LU
 // factorisation. Once warmed up, repeated Factor/Solve cycles through a
@@ -16,8 +14,9 @@ type Workspace struct {
 	// B is the right-hand side.
 	B []float64
 	// X receives the solution of Solve.
-	X  []float64
-	lu LU
+	X     []float64
+	lu    LU
+	meter LUMeter
 }
 
 // NewWorkspace returns a workspace sized for n×n systems.
@@ -53,46 +52,39 @@ func (w *Workspace) Reset(n int) {
 
 // Factor computes the LU factorisation of the current contents of A,
 // reusing the workspace's internal factor storage. A itself is preserved.
+// With metrics enabled the call is staged in the workspace's meter; see
+// FlushMetrics.
 func (w *Workspace) Factor() error {
-	if m := met.Load(); m != nil {
-		return w.factorMetered(m)
-	}
-	return w.lu.FactorInto(w.A)
-}
-
-// factorMetered is Factor's instrumented slow path, kept out of Factor
-// itself so the disabled path stays inlinable in the Newton loop.
-func (w *Workspace) factorMetered(m *pkgMetrics) error {
-	sp := obs.StartSpan(m.factorSeconds)
+	w.meter.Begin()
 	err := w.lu.FactorInto(w.A)
-	sp.End()
-	m.factors.Inc()
+	w.meter.Factored()
 	return err
 }
 
 // Solve writes the solution of A·x = B into X using the factorisation from
 // the last Factor call. It must follow a successful Factor.
 func (w *Workspace) Solve() {
-	if m := met.Load(); m != nil {
-		w.solveMetered(m)
-		return
-	}
+	w.meter.Begin()
 	w.lu.SolveInto(w.X, w.B)
-}
-
-// solveMetered is Solve's instrumented slow path; see factorMetered.
-func (w *Workspace) solveMetered(m *pkgMetrics) {
-	sp := obs.StartSpan(m.solveSeconds)
-	w.lu.SolveInto(w.X, w.B)
-	sp.End()
-	m.solves.Inc()
+	w.meter.Solved()
 }
 
 // FactorSolve factors A and solves A·X = B in one allocation-free call.
+// Metered, the end of the factorisation is the start of the solve: three
+// clock reads time both.
 func (w *Workspace) FactorSolve() error {
-	if err := w.Factor(); err != nil {
+	w.meter.Begin()
+	err := w.lu.FactorInto(w.A)
+	w.meter.Factored()
+	if err != nil {
 		return err
 	}
-	w.Solve()
+	w.lu.SolveInto(w.X, w.B)
+	w.meter.Solved()
 	return nil
 }
+
+// FlushMetrics publishes the factor/solve counts and latencies staged
+// since the last flush into the linalg_* instruments. Until its owner
+// flushes, a workspace's calls are invisible to the registry.
+func (w *Workspace) FlushMetrics() { w.meter.Flush() }

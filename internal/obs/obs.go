@@ -15,9 +15,13 @@
 //     no atomics, no time.Now() calls. The solver hot path keeps its
 //     0-alloc guarantee with metrics off (and on: instruments never
 //     allocate after construction).
-//  2. Safe under heavy concurrency. Counters and gauges are single
+//  2. Cheap under heavy concurrency. Counters and gauges are single
 //     atomics; histograms stripe their state to spread cache-line
-//     contention across parallel Monte-Carlo workers.
+//     contention. Hot loops do not touch shared memory at all: a solver
+//     workspace, a circuit or a Monte-Carlo trial worker stages its
+//     counts in plain fields and its latencies in a HistBuf it owns,
+//     timed with the monotonic-only Mono clock, and flushes them with
+//     one atomic per touched field when its call or its worker ends.
 //  3. Deterministic simulation results. Instruments observe execution,
 //     never influence it: no instrument feeds back into any solve.
 package obs
@@ -46,9 +50,10 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n (n < 0 is a programming error; counters only go up).
+// Add adds n (n < 0 is a programming error; counters only go up). Adding
+// zero touches nothing, so flushing an idle staging counter is free.
 func (c *Counter) Add(n int64) {
-	if c == nil {
+	if c == nil || n == 0 {
 		return
 	}
 	c.v.Add(n)

@@ -45,15 +45,15 @@ import (
 //
 // plus the per-tenant family documented at the tenant helpers below.
 type metrics struct {
-	reg              *obs.Registry
-	submitted        *obs.Counter
-	rejected         *obs.Counter
-	done             *obs.Counter
-	failed           *obs.Counter
-	cancelled        *obs.Counter
-	evicted          *obs.Counter
-	resumed          *obs.Counter
-	checkpoints      *obs.Counter
+	reg                       *obs.Registry
+	submitted                 *obs.Counter
+	rejected                  *obs.Counter
+	done                      *obs.Counter
+	failed                    *obs.Counter
+	cancelled                 *obs.Counter
+	evicted                   *obs.Counter
+	resumed                   *obs.Counter
+	checkpoints               *obs.Counter
 	shardsDispatched          *obs.Counter
 	shardFallbacks            *obs.Counter
 	shardFallbacksAuth        *obs.Counter
@@ -65,28 +65,28 @@ type metrics struct {
 	fleetTakeovers            *obs.Counter
 	fleetHealthy              *obs.Gauge
 	subjobsCached             *obs.Counter
-	storeErrors      *obs.Counter
-	batches          *obs.Counter
-	batchDeduped     *obs.Counter
-	batchCached      *obs.Counter
-	depth            *obs.Gauge
-	inflight         *obs.Gauge
-	subscribers      *obs.Gauge
-	jobSecs          *obs.Histogram
-	waitSecs         *obs.Histogram
+	storeErrors               *obs.Counter
+	batches                   *obs.Counter
+	batchDeduped              *obs.Counter
+	batchCached               *obs.Counter
+	depth                     *obs.Gauge
+	inflight                  *obs.Gauge
+	subscribers               *obs.Gauge
+	jobSecs                   *obs.Histogram
+	waitSecs                  *obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		reg:              reg,
-		submitted:        reg.Counter("serve_jobs_submitted_total", "1", "jobs accepted into the queue"),
-		rejected:         reg.Counter("serve_jobs_rejected_total", "1", "submissions rejected with backpressure"),
-		done:             reg.Counter("serve_jobs_done_total", "1", "jobs finished successfully"),
-		failed:           reg.Counter("serve_jobs_failed_total", "1", "jobs that errored or panicked"),
-		cancelled:        reg.Counter("serve_jobs_cancelled_total", "1", "jobs cancelled by client or shutdown"),
-		evicted:          reg.Counter("serve_jobs_evicted_total", "1", "terminal jobs evicted by the retention policy"),
-		resumed:          reg.Counter("serve_jobs_resumed_total", "1", "interrupted campaigns re-enqueued with their checkpoints"),
-		checkpoints:      reg.Counter("serve_checkpoints_total", "1", "campaign chunk checkpoints journaled by workers"),
+		reg:                       reg,
+		submitted:                 reg.Counter("serve_jobs_submitted_total", "1", "jobs accepted into the queue"),
+		rejected:                  reg.Counter("serve_jobs_rejected_total", "1", "submissions rejected with backpressure"),
+		done:                      reg.Counter("serve_jobs_done_total", "1", "jobs finished successfully"),
+		failed:                    reg.Counter("serve_jobs_failed_total", "1", "jobs that errored or panicked"),
+		cancelled:                 reg.Counter("serve_jobs_cancelled_total", "1", "jobs cancelled by client or shutdown"),
+		evicted:                   reg.Counter("serve_jobs_evicted_total", "1", "terminal jobs evicted by the retention policy"),
+		resumed:                   reg.Counter("serve_jobs_resumed_total", "1", "interrupted campaigns re-enqueued with their checkpoints"),
+		checkpoints:               reg.Counter("serve_checkpoints_total", "1", "campaign chunk checkpoints journaled by workers"),
 		shardsDispatched:          reg.Counter("serve_shards_dispatched_total", "1", "campaign shards answered by peer servers"),
 		shardFallbacks:            reg.Counter("serve_shard_fallbacks_total", "1", "peer shard dispatches that fell back to local execution"),
 		shardFallbacksAuth:        reg.Counter("serve_shard_fallbacks_auth_total", "1", "shard fallbacks caused by a peer auth rejection"),
@@ -98,15 +98,15 @@ func newMetrics(reg *obs.Registry) *metrics {
 		fleetTakeovers:            reg.Counter("serve_fleet_takeovers_total", "1", "jobs adopted from dead fleet peers"),
 		fleetHealthy:              reg.Gauge("serve_fleet_nodes_healthy", "1", "fleet nodes currently healthy"),
 		subjobsCached:             reg.Counter("serve_subjobs_cached_total", "1", "signoff sub-jobs answered from the result cache"),
-		storeErrors:      reg.Counter("serve_store_errors_total", "1", "store writes that failed"),
-		batches:          reg.Counter("serve_batches_submitted_total", "1", "batch submissions accepted"),
-		batchDeduped:     reg.Counter("serve_batch_specs_deduped_total", "1", "batch specs folded into an identical sibling spec"),
-		batchCached:      reg.Counter("serve_batch_specs_cached_total", "1", "batch specs answered from the result cache"),
-		depth:            reg.Gauge("serve_queue_depth", "1", "jobs waiting in the bounded queue"),
-		inflight:         reg.Gauge("serve_jobs_inflight", "1", "jobs currently executing"),
-		subscribers:      reg.Gauge("serve_event_subscribers", "1", "open /events streams"),
-		jobSecs:          reg.Histogram("serve_job_seconds", "s", "submit-to-finish job latency", nil),
-		waitSecs:         reg.Histogram("serve_queue_wait_seconds", "s", "submit-to-start queue wait", nil),
+		storeErrors:               reg.Counter("serve_store_errors_total", "1", "store writes that failed"),
+		batches:                   reg.Counter("serve_batches_submitted_total", "1", "batch submissions accepted"),
+		batchDeduped:              reg.Counter("serve_batch_specs_deduped_total", "1", "batch specs folded into an identical sibling spec"),
+		batchCached:               reg.Counter("serve_batch_specs_cached_total", "1", "batch specs answered from the result cache"),
+		depth:                     reg.Gauge("serve_queue_depth", "1", "jobs waiting in the bounded queue"),
+		inflight:                  reg.Gauge("serve_jobs_inflight", "1", "jobs currently executing"),
+		subscribers:               reg.Gauge("serve_event_subscribers", "1", "open /events streams"),
+		jobSecs:                   reg.Histogram("serve_job_seconds", "s", "submit-to-finish job latency", nil),
+		waitSecs:                  reg.Histogram("serve_queue_wait_seconds", "s", "submit-to-start queue wait", nil),
 	}
 }
 

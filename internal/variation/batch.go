@@ -35,7 +35,7 @@ func NewMismatchBatch(c *circuit.Circuit, tech *device.Technology, trials int) *
 	if trials <= 0 {
 		panic(fmt.Sprintf("variation: MismatchBatch needs trials > 0, got %d", trials))
 	}
-	devs := c.MOSFETs()
+	devs := c.MOSFETList()
 	return &MismatchBatch{
 		devs:       devs,
 		tech:       tech,

@@ -30,7 +30,7 @@ func CornerByName(name string, sigmaVT, sigmaBeta float64) (Corner, bool) {
 // The RNG draw order matches ApplyRandomMismatch, so a TT corner at
 // zero sigma reproduces the nominal campaign bit-for-bit.
 func ApplyRandomMismatchAtCorner(c *circuit.Circuit, tech *device.Technology, co Corner, rng *mathx.RNG) {
-	for _, m := range c.MOSFETs() {
+	for _, m := range c.MOSFETList() {
 		mm := SampleMismatch(tech, m.Dev.Params.W, m.Dev.Params.L, rng)
 		if m.Dev.Params.Type == device.PMOS {
 			mm.DeltaVT0 += co.DeltaVTP

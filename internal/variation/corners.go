@@ -42,7 +42,7 @@ func StandardCorners(sigmaVT, sigmaBeta float64) []Corner {
 // existing mismatch (corner analysis is run at the systematic point, with
 // local variation off).
 func (co Corner) Apply(c *circuit.Circuit) {
-	for _, m := range c.MOSFETs() {
+	for _, m := range c.MOSFETList() {
 		mm := device.NominalMismatch()
 		if m.Dev.Params.Type == device.PMOS {
 			mm.DeltaVT0 = co.DeltaVTP

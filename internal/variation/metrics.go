@@ -7,9 +7,9 @@ import (
 )
 
 // pkgMetrics holds the Monte-Carlo engine's instruments. Trial latency is
-// recorded per trial inside the worker (lock-striped histogram); the
-// outcome counters are added during single-threaded result assembly so
-// they always sum consistently with the MCResult they describe.
+// staged per worker in an obs.HistBuf and flushed when the worker exits;
+// the outcome counters are added during single-threaded result assembly
+// so they always sum consistently with the MCResult they describe.
 type pkgMetrics struct {
 	trials       *obs.Counter
 	nans         *obs.Counter

@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/mathx"
-	"repro/internal/obs"
 )
 
 // Trial is one Monte-Carlo evaluation. It receives a private, reproducible
@@ -191,109 +187,16 @@ func MonteCarlo(n int, seed uint64, trial Trial) (*MCResult, error) {
 // results are bit-identical regardless of GOMAXPROCS; n <= 0 is an error.
 // A panicking trial is recovered inside its worker and recorded as a
 // structured *TrialError instead of crashing the process. When ctx is
-// cancelled the dispatcher stops handing out work, the workers drain, and
-// the partial result is returned with accurate Failures/NaNs/Cancelled
-// counts alongside an error wrapping ErrCancelled.
+// cancelled the workers stop claiming trials, and the partial result is
+// returned with accurate Failures/NaNs/Cancelled counts alongside an error
+// wrapping ErrCancelled. It is a full-range Campaign that keeps per-trial
+// values.
 func MonteCarloCtx(ctx context.Context, n int, seed uint64, trial Trial) (*MCResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("variation: MonteCarlo needs n > 0, got %d", n)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	root := mathx.NewRNG(seed)
-	type slot struct {
-		value float64
-		ok    bool
-		nan   bool
-		done  bool
-		err   *TrialError
-	}
-	slots := make([]slot, n)
-	m := met.Load()
-	// runOne executes a single trial with panic isolation: a recovered
-	// panic fills the slot with a structured error and the worker moves on
-	// to the next trial. Per-trial latency is recorded here in the worker
-	// (panicking trials included); outcome counters are tallied once during
-	// result assembly.
-	runOne := func(i int) {
-		var sp obs.Span
-		if m != nil {
-			sp = obs.StartSpan(m.trialSeconds)
-		}
-		defer func() {
-			sp.End()
-			if r := recover(); r != nil {
-				slots[i] = slot{done: true, err: &TrialError{
-					Index: i, Phase: "trial",
-					Cause: &PanicError{Value: r, Stack: debug.Stack()},
-				}}
-			}
-		}()
-		rng := root.Split(uint64(i))
-		v, err := trial(rng, i)
-		switch {
-		case err != nil:
-			slots[i] = slot{done: true, err: &TrialError{Index: i, Phase: "trial", Cause: err}}
-		case math.IsNaN(v):
-			slots[i] = slot{done: true, nan: true}
-		default:
-			slots[i] = slot{done: true, value: v, ok: true}
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					// Cancelled after dispatch: leave the slot unrun.
-					continue
-				}
-				runOne(i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	res := &MCResult{N: n, Values: make([]float64, 0, n)}
-	for _, s := range slots {
-		switch {
-		case s.ok:
-			res.Values = append(res.Values, s.value)
-		case s.nan:
-			res.NaNs++
-		case s.done:
-			res.Failures++
-			res.Errors = append(res.Errors, s.err)
-		default:
-			res.Cancelled++
-		}
-	}
-	res.Elapsed = time.Since(start)
-	if m != nil {
-		m.record(res)
-	}
-	if err := ctx.Err(); err != nil {
-		return res, fmt.Errorf("%w after %d/%d trials: %v", ErrCancelled, res.Completed(), n, err)
-	}
-	return res, nil
+	c := Campaign{Trials: n, Seed: seed, Trial: trial, KeepValues: true}
+	return c.Run(ctx)
 }
 
 // Spec is an interval specification on a metric: the circuit passes when

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mathx"
@@ -258,6 +259,9 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 	root := mathx.NewRNG(c.Seed)
 	m := met.Load()
 	res := &MCResult{N: to - from, Stats: &MCStats{}}
+	if c.KeepValues {
+		res.Values = make([]float64, 0, to-from)
+	}
 	completed := 0
 	firstChunk, lastChunk := from/cs, (to+cs-1)/cs
 	for chunk := firstChunk; chunk < lastChunk; chunk++ {
@@ -334,19 +338,18 @@ type trialSlot struct {
 	err   *TrialError
 }
 
-// runChunkTrials executes global trials [from, to) in parallel with the
-// same panic isolation, per-trial RNG substreams and cancellation
-// semantics as MonteCarloCtx. Slot i holds global trial from+i.
+// runChunkTrials executes global trials [from, to) in parallel with panic
+// isolation and per-trial RNG substreams; slot i holds global trial
+// from+i. Workers claim trial indices from a shared atomic counter — no
+// channel hand-off per trial — and stop claiming once ctx is cancelled,
+// leaving the unclaimed slots unrun. Each worker times its trials into a
+// private histogram buffer (one clock read per trial boundary) and
+// flushes it when it exits, so the registry is exact when this returns.
 func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Trial, m *pkgMetrics) []trialSlot {
 	n := to - from
 	slots := make([]trialSlot, n)
 	runOne := func(g int) {
-		var sp obs.Span
-		if m != nil {
-			sp = obs.StartSpan(m.trialSeconds)
-		}
 		defer func() {
-			sp.End()
 			if r := recover(); r != nil {
 				slots[g-from] = trialSlot{done: true, err: &TrialError{
 					Index: g, Phase: "trial",
@@ -369,29 +372,34 @@ func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Tr
 	if workers > n {
 		workers = n
 	}
+	var next atomic.Int64
+	next.Store(int64(from))
 	var wg sync.WaitGroup
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for g := range next {
-				if ctx.Err() != nil {
-					continue
+			var buf obs.HistBuf
+			var t int64
+			if m != nil {
+				buf.Bind(m.trialSeconds)
+				t = obs.Mono()
+			}
+			defer buf.Flush()
+			for ctx.Err() == nil {
+				g := int(next.Add(1) - 1)
+				if g >= to {
+					return
 				}
 				runOne(g)
+				if m != nil {
+					now := obs.Mono()
+					buf.ObserveNanos(now - t)
+					t = now
+				}
 			}
 		}()
 	}
-dispatch:
-	for g := from; g < to; g++ {
-		select {
-		case next <- g:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
 	wg.Wait()
 	return slots
 }

@@ -76,7 +76,7 @@ func SampleGlobalCorner(sigmaVT, sigmaBeta float64, rng *mathx.RNG) GlobalCorner
 // ApplyRandomMismatch samples fresh local mismatch for every MOSFET in the
 // circuit on top of the given global corner. Existing damage is preserved.
 func ApplyRandomMismatch(c *circuit.Circuit, tech *device.Technology, corner GlobalCorner, rng *mathx.RNG) {
-	for _, m := range c.MOSFETs() {
+	for _, m := range c.MOSFETList() {
 		mm := SampleMismatch(tech, m.Dev.Params.W, m.Dev.Params.L, rng)
 		mm.DeltaVT0 += corner.DeltaVT0
 		mm.BetaFactor *= corner.BetaFactor
@@ -86,7 +86,7 @@ func ApplyRandomMismatch(c *circuit.Circuit, tech *device.Technology, corner Glo
 
 // ResetMismatch restores every MOSFET in the circuit to nominal.
 func ResetMismatch(c *circuit.Circuit) {
-	for _, m := range c.MOSFETs() {
+	for _, m := range c.MOSFETList() {
 		m.Dev.Mismatch = device.NominalMismatch()
 	}
 }
