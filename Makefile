@@ -58,11 +58,13 @@ race-serve:
 race-store:
 	$(GO) test -race -count=2 -run 'Store|Crash|Recover|Cache|Retention|Evict|RetryAfter|Interrupted|Seed|Hash' ./internal/store/ ./internal/serve/ ./internal/jobspec/
 
-# The batched trial-evaluation paths under the race detector: circuit
-# reuse across core chunks, the jobspec deck pool, and the bit-identity
-# pins that prove reuse never changes a result.
+# The batched trial-evaluation paths under the race detector: the one
+# die pool (variation.DiePool) that reuses built circuits across trials
+# for core reliability runs, jobspec MC campaigns and design centering,
+# its own unit tests, and the bit-identity pins that prove reuse never
+# changes a result.
 race-batch:
-	$(GO) test -race -count=2 -run 'Batch|Quantile|Sparse' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/device/ ./internal/circuit/
+	$(GO) test -race -count=2 -run 'Batch|Pool|Golden|Quantile|Sparse' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/device/ ./internal/circuit/
 
 # The sharded-campaign and checkpoint/resume paths under the race
 # detector: mergeable moments and sketches, shard-seed independence,

@@ -109,7 +109,7 @@ func BenchmarkMCCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			s := campaignSim(batch)
 			for i := 0; i < b.N; i++ {
-				res, err := s.Run(trials, mission)
+				res, err := s.RunCtx(context.Background(), trials, mission)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -11,6 +11,7 @@ package repro
 // the key quantity (metric) land in bench_output.txt.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -192,7 +193,7 @@ func BenchmarkAblationMCSamples(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var ciWidth float64
 			for i := 0; i < b.N; i++ {
-				res, err := variation.MonteCarlo(n, 7, func(rng *mathx.RNG, _ int) (float64, error) {
+				res, err := variation.MonteCarloCtx(context.Background(), n, 7, func(rng *mathx.RNG, _ int) (float64, error) {
 					return variation.SamplePairDeltaVT(tech, 1e-6, 65e-9, 0, rng), nil
 				})
 				if err != nil {
@@ -225,7 +226,7 @@ func BenchmarkAblationAgingSteps(b *testing.B) {
 	run := func(checkpoints []float64) float64 {
 		c := build()
 		ager := aging.NewCircuitAger(c, aging.Models{NBTI: aging.DefaultNBTI()}, 400, 3)
-		traj, err := ager.AgeTo(checkpoints)
+		traj, err := ager.AgeToCtx(context.Background(), checkpoints)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestBodyBiasKnobCompensatesAging(t *testing.T) {
 	// authority a 0.4 V forward body bias has through the body effect.
 	ager := aging.NewCircuitAger(c, aging.Models{NBTI: aging.DefaultNBTI()}, 380, 5)
 	const oneYear = 365.25 * 24 * 3600
-	if _, err := ager.AgeTo([]float64{oneYear}); err != nil {
+	if _, err := ager.AgeToCtx(context.Background(), []float64{oneYear}); err != nil {
 		t.Fatal(err)
 	}
 	// Without re-tuning the gain has sagged.

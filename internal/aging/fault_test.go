@@ -17,7 +17,7 @@ func TestAgeToDeterministicTrajectories(t *testing.T) {
 	run := func(seed uint64) ([]Checkpoint, map[string]device.Damage) {
 		c := mirrorCircuit(tech)
 		ager := NewCircuitAger(c, DefaultModels(), 360, seed)
-		traj, err := ager.AgeTo(checkpoints)
+		traj, err := ager.AgeToCtx(context.Background(), checkpoints)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ var met atomic.Pointer[pkgMetrics]
 // Metrics registered:
 //
 //	aging_steps_total        count  DeviceAger.Step calls (one device × one interval)
-//	aging_checkpoints_total  count  aging checkpoints solved by CircuitAger.AgeTo(Ctx)
+//	aging_checkpoints_total  count  aging checkpoints solved by CircuitAger.AgeToCtx
 //	aging_nbti_step_seconds  s      per-step NBTI ΔVT update latency
 //	aging_hci_step_seconds   s      per-step HCI ΔVT update latency
 //	aging_tddb_step_seconds  s      per-step TDDB advance latency

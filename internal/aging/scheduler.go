@@ -239,14 +239,6 @@ type Checkpoint struct {
 	Failed bool
 }
 
-// AgeTo is AgeToCtx with context.Background().
-//
-// Deprecated: call AgeToCtx so long missions can be cancelled or bounded
-// by a deadline; this wrapper remains for source compatibility only.
-func (a *CircuitAger) AgeTo(checkpoints []float64) ([]Checkpoint, error) {
-	return a.AgeToCtx(context.Background(), checkpoints)
-}
-
 // AgeToCtx ages the circuit from its current state through the given
 // checkpoint times (strictly increasing, seconds). At each checkpoint the
 // operating point is re-solved, stress re-extracted, and all devices aged

@@ -1,6 +1,7 @@
 package aging
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestCircuitAgerMirrorDrifts(t *testing.T) {
 	c := mirrorCircuit(tech)
 	ager := NewCircuitAger(c, Models{NBTI: DefaultNBTI(), HCI: DefaultHCI()}, 350, 42)
 	const year = 365.25 * 24 * 3600
-	traj, err := ager.AgeTo(LogCheckpoints(3600, 10*year, 12))
+	traj, err := ager.AgeToCtx(context.Background(), LogCheckpoints(3600, 10*year, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestCircuitAgerDeterministic(t *testing.T) {
 	run := func() float64 {
 		c := mirrorCircuit(tech)
 		ager := NewCircuitAger(c, DefaultModels(), 350, 7)
-		traj, err := ager.AgeTo(LogCheckpoints(1e4, 1e8, 8))
+		traj, err := ager.AgeToCtx(context.Background(), LogCheckpoints(1e4, 1e8, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,10 +156,10 @@ func TestAgeToValidatesCheckpoints(t *testing.T) {
 	tech := device.MustTech("90nm")
 	c := mirrorCircuit(tech)
 	ager := NewCircuitAger(c, DefaultModels(), 350, 1)
-	if _, err := ager.AgeTo(nil); err == nil {
+	if _, err := ager.AgeToCtx(context.Background(), nil); err == nil {
 		t.Error("empty checkpoints accepted")
 	}
-	if _, err := ager.AgeTo([]float64{10, 5}); err == nil {
+	if _, err := ager.AgeToCtx(context.Background(), []float64{10, 5}); err == nil {
 		t.Error("non-increasing checkpoints accepted")
 	}
 }
@@ -169,7 +170,7 @@ func TestDutyOverride(t *testing.T) {
 		c := mirrorCircuit(tech)
 		ager := NewCircuitAger(c, Models{NBTI: DefaultNBTI(), HCI: DefaultHCI()}, 350, 3)
 		ager.DutyOverride = map[string]float64{"M1": duty, "M2": duty}
-		traj, err := ager.AgeTo([]float64{1e8})
+		traj, err := ager.AgeToCtx(context.Background(), []float64{1e8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestTDDBInCircuitEventuallyLeaks(t *testing.T) {
 	c.AddMOSFET("M1", "d", "g", "0", "0", dev)
 	c.AddResistor("RD", "vdd", "d", 10e3)
 	ager := NewCircuitAger(c, Models{TDDB: DefaultTDDB()}, 400, 11)
-	if _, err := ager.AgeTo(mathx.Logspace(1e4, 1e12, 30)); err != nil {
+	if _, err := ager.AgeToCtx(context.Background(), mathx.Logspace(1e4, 1e12, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if ager.Ager("M1").BDMode() == Fresh {

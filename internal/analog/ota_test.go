@@ -1,6 +1,7 @@
 package analog
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestOTAOffsetMonteCarlo(t *testing.T) {
 	// MC offset σ should be close to √2 × single-device σVT of the pair
 	// (load mismatch adds on top).
 	cfg := DefaultOTA()
-	res, err := variation.MonteCarlo(60, 9, func(rng *mathx.RNG, _ int) (float64, error) {
+	res, err := variation.MonteCarloCtx(context.Background(), 60, 9, func(rng *mathx.RNG, _ int) (float64, error) {
 		o, err := NewOTA(cfg)
 		if err != nil {
 			return 0, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -17,14 +18,14 @@ import (
 func TestBatchedRunBitIdentical(t *testing.T) {
 	mission := Mission{Duration: 5 * year, TempK: 380, Checkpoints: 4}
 	const trials = 24
-	ref, err := ampSim("90nm", 42).Run(trials, mission)
+	ref, err := ampSim("90nm", 42).RunCtx(context.Background(), trials, mission)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{5, 8, 64} {
 		s := ampSim("90nm", 42)
 		s.Batch = batch
-		got, err := s.Run(trials, mission)
+		got, err := s.RunCtx(context.Background(), trials, mission)
 		if err != nil {
 			t.Fatalf("Batch=%d: %v", batch, err)
 		}
@@ -80,7 +81,7 @@ func TestBatchedRunSurvivesFailingBuild(t *testing.T) {
 	}
 	s.Batch = 4
 	const trials = 12
-	res, err := s.Run(trials, Mission{Duration: year, TempK: 350, Checkpoints: 2})
+	res, err := s.RunCtx(context.Background(), trials, Mission{Duration: year, TempK: 350, Checkpoints: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/aging"
@@ -91,14 +89,11 @@ type Simulator struct {
 	GlobalSigmaVT, GlobalSigmaBeta float64
 	// Seed makes the whole analysis reproducible.
 	Seed uint64
-	// Batch is the number of consecutive trials evaluated on one reused
-	// circuit instance before it is rebuilt: each worker builds a die once
-	// per chunk, then re-fabricates it in place (damage snapshot restored,
-	// fresh mismatch applied, solver state reset) for the remaining trials,
-	// amortising netlist construction, pattern discovery and symbolic
-	// factorisation. Results are bit-identical for any Batch value — the
-	// per-trial RNG streams depend only on (Seed, index). Values <= 1 run
-	// the classic one-circuit-per-trial path.
+	// Batch is the number of trials one built circuit serves before it is
+	// rebuilt: trials share a variation.DiePool that restores a returned
+	// die to its as-built state, amortising netlist construction, pattern
+	// discovery and symbolic factorisation. Results are bit-identical for
+	// any Batch value. Values <= 1 build a fresh circuit for every trial.
 	Batch int
 }
 
@@ -188,31 +183,22 @@ func (r *Result) YieldAt(t float64) variation.YieldEstimate {
 
 // trialOut is the private outcome of one reliability trial.
 type trialOut struct {
-	ok        bool
-	cancelled bool        // never ran: context cancelled before dispatch
-	inSpec    []bool      // per checkpoint
-	values    [][]float64 // per checkpoint per metric
-	err       *variation.TrialError
-	newton    int64 // Newton iterations spent by this trial's circuit
+	ok     bool
+	inSpec []bool      // per checkpoint
+	values [][]float64 // per checkpoint per metric
+	err    *variation.TrialError
+	newton int64 // Newton iterations spent by this trial's circuit
 }
 
-// Run is RunCtx with context.Background().
-//
-// Deprecated: call RunCtx so the campaign can be cancelled or bounded by
-// a deadline; this wrapper remains for source compatibility only.
-func (s *Simulator) Run(nTrials int, mission Mission) (*Result, error) {
-	return s.RunCtx(context.Background(), nTrials, mission)
-}
-
-// RunCtx executes nTrials Monte-Carlo reliability trials. Trials run in
-// parallel but the result depends only on (Simulator.Seed, nTrials).
-// Each trial is fault-isolated: a panic in
-// Build, mismatch sampling, aging or a Measure callback is recovered in
-// the worker and recorded as a structured TrialError instead of crashing
-// the run. When ctx is cancelled or its deadline passes, dispatch stops,
-// in-flight trials drain, and the partial Result — with accurate
-// Errors/Cancelled accounting and telemetry — is returned alongside an
-// error wrapping variation.ErrCancelled.
+// RunCtx executes nTrials Monte-Carlo reliability trials on the
+// variation.Campaign engine. Trials run in parallel but the result depends
+// only on (Simulator.Seed, nTrials). Each trial is fault-isolated: a panic
+// in Build, mismatch sampling, aging or a Measure callback is recovered
+// and recorded as a structured TrialError instead of crashing the run.
+// When ctx is cancelled or its deadline passes, dispatch stops, in-flight
+// trials drain, and the partial Result — with accurate Errors/Cancelled
+// accounting and telemetry — is returned alongside an error wrapping
+// variation.ErrCancelled.
 func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*Result, error) {
 	if nTrials <= 0 {
 		return nil, fmt.Errorf("core: nTrials must be positive")
@@ -236,53 +222,36 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 	nMet := len(s.Metrics)
 
 	outs := make([]trialOut, nTrials)
-	root := mathx.NewRNG(s.Seed)
-	guess := s.nominalGuess()
-
-	batch := s.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	nChunks := (nTrials + batch - 1) / batch
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int) // chunk start index
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for start := range jobs {
-				end := start + batch
-				if end > nTrials {
-					end = nTrials
-				}
-				s.runChunk(ctx, outs[start:end], start, root, times, mission, guess, m)
+	pool := &variation.DiePool{Build: s.Build, Guess: s.nominalGuess(), MaxUses: max(s.Batch, 1)}
+	camp := variation.Campaign{
+		Trials: nTrials,
+		Seed:   s.Seed,
+		// The trial outcome is the end-of-life pass bit, so the campaign's
+		// own Stats carry the end-of-life yield.
+		Spec: &variation.Spec{Lo: 1, Hi: 1},
+		Trial: func(rng *mathx.RNG, i int) (float64, error) {
+			die, err := pool.Get()
+			if err != nil {
+				outs[i].err = &variation.TrialError{Index: i, Phase: "build", Cause: err}
+				return 0, outs[i].err
 			}
-		}()
+			out := s.runTrialOn(die.Circuit, i, rng, times, mission)
+			outs[i] = out
+			if !out.ok {
+				return 0, out.err
+			}
+			pool.Put(die)
+			if out.inSpec[nCk-1] {
+				return 1, nil
+			}
+			return 0, nil
+		},
 	}
-	sentEnd := 0
-dispatch:
-	for start := 0; start < nTrials; start += batch {
-		select {
-		case jobs <- start:
-			sentEnd = start + batch
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if sentEnd > nTrials {
-		sentEnd = nTrials
-	}
-	for i := sentEnd; i < nTrials; i++ {
-		outs[i].cancelled = true
-	}
+	// Run fails only on an invalid campaign, which this one is not, or on
+	// cancellation, which is reported from ctx below.
+	mc, _ := camp.Run(ctx)
 
-	res := &Result{Times: times, Trials: nTrials}
+	res := &Result{Times: times, Trials: nTrials, Errors: mc.Failures, Cancelled: mc.Cancelled}
 	for _, m := range s.Metrics {
 		res.MetricNames = append(res.MetricNames, m.Name)
 	}
@@ -300,19 +269,16 @@ dispatch:
 			if o.inSpec[k] {
 				pass++
 			}
-			if o.values[k] != nil {
-				for m, v := range o.values[k] {
-					// A NaN metric is a measured reject: it already failed
-					// the spec check, but folding it into the moments would
-					// poison mean/σ for every surviving die at this
-					// checkpoint. Keep it out of the dispersion summary,
-					// mirroring variation.MCStats (NaNs counted for yield,
-					// excluded from Moments).
-					if math.IsNaN(v) {
-						continue
-					}
-					stats[m].Add(v)
+			for m, v := range o.values[k] { // nil when a Measure errored
+				// A NaN metric is a measured reject: it already failed the
+				// spec check, but folding it into the moments would poison
+				// mean/σ for every surviving die at this checkpoint. Keep it
+				// out of the dispersion summary, mirroring variation.MCStats
+				// (NaNs counted for yield, excluded from Moments).
+				if math.IsNaN(v) {
+					continue
 				}
+				stats[m].Add(v)
 			}
 		}
 		res.Yield[k] = variation.YieldFromCounts(pass, total)
@@ -325,12 +291,8 @@ dispatch:
 	}
 	for _, o := range outs {
 		res.Telemetry.NewtonIterations += o.newton
-		switch {
-		case o.cancelled:
-			res.Cancelled++
-			continue
-		case !o.ok:
-			res.Errors++
+		if !o.ok {
+			// Errored (o.err set) or never run (cancelled).
 			if o.err != nil {
 				res.TrialErrors = append(res.TrialErrors, o.err)
 			}
@@ -378,79 +340,6 @@ func (s *Simulator) nominalGuess() (guess []float64) {
 		}
 	}
 	return
-}
-
-// runChunk evaluates the trials [start, start+len(outs)) on one worker.
-// With Batch > 1 one circuit is built for the whole chunk and re-fabricated
-// in place between trials — damage restored to its post-Build snapshot,
-// solver warm-start state reset, the nominal guess re-seeded — which is
-// exactly the state a fresh Build produces, so results are bit-identical
-// to the one-circuit-per-trial path. A die whose trial errors or panics is
-// dropped (its state is suspect) and the next trial rebuilds.
-func (s *Simulator) runChunk(ctx context.Context, outs []trialOut, start int, root *mathx.RNG, times []float64, mission Mission, guess []float64, m *pkgMetrics) {
-	var c *circuit.Circuit
-	var devs []*circuit.MOSFET
-	var snap []device.Damage
-	for k := range outs {
-		i := start + k
-		if ctx.Err() != nil {
-			outs[k].cancelled = true
-			continue
-		}
-		var sp obs.Span
-		if m != nil {
-			sp = obs.StartSpan(m.trialSeconds)
-		}
-		if c == nil {
-			c2, err := s.buildTrialCircuit(guess)
-			if err != nil {
-				outs[k] = trialOut{err: &variation.TrialError{Index: i, Phase: "build", Cause: err}}
-				sp.End()
-				continue
-			}
-			c = c2
-			if len(outs) > 1 {
-				devs = c.MOSFETs()
-				snap = make([]device.Damage, len(devs))
-				for d, mos := range devs {
-					snap[d] = mos.Dev.Damage
-				}
-			}
-		} else {
-			for d, mos := range devs {
-				mos.Dev.Damage = snap[d]
-			}
-			c.ResetSolverState()
-			if guess != nil {
-				_ = c.SetInitialGuess(guess)
-			}
-		}
-		outs[k] = s.runTrialOn(c, i, root.Split(uint64(i)), times, mission)
-		if !outs[k].ok {
-			c = nil
-		}
-		sp.End()
-	}
-}
-
-// buildTrialCircuit runs the user Build callback with panic isolation and
-// seeds the warm-start guess. A recovered panic is returned as a
-// *variation.PanicError so the caller can tag it with the build phase.
-func (s *Simulator) buildTrialCircuit(guess []float64) (c *circuit.Circuit, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, err = nil, &variation.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	c, err = s.Build()
-	if err != nil {
-		return nil, err
-	}
-	if guess != nil {
-		// Best effort: a stale or mis-sized guess is simply ignored.
-		_ = c.SetInitialGuess(guess)
-	}
-	return c, nil
 }
 
 // runTrialOn ages and measures one die on an already-built (possibly

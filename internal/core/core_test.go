@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -55,25 +56,25 @@ func ampSim(techName string, seed uint64) *Simulator {
 func TestRunValidation(t *testing.T) {
 	s := ampSim("90nm", 1)
 	mission := Mission{Duration: year, TempK: 350, Checkpoints: 3}
-	if _, err := s.Run(0, mission); err == nil {
+	if _, err := s.RunCtx(context.Background(), 0, mission); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := s.Run(4, Mission{Duration: -1, TempK: 350, Checkpoints: 3}); err == nil {
+	if _, err := s.RunCtx(context.Background(), 4, Mission{Duration: -1, TempK: 350, Checkpoints: 3}); err == nil {
 		t.Error("negative duration accepted")
 	}
-	if _, err := s.Run(4, Mission{Duration: 1, TempK: 0, Checkpoints: 3}); err == nil {
+	if _, err := s.RunCtx(context.Background(), 4, Mission{Duration: 1, TempK: 0, Checkpoints: 3}); err == nil {
 		t.Error("zero temperature accepted")
 	}
 	bad := *s
 	bad.Metrics = nil
-	if _, err := bad.Run(4, mission); err == nil {
+	if _, err := bad.RunCtx(context.Background(), 4, mission); err == nil {
 		t.Error("no metrics accepted")
 	}
 }
 
 func TestYieldDecaysOverLife(t *testing.T) {
 	s := ampSim("65nm", 7)
-	res, err := s.Run(60, Mission{Duration: 20 * year, TempK: 400, Checkpoints: 8})
+	res, err := s.RunCtx(context.Background(), 60, Mission{Duration: 20 * year, TempK: 400, Checkpoints: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestYieldDecaysOverLife(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	mission := Mission{Duration: 5 * year, TempK: 380, Checkpoints: 4}
-	a, err := ampSim("90nm", 42).Run(24, mission)
+	a, err := ampSim("90nm", 42).RunCtx(context.Background(), 24, mission)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ampSim("90nm", 42).Run(24, mission)
+	b, err := ampSim("90nm", 42).RunCtx(context.Background(), 24, mission)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatal("failure times differ between identical runs")
 		}
 	}
-	c, err := ampSim("90nm", 43).Run(24, mission)
+	c, err := ampSim("90nm", 43).RunCtx(context.Background(), 24, mission)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestVariabilityOnlyRun(t *testing.T) {
 	// With aging disabled (zero Models), yield must stay flat over time.
 	s := ampSim("90nm", 5)
 	s.Models = aging.Models{}
-	res, err := s.Run(40, Mission{Duration: 10 * year, TempK: 400, Checkpoints: 4})
+	res, err := s.RunCtx(context.Background(), 40, Mission{Duration: 10 * year, TempK: 400, Checkpoints: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +210,14 @@ func TestGlobalCornerWidensSpread(t *testing.T) {
 	mission := Mission{Duration: year, TempK: 350, Checkpoints: 2}
 	local := ampSim("90nm", 9)
 	local.Models = aging.Models{}
-	resLocal, err := local.Run(50, mission)
+	resLocal, err := local.RunCtx(context.Background(), 50, mission)
 	if err != nil {
 		t.Fatal(err)
 	}
 	global := ampSim("90nm", 9)
 	global.Models = aging.Models{}
 	global.GlobalSigmaVT = 0.05
-	resGlobal, err := global.Run(50, mission)
+	resGlobal, err := global.RunCtx(context.Background(), 50, mission)
 	if err != nil {
 		t.Fatal(err)
 	}

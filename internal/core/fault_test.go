@@ -28,7 +28,7 @@ func TestRunSurvivesPanickingBuild(t *testing.T) {
 		}
 		return inner()
 	}
-	res, err := s.Run(nTrials, Mission{Duration: year, TempK: 350, Checkpoints: 3})
+	res, err := s.RunCtx(context.Background(), nTrials, Mission{Duration: year, TempK: 350, Checkpoints: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRunSurvivesPanickingMeasure(t *testing.T) {
 		}
 		return inner(c)
 	}
-	res, err := s.Run(12, Mission{Duration: year, TempK: 350, Checkpoints: 2})
+	res, err := s.RunCtx(context.Background(), 12, Mission{Duration: year, TempK: 350, Checkpoints: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 
 func TestRunTelemetry(t *testing.T) {
 	s := ampSim("90nm", 2)
-	res, err := s.Run(8, Mission{Duration: year, TempK: 350, Checkpoints: 3})
+	res, err := s.RunCtx(context.Background(), 8, Mission{Duration: year, TempK: 350, Checkpoints: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestMissionSingleCheckpoint(t *testing.T) {
 		t.Fatalf("CheckpointTimes = %v, want [%g]", ts, 10*year)
 	}
 	s := ampSim("90nm", 4)
-	res, err := s.Run(6, m)
+	res, err := s.RunCtx(context.Background(), 6, m)
 	if err != nil {
 		t.Fatal(err)
 	}

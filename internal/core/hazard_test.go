@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestHazardOnReliabilityRun(t *testing.T) {
 	// End-to-end: the PMOS amp Monte-Carlo failure times show wear-out —
 	// a hazard that rises toward end of life.
 	s := ampSim("65nm", 21)
-	res, err := s.Run(80, Mission{Duration: 20 * year, TempK: 400, Checkpoints: 10})
+	res, err := s.RunCtx(context.Background(), 80, Mission{Duration: 20 * year, TempK: 400, Checkpoints: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

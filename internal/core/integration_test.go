@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -87,7 +88,7 @@ func TestFullStackNetlistToYield(t *testing.T) {
 		}},
 		Seed: 2024,
 	}
-	res, err := sim.Run(50, Mission{Duration: 10 * year, TempK: 380, Checkpoints: 6})
+	res, err := sim.RunCtx(context.Background(), 50, Mission{Duration: 10 * year, TempK: 380, Checkpoints: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

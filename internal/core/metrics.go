@@ -14,12 +14,11 @@ import (
 // registry they came from, so a finished run can stamp a whole-stack
 // Snapshot into its Result.Telemetry.
 type pkgMetrics struct {
-	reg          *obs.Registry
-	trialsDone   *obs.Counter
-	trialErrors  *obs.Counter
-	cancelled    *obs.Counter
-	runs         *obs.Counter
-	trialSeconds *obs.Histogram
+	reg         *obs.Registry
+	trialsDone  *obs.Counter
+	trialErrors *obs.Counter
+	cancelled   *obs.Counter
+	runs        *obs.Counter
 }
 
 var met atomic.Pointer[pkgMetrics]
@@ -27,7 +26,9 @@ var met atomic.Pointer[pkgMetrics]
 // SetMetrics wires the core simulator's instrumentation into reg, or
 // disables it when reg is nil. The counters are added during the
 // single-threaded accounting pass of RunCtx, so for any single run their
-// deltas equal the Result.Telemetry fields exactly.
+// deltas equal the Result.Telemetry fields exactly. Trials run on the
+// variation.Campaign engine, so variation_trial_seconds (registered by
+// variation.SetMetrics) times every reliability trial.
 //
 // Metrics registered:
 //
@@ -35,19 +36,17 @@ var met atomic.Pointer[pkgMetrics]
 //	core_trials_completed_total    count  trials run to a verdict (== Telemetry.Completed summed)
 //	core_trial_errors_total        count  trials whose simulation failed (== Result.Errors summed)
 //	core_trials_cancelled_total    count  trials never run (== Result.Cancelled summed)
-//	core_trial_seconds             s      per-trial wall time (fabricate + age + measure)
 func SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		met.Store(nil)
 		return
 	}
 	met.Store(&pkgMetrics{
-		reg:          reg,
-		runs:         reg.Counter("core_runs_total", "1", "reliability runs started"),
-		trialsDone:   reg.Counter("core_trials_completed_total", "1", "reliability trials run to a verdict"),
-		trialErrors:  reg.Counter("core_trial_errors_total", "1", "reliability trials that errored"),
-		cancelled:    reg.Counter("core_trials_cancelled_total", "1", "reliability trials cancelled before running"),
-		trialSeconds: reg.Histogram("core_trial_seconds", "s", "per-trial fabricate+age+measure latency", nil),
+		reg:         reg,
+		runs:        reg.Counter("core_runs_total", "1", "reliability runs started"),
+		trialsDone:  reg.Counter("core_trials_completed_total", "1", "reliability trials run to a verdict"),
+		trialErrors: reg.Counter("core_trial_errors_total", "1", "reliability trials that errored"),
+		cancelled:   reg.Counter("core_trials_cancelled_total", "1", "reliability trials cancelled before running"),
 	})
 }
 

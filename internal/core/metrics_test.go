@@ -65,19 +65,23 @@ func TestMetricsConsistentWithTelemetry(t *testing.T) {
 			newton, res.Telemetry.NewtonIterations)
 	}
 
-	// The per-trial latency histogram must have recorded every completed
-	// trial (cancelled trials never start the span).
-	h := after.Histogram("core_trial_seconds")
+	// Trials run on the variation campaign engine, whose per-trial
+	// latency histogram must have recorded every completed trial
+	// (cancelled trials are never claimed by a worker).
+	h := after.Histogram("variation_trial_seconds")
 	if h == nil {
-		t.Fatal("core_trial_seconds missing from snapshot")
+		t.Fatal("variation_trial_seconds missing from snapshot")
 	}
 	var hb int64
-	if prev := before.Histogram("core_trial_seconds"); prev != nil {
+	if prev := before.Histogram("variation_trial_seconds"); prev != nil {
 		hb = prev.Count
 	}
 	if got := h.Count - hb; got != int64(res.Telemetry.Completed) {
-		t.Errorf("core_trial_seconds recorded %d trials, Telemetry.Completed = %d",
+		t.Errorf("variation_trial_seconds recorded %d trials, Telemetry.Completed = %d",
 			got, res.Telemetry.Completed)
+	}
+	if h := after.Histogram("core_trial_seconds"); h != nil {
+		t.Error("core_trial_seconds still registered; variation_trial_seconds times core trials")
 	}
 
 	// A second run against the same registry must advance the counters

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestNaNMetricExcludedFromMomentsButCountedInYield(t *testing.T) {
 		}
 		return v, nil
 	}
-	res, err := s.Run(trials, Mission{Duration: year, TempK: 350, Checkpoints: 1})
+	res, err := s.RunCtx(context.Background(), trials, Mission{Duration: year, TempK: 350, Checkpoints: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,58 +7,10 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/mathx"
 	"repro/internal/netlist"
 	"repro/internal/variation"
 )
-
-// sizedPool recycles parsed-and-resized decks across the Monte-Carlo
-// trials of one centering candidate evaluation. Resizing is applied once
-// at parse time — ResizeMOSFET is not idempotent on a reused deck (it
-// compounds), so a pooled deck is only ever reset, never re-resized, and
-// an errored trial drops its deck entirely.
-type sizedPool struct {
-	text   string
-	scales map[string]float64
-
-	mu   sync.Mutex
-	free []*netlist.Deck
-}
-
-func (p *sizedPool) get() (*netlist.Deck, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		d := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		d.Circuit.ResetSolverState()
-		return d, nil
-	}
-	p.mu.Unlock()
-	deck, err := netlist.Parse(p.text)
-	if err != nil {
-		return nil, err
-	}
-	for name, sc := range p.scales {
-		if sc == 1 {
-			continue
-		}
-		m, ok := deck.MOSFETs[name]
-		if !ok {
-			return nil, fmt.Errorf("jobspec: centering device %q not in deck", name)
-		}
-		variation.ResizeMOSFET(m, deck.Tech, deck.TempK, sc)
-	}
-	return deck, nil
-}
-
-func (p *sizedPool) put(d *netlist.Deck) {
-	p.mu.Lock()
-	p.free = append(p.free, d)
-	p.mu.Unlock()
-}
 
 // executeCentering runs the design-centering search: a greedy width
 // optimizer over the deck's MOSFETs, each candidate sizing scored by a
@@ -91,26 +43,12 @@ func executeCentering(ctx context.Context, text string, deck *netlist.Deck, spec
 	// candidates (common random numbers), so every sizing sees the same
 	// sequence of dies and the comparison is paired.
 	evaluate := func(ctx context.Context, scales map[string]float64) (*variation.MCResult, error) {
-		pool := &sizedPool{text: text, scales: scales}
+		pool := &variation.DiePool{Build: deckBuilder(text, scales)}
 		camp := &variation.Campaign{
 			Trials: p.Trials,
 			Seed:   spec.Seed,
 			Spec:   &vspec,
-			From:   0,
-			To:     p.Trials,
-			Trial: func(rng *mathx.RNG, _ int) (float64, error) {
-				die, err := pool.get()
-				if err != nil {
-					return 0, err
-				}
-				variation.ApplyRandomMismatch(die.Circuit, die.Tech, variation.NominalCorner(), rng)
-				sol, err := die.Circuit.OperatingPoint()
-				if err != nil {
-					return 0, err
-				}
-				pool.put(die)
-				return sol.Voltage(p.Node), nil
-			},
+			Trial:  voltageTrial(pool, deck.Tech, nil, p.Node),
 		}
 		return camp.Run(ctx)
 	}
@@ -123,9 +61,7 @@ func executeCentering(ctx context.Context, text string, deck *netlist.Deck, spec
 		Step:     p.Step,
 		MaxScale: p.MaxScale,
 		MaxIters: p.MaxIters,
-		Evaluate: func(ctx context.Context, scales map[string]float64) (*variation.MCResult, error) {
-			return evaluate(ctx, scales)
-		},
+		Evaluate: evaluate,
 	}
 	cr, err := ctr.Run(ctx)
 	if err != nil {

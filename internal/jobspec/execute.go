@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/aging"
 	"repro/internal/circuit"
+	"repro/internal/device"
 	"repro/internal/mathx"
 	"repro/internal/netlist"
 	"repro/internal/variation"
@@ -343,52 +344,6 @@ func executeAge(ctx context.Context, deck *netlist.Deck, spec *Spec, res *Result
 	return nil
 }
 
-// deckPool recycles parsed netlist decks across Monte-Carlo trials. A
-// trial that finishes cleanly returns its deck for reuse by the next
-// trial (up to batch uses, bounding state drift); a trial that errors
-// drops its deck, since a non-converged circuit's state is suspect.
-// Reused decks are reset to fresh-parse solver state before handing out,
-// so pooling never changes a result.
-type deckPool struct {
-	text  string
-	batch int
-
-	mu   sync.Mutex
-	free []*pooledDeck
-}
-
-type pooledDeck struct {
-	deck *netlist.Deck
-	uses int
-}
-
-func (p *deckPool) get() (*pooledDeck, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		d := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		d.deck.Circuit.ResetSolverState()
-		return d, nil
-	}
-	p.mu.Unlock()
-	deck, err := netlist.Parse(p.text)
-	if err != nil {
-		return nil, err
-	}
-	return &pooledDeck{deck: deck}, nil
-}
-
-func (p *deckPool) put(d *pooledDeck) {
-	d.uses++
-	if d.uses >= p.batch {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, d)
-	p.mu.Unlock()
-}
-
 // decodeResume parses journaled chunk checkpoints back into ChunkStats
 // and validates them against the campaign grid. A payload that does not
 // decode or does not fit the grid is an error: resuming with a foreign
@@ -465,6 +420,54 @@ func mcOutcome(p *MCParams, mc *variation.MCResult, chunks []variation.ChunkStat
 	return out
 }
 
+// deckBuilder returns a DiePool Build that parses text into a fresh deck
+// and scales the named MOSFETs' widths (nil scales: the deck as written).
+// Resizing happens once per die, at build: ResizeMOSFET compounds on a
+// reused deck, so a pooled die is only ever reset, never re-resized.
+func deckBuilder(text string, scales map[string]float64) func() (*circuit.Circuit, error) {
+	return func() (*circuit.Circuit, error) {
+		deck, err := netlist.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		for name, sc := range scales {
+			if sc == 1 {
+				continue
+			}
+			m, ok := deck.MOSFETs[name]
+			if !ok {
+				return nil, fmt.Errorf("jobspec: centering device %q not in deck", name)
+			}
+			variation.ResizeMOSFET(m, deck.Tech, deck.TempK, sc)
+		}
+		return deck.Circuit, nil
+	}
+}
+
+// voltageTrial returns a Campaign trial that takes a die from pool,
+// applies fresh mismatch (with the systematic part pinned at corner when
+// non-nil) and measures node's operating-point voltage. Only a die whose
+// solve converged goes back to the pool.
+func voltageTrial(pool *variation.DiePool, tech *device.Technology, corner *variation.Corner, node string) variation.Trial {
+	return func(rng *mathx.RNG, _ int) (float64, error) {
+		die, err := pool.Get()
+		if err != nil {
+			return 0, err
+		}
+		if corner != nil {
+			variation.ApplyRandomMismatchAtCorner(die.Circuit, tech, *corner, rng)
+		} else {
+			variation.ApplyRandomMismatch(die.Circuit, tech, variation.NominalCorner(), rng)
+		}
+		sol, err := die.Circuit.OperatingPoint()
+		if err != nil {
+			return 0, err
+		}
+		pool.Put(die)
+		return sol.Voltage(node), nil
+	}
+}
+
 func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec, res *Result, opts Options) error {
 	p := spec.MC
 	resume, err := decodeResume(opts.Resume, p.Trials)
@@ -476,18 +479,18 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 	}
 	// Trials run in parallel, so each die solves a private circuit instead
 	// of mutating the shared deck; the nominal solution warm-starts every
-	// trial's first solve. Decks are pooled: one parse serves up to batch
+	// trial's first solve. Dies are pooled: one parse serves up to batch
 	// trials, which amortises netlist parsing and the sparse backend's
 	// pattern discovery without perturbing any value (mismatch is fully
-	// overwritten per trial and solver state reset on reuse).
+	// overwritten per trial and the die reset to its parsed state on
+	// reuse). The nominal deck's Tech serves every die.
 	batch := p.Batch
 	if batch < 1 {
 		batch = 32
 	}
-	pool := &deckPool{text: text, batch: batch}
-	var guess []float64
+	pool := &variation.DiePool{Build: deckBuilder(text, nil), MaxUses: batch}
 	if sol, err := deck.Circuit.OperatingPoint(); err == nil {
-		guess = sol.X
+		pool.Guess = sol.X
 	}
 	from, to := 0, p.Trials
 	if p.Range != nil {
@@ -516,6 +519,7 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 		}
 		pinned = &co
 	}
+	trial := voltageTrial(pool, deck.Tech, pinned, p.Node)
 	var chunks []variation.ChunkStat
 	camp := &variation.Campaign{
 		Trials: p.Trials,
@@ -527,26 +531,9 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 		// Per-trial values feed the CLI histogram; a trial-range sub-job
 		// or a resumed campaign reports from mergeable Stats alone.
 		KeepValues: p.Range == nil && len(resume) == 0,
-		Trial: func(rng *mathx.RNG, _ int) (float64, error) {
+		Trial: func(rng *mathx.RNG, i int) (float64, error) {
 			defer meter.tick()
-			die, err := pool.get()
-			if err != nil {
-				return 0, err
-			}
-			if guess != nil {
-				_ = die.deck.Circuit.SetInitialGuess(guess)
-			}
-			if pinned != nil {
-				variation.ApplyRandomMismatchAtCorner(die.deck.Circuit, die.deck.Tech, *pinned, rng)
-			} else {
-				variation.ApplyRandomMismatch(die.deck.Circuit, die.deck.Tech, variation.NominalCorner(), rng)
-			}
-			sol, err := die.deck.Circuit.OperatingPoint()
-			if err != nil {
-				return 0, err
-			}
-			pool.put(die)
-			return sol.Voltage(p.Node), nil
+			return trial(rng, i)
 		},
 		OnChunk: func(st variation.ChunkStat) {
 			// Run emits complete chunks sequentially from one goroutine.

@@ -182,9 +182,9 @@ type MCParams struct {
 	// (JSON cannot carry ±Inf).
 	Lo *float64 `json:"lo,omitempty"`
 	Hi *float64 `json:"hi,omitempty"`
-	// Batch is the number of consecutive trials evaluated on one parsed
-	// deck before it is re-parsed (1 disables reuse; ApplyDefaults picks
-	// 32). It is an execution knob: results are bit-identical for any
+	// Batch is the number of trials one parsed deck serves, through the
+	// campaign's variation.DiePool, before it is re-parsed (1 disables
+	// reuse; ApplyDefaults picks 32). It is an execution knob: results are bit-identical for any
 	// value, so CanonicalHash excludes it and two submissions differing
 	// only in batch share a cache entry.
 	Batch int `json:"batch,omitempty"`
@@ -527,7 +527,7 @@ func (s *Spec) ApplyDefaults() {
 
 // CanonicalHash returns the spec's content address: the hex SHA-256 of
 // its canonical JSON encoding with the execution-only fields cleared —
-// NoCache (cache control), MC.Batch (deck-reuse chunking) and MC.Shards
+// NoCache (cache control), MC.Batch (deck reuse) and MC.Shards
 // (scatter-gather fan-out), none of which changes a result. Everything
 // that influences an execution's outcome — version, analysis kind,
 // netlist text, record list, seed, timeout and the parameter blocks,

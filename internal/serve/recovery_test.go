@@ -227,9 +227,11 @@ func TestCacheHitOnResubmit(t *testing.T) {
 		t.Fatalf("first run = %+v", fin)
 	}
 	// The job turns visibly done before the worker journals it; wait for
-	// the terminal append (submitted+running+done) so the resubmission
-	// below deterministically finds the cache entry.
-	waitCounter(t, reg, "store_journal_appends_total", 3)
+	// the terminal append (submitted+running+done, plus the chunk
+	// checkpoints journaled during the run) so the resubmission below
+	// deterministically finds the cache entry.
+	cps, _ := reg.Snapshot().Counter("store_checkpoints_total")
+	waitCounter(t, reg, "store_journal_appends_total", 3+cps)
 
 	resubmit := func(ts *httptest.Server, sp *jobspec.Spec) (*http.Response, View) {
 		t.Helper()

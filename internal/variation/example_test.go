@@ -1,6 +1,7 @@
 package variation_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/device"
@@ -22,11 +23,11 @@ func ExampleMinAreaForOffset() {
 	// required area: 6.8 um^2
 }
 
-// ExampleMonteCarlo estimates a mismatch yield with a reproducible
+// ExampleMonteCarloCtx estimates a mismatch yield with a reproducible
 // parallel Monte-Carlo run.
-func ExampleMonteCarlo() {
+func ExampleMonteCarloCtx() {
 	tech := device.MustTech("65nm")
-	res, err := variation.MonteCarlo(2000, 42, func(rng *mathx.RNG, _ int) (float64, error) {
+	res, err := variation.MonteCarloCtx(context.Background(), 2000, 42, func(rng *mathx.RNG, _ int) (float64, error) {
 		return variation.SamplePairDeltaVT(tech, 1e-6, 65e-9, 0, rng), nil
 	})
 	if err != nil {

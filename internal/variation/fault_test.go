@@ -13,7 +13,7 @@ import (
 )
 
 func TestMonteCarloPanicIsolated(t *testing.T) {
-	res, err := MonteCarlo(50, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := MonteCarloCtx(context.Background(), 50, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		if i%7 == 0 {
 			panic(fmt.Sprintf("model blew up on trial %d", i))
 		}
@@ -111,7 +111,7 @@ func TestMonteCarloDeadline(t *testing.T) {
 // Regression: a run in which every trial failed must degrade to NaN
 // statistics instead of panicking in Quantile.
 func TestMCResultEmptyValuesConsistentNaN(t *testing.T) {
-	res, err := MonteCarlo(10, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := MonteCarloCtx(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		return 0, errors.New("all dies dead")
 	})
 	if err != nil {
@@ -178,7 +178,7 @@ func TestTrialErrorFormatAndUnwrap(t *testing.T) {
 // Trials returning the solver's convergence sentinel must classify as
 // convergence failures in the structured accounting.
 func TestMonteCarloConvergenceClassification(t *testing.T) {
-	res, err := MonteCarlo(10, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := MonteCarloCtx(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		if i < 3 {
 			return 0, fmt.Errorf("op: %w", circuit.ErrNoConvergence)
 		}

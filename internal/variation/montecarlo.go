@@ -174,14 +174,6 @@ func statsFromValues(r *MCResult) *MCStats {
 // ErrorsByKind tallies the structured failures by taxonomy kind.
 func (r *MCResult) ErrorsByKind() map[FailureKind]int { return CountByKind(r.Errors) }
 
-// MonteCarlo is MonteCarloCtx with context.Background().
-//
-// Deprecated: call MonteCarloCtx so the run can be cancelled or bounded
-// by a deadline; this wrapper remains for source compatibility only.
-func MonteCarlo(n int, seed uint64, trial Trial) (*MCResult, error) {
-	return MonteCarloCtx(context.Background(), n, seed, trial)
-}
-
 // MonteCarloCtx runs n trials with the given seed. Trials execute in
 // parallel but every trial's RNG stream depends only on (seed, index), so
 // results are bit-identical regardless of GOMAXPROCS; n <= 0 is an error.

@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -107,11 +108,11 @@ func TestMonteCarloDeterministicAcrossRuns(t *testing.T) {
 	trial := func(rng *mathx.RNG, i int) (float64, error) {
 		return rng.Norm() + float64(i)*1e-9, nil
 	}
-	a, err := MonteCarlo(500, 42, trial)
+	a, err := MonteCarloCtx(context.Background(), 500, 42, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarlo(500, 42, trial)
+	b, err := MonteCarloCtx(context.Background(), 500, 42, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestMonteCarloDeterministicAcrossRuns(t *testing.T) {
 			t.Fatalf("trial %d differs across runs", i)
 		}
 	}
-	c, _ := MonteCarlo(500, 43, trial)
+	c, _ := MonteCarloCtx(context.Background(), 500, 43, trial)
 	same := 0
 	for i := range a.Values {
 		if a.Values[i] == c.Values[i] {
@@ -133,7 +134,7 @@ func TestMonteCarloDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestMonteCarloCountsFailures(t *testing.T) {
-	res, err := MonteCarlo(100, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := MonteCarloCtx(context.Background(), 100, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		if i%10 == 0 {
 			return 0, errors.New("boom")
 		}
@@ -151,13 +152,13 @@ func TestMonteCarloCountsFailures(t *testing.T) {
 }
 
 func TestMonteCarloRejectsBadN(t *testing.T) {
-	if _, err := MonteCarlo(0, 1, func(*mathx.RNG, int) (float64, error) { return 0, nil }); err == nil {
+	if _, err := MonteCarloCtx(context.Background(), 0, 1, func(*mathx.RNG, int) (float64, error) { return 0, nil }); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
 
 func TestMonteCarloNaNCountedSeparately(t *testing.T) {
-	res, err := MonteCarlo(10, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := MonteCarloCtx(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		return math.NaN(), nil
 	})
 	if err != nil {
@@ -172,7 +173,7 @@ func TestMonteCarloNaNCountedSeparately(t *testing.T) {
 }
 
 func TestMonteCarloMixedNaNAndErrorTrials(t *testing.T) {
-	res, err := MonteCarlo(30, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := MonteCarloCtx(context.Background(), 30, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		switch i % 3 {
 		case 0:
 			return 0, errors.New("solver blew up")
@@ -191,7 +192,7 @@ func TestMonteCarloMixedNaNAndErrorTrials(t *testing.T) {
 }
 
 func TestMonteCarloStatisticsConverge(t *testing.T) {
-	res, err := MonteCarlo(200000, 5, func(rng *mathx.RNG, _ int) (float64, error) {
+	res, err := MonteCarloCtx(context.Background(), 200000, 5, func(rng *mathx.RNG, _ int) (float64, error) {
 		return 3 + 2*rng.Norm(), nil
 	})
 	if err != nil {
