@@ -68,7 +68,7 @@ race-batch:
 
 # The sharded-campaign and checkpoint/resume paths under the race
 # detector: mergeable moments and sketches, shard-seed independence,
-# trial-range scatter-gather (local and peer-dispatched), checkpoint
+# trial-range scatter-gather (local and fleet-dispatched), checkpoint
 # journaling with compaction/eviction guarantees, and the kill-and-
 # resume acceptance suite.
 race-shard:
@@ -91,15 +91,17 @@ race-campaign:
 race-tenant:
 	$(GO) test -race -count=1 -run 'TestTenant|TestFairShare|TestTrialRate|TestBatch|TestList|TestReadyz|TestRestartFairShare|TestInteractive|TestEvent' ./internal/serve/
 
-# The fleet-federation paths under the race detector: tenant-
-# authenticated and timed-out shard dispatch (auth vs unreachable
-# fallback accounting, hung-peer goroutine hygiene), cross-node job
+# The fleet-federation paths under the race detector: shard dispatch
+# failures against probed-healthy peers (dead, hung and auth-rejecting:
+# unreachable vs auth fallback accounting, hung-peer goroutine hygiene),
+# least-backlog placement with bit-identical merges, cross-node job
 # forwarding with the hop guard, probe-driven quarantine and recovery,
-# fleet-wide max_running, and the two-node kill-and-failover acceptance
-# run proving an adopted campaign resumes from the dead node's journal
-# bit-identical to an uninterrupted one.
+# fleet-wide max_running, the two-node kill-and-failover acceptance run
+# proving an adopted campaign resumes from the dead node's journal
+# bit-identical to an uninterrupted one, the fleet-of-one wire contract
+# of a lone server, and the fleet-config fuzz seeds.
 race-fleet:
-	$(GO) test -race -count=1 -run 'TestFleet|TestShardDispatch|TestShardedCampaignPeerDispatch|TestShardPeerFallbackLocal' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestFleet|FuzzFleet|TestShardDispatch|TestShardPeerFallbackLocal|TestSingleNode' ./internal/serve/
 
 # Harness-rot check for cmd/loadgen: one short open-loop stage against
 # an in-process server, asserting the BENCH_9 driver still runs end to

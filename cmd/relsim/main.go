@@ -76,12 +76,11 @@
 // Sharding: a spec with "mc": {"shards": k} splits its campaign into k
 // chunk-aligned trial-range shards, scatter-gathered into one result
 // with bit-identical mean/σ/yield (quantiles carry a small documented
-// sketch error). With -peers the shards are dispatched to other relsim
-// servers over the same /v1/jobs API; shard progress streams on the
-// events endpoint as NDJSON {"stage":"shard"} samples, and a dead peer
-// falls back to local execution:
-//
-//	relsim -serve :8080 -peers http://host2:8080,http://host3:8080
+// sketch error). Shard progress streams on the events endpoint as
+// NDJSON {"stage":"shard"} samples. A lone server runs every shard
+// itself; under -fleet the shards are placed on the least-loaded healthy
+// node over the same /v1/jobs API, and a failed dispatch falls back to
+// local execution.
 //
 // Fleet mode: -fleet fleet.json federates several relsim servers into
 // one service. The config names every node (id, base URL, data dir) and
@@ -177,14 +176,13 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "serve: journal jobs and results here; restart recovers them and enables the spec-keyed result cache")
 		keepJobs  = flag.Int("keep-jobs", 512, "serve: max retained terminal jobs (oldest evicted first; negative = unbounded)")
 		keepAge   = flag.Duration("keep-age", 0, "serve: evict terminal jobs older than this (0 = no age bound)")
-		peers     = flag.String("peers", "", "serve: comma-separated peer server URLs to dispatch campaign shards to (mc.shards > 1); a dead peer falls back to local execution")
 		tenants   = flag.String("tenants", "", "serve: tenant keyfile ({\"tenants\":[{\"id\",\"key\",\"weight\",...}]}); enables API-key auth, per-tenant quotas and weighted fair-share scheduling")
-		fleetFile = flag.String("fleet", "", "serve: fleet config ({\"self\",\"key\",\"nodes\":[{\"id\",\"url\",\"data_dir\"}]}); federates this server with the listed nodes (overrides -peers)")
+		fleetFile = flag.String("fleet", "", "serve: fleet config ({\"self\",\"key\",\"nodes\":[{\"id\",\"url\",\"data_dir\"}]}); federates this server with the listed nodes")
 	)
 	flag.Parse()
 
 	if *serveAddr != "" {
-		runServe(*serveAddr, *queue, *workers, *timeout, *drain, *metrics, *progress, *dataDir, *keepJobs, *keepAge, splitList(*peers), *tenants, *fleetFile)
+		runServe(*serveAddr, *queue, *workers, *timeout, *drain, *metrics, *progress, *dataDir, *keepJobs, *keepAge, *tenants, *fleetFile)
 		return
 	}
 	if *netFile == "" {

@@ -26,14 +26,14 @@ import (
 // directory restores the previous campaign — terminal jobs served
 // as-is, queued jobs re-run, interrupted Monte-Carlo campaigns resumed
 // from their last journaled chunk checkpoint, and other interrupted
-// jobs failed with a structured cause. With -peers, campaign shards
-// (mc.shards > 1) are dispatched to peer relsim servers. With -tenants,
-// the API requires per-tenant keys and schedules tenants by weighted
-// fair share under their configured quotas. With -fleet, the server
-// federates with the configured nodes: forwarded job lookups, health-
-// probed shard placement, fleet-wide max_running and journal-replay
-// failover for dead peers.
-func runServe(addr string, queueDepth, workers int, defaultTimeout, drain time.Duration, metricsAddr string, progress bool, dataDir string, keepJobs int, keepAge time.Duration, peers []string, tenantsFile, fleetFile string) {
+// jobs failed with a structured cause. With -tenants, the API requires
+// per-tenant keys and schedules tenants by weighted fair share under
+// their configured quotas. With -fleet, the server federates with the
+// configured nodes: forwarded job lookups, health-probed placement of
+// campaign shards (mc.shards > 1), fleet-wide max_running and
+// journal-replay failover for dead peers. Without it the server is a
+// fleet of one and runs every shard itself.
+func runServe(addr string, queueDepth, workers int, defaultTimeout, drain time.Duration, metricsAddr string, progress bool, dataDir string, keepJobs int, keepAge time.Duration, tenantsFile, fleetFile string) {
 	reg := obs.NewRegistry()
 	core.EnableMetrics(reg)
 
@@ -94,7 +94,6 @@ func runServe(addr string, queueDepth, workers int, defaultTimeout, drain time.D
 		Store:           st,
 		MaxTerminalJobs: keepJobs,
 		MaxTerminalAge:  keepAge,
-		Peers:           peers,
 		Tenants:         tenantCfgs,
 		Fleet:           fleetCfg,
 	})

@@ -19,12 +19,13 @@ import (
 // Fleet federation: N relsim processes acting as one service. Each node
 // owns the jobs it admits (node-prefixed IDs), answers reads for any
 // fleet job by forwarding to the owner, places campaign shards on the
-// least-loaded healthy node instead of the blind Peers rotation,
-// enforces tenant max_running against the whole fleet's running count,
-// and — when a peer with a reachable data dir stays dead past the
-// takeover threshold — adopts the peer's unfinished jobs by replaying
-// its journal checkpoints, so a campaign survives the death of the node
-// that was running it.
+// least-loaded healthy node, enforces tenant max_running against the
+// whole fleet's running count, and — when a peer with a reachable data
+// dir stays dead past the takeover threshold — adopts the peer's
+// unfinished jobs by replaying its journal checkpoints, so a campaign
+// survives the death of the node that was running it. A server started
+// without a fleet config is a fleet of one: no peers, no key, no prober,
+// and the same placement and forwarding code degenerates to "here".
 
 // Fleet request headers.
 const (
@@ -111,7 +112,10 @@ func (c *FleetConfig) validate() error {
 		if n.ID == "" {
 			return errors.New("serve: fleet node with empty id")
 		}
-		if strings.ContainsAny(n.ID, " \t\n/") || strings.Contains(n.ID, "-job-") {
+		// "-job-" marks where the owner prefix of a job ID ends, so an id
+		// must neither contain it nor end in "-job" (x-job + -job-000007
+		// would resolve to owner "x").
+		if strings.ContainsAny(n.ID, " \t\n/") || strings.Contains(n.ID, "-job-") || strings.HasSuffix(n.ID, "-job") {
 			return fmt.Errorf("serve: fleet node id %q is not usable as a job-ID prefix", n.ID)
 		}
 		if n.URL == "" {
@@ -331,8 +335,8 @@ func (f *fleetState) runningFor(tenant string) int {
 // leastLoaded picks the node shard should run on: among this node (at
 // localLoad) and the healthy peers, the smallest queued+inflight
 // backlog wins; ties are split round-robin by shard index so a
-// uniformly-loaded fleet spreads shards like the old rotation did. An
-// empty URL means "run it here".
+// uniformly-loaded fleet spreads shards evenly. An empty URL means "run
+// it here".
 func (f *fleetState) leastLoaded(shard, localLoad int) string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -430,9 +434,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request, ts *tenantS
 		Workers:    s.cfg.Workers,
 		Tenants:    s.queue.tenantLoads(),
 	}
-	if s.fleet != nil {
-		st.Peers = s.fleet.peerViews()
-	}
+	st.Peers = s.fleet.peerViews()
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -599,7 +601,7 @@ func (s *Server) adoptPeerJobs(node FleetNode) error {
 // and the caller should answer its own 404. Forwarded requests carry
 // the hop guard, so the receiving node never forwards again.
 func (s *Server) forwardJob(w http.ResponseWriter, r *http.Request, id string, ts *tenantState) bool {
-	if s.fleet == nil || r.Header.Get(fleetForwardedHeader) != "" {
+	if r.Header.Get(fleetForwardedHeader) != "" {
 		return false
 	}
 	streaming := strings.HasSuffix(r.URL.Path, "/events")
@@ -661,9 +663,11 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 }
 
 // isFleetReq reports whether the request authenticated with the shared
-// fleet key — a node-to-node call (shard dispatch, probe, forward).
+// fleet key — a node-to-node call (shard dispatch, probe, forward). The
+// blank key of a fleet of one authenticates nothing.
 func (s *Server) isFleetReq(r *http.Request) bool {
-	return s.fleet != nil && requestKey(r) == s.fleet.cfg.Key
+	key := requestKey(r)
+	return key != "" && key == s.fleet.cfg.Key
 }
 
 // laneCfg resolves the queue-lane config a job is pushed under: nil

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,83 +106,98 @@ func waitTerminalURL(t *testing.T, base, key, id string) View {
 	}
 }
 
-// --- satellite 1: shard dispatch must carry the submitting tenant's
-// credential ---
+// --- shard dispatch failures: every one falls back to local execution,
+// counted by cause ---
 
-// TestShardDispatchTenantAuth runs a sharded campaign between two
-// legacy-peer servers that BOTH require tenant keys: the dispatch path
-// must authenticate every shard sub-job (submit, poll, cleanup) as the
-// submitting tenant, so every shard lands on the peer — zero fallbacks —
-// and the merged moments stay bit-identical to an unsharded run. Before
-// the fix, dispatchShard sent only Content-Type, the peer 401'd every
-// shard, and the campaign silently degraded to all-local execution.
-func TestShardDispatchTenantAuth(t *testing.T) {
-	regPeer := obs.NewRegistry()
-	_, tsPeer := newTestServer(t, Config{
-		QueueDepth: 16, Workers: 2, Registry: regPeer, Tenants: twoTenants(),
+// fakePeer starts a stand-in for fleet node "b": it answers the health
+// probe as b, so probeFleet marks it healthy, and hands the shard submit
+// (POST /v1/jobs) to submit — the failure under test.
+func fakePeer(t *testing.T, submit http.HandlerFunc) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, fleetStatus{Node: "b"})
 	})
+	mux.HandleFunc("POST /v1/jobs", submit)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
 
+// originWithPeer starts fleet node "a" with node "b" at peerURL and
+// probes b once, so placement sees an idle healthy peer and sends it
+// every shard (a's own running campaign makes a the busier node).
+func originWithPeer(t *testing.T, peerURL string, cfg Config) *httptest.Server {
+	t.Helper()
+	// a's own URL is never dialed by a; a placeholder keeps the table valid.
+	cfg.Fleet = twoNodeFleet("a", "http://127.0.0.1:1", peerURL, "", "")
+	s, ts := newTestServer(t, cfg)
+	s.probeFleet(time.Now())
+	if got := s.met.fleetHealthy.Value(); got != 2 {
+		t.Fatalf("healthy nodes after probing the peer = %v, want 2", got)
+	}
+	return ts
+}
+
+// TestShardPeerFallbackLocal probes a peer healthy and then kills its
+// listener: every dispatch must fall back to local execution, counted as
+// unreachable, and the campaign must still complete — a dead peer costs
+// throughput, never the result.
+func TestShardPeerFallbackLocal(t *testing.T) {
+	peer := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		t.Error("a closed peer answered a shard submit")
+	})
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{
-		QueueDepth: 4, Workers: 1, Registry: reg, Tenants: twoTenants(),
-		Peers: []string{tsPeer.URL},
-	})
+	ts := originWithPeer(t, peer.URL, Config{QueueDepth: 4, Workers: 1, Registry: reg})
+	peer.Close()
 
 	spec := mcSpec(96)
-	spec.Seed = 51
-	spec.MC.Shards = 4
-	_, v := submitAs(t, ts, "k-acme", spec)
-	fin := waitTerminalAs(t, ts, "k-acme", v.ID)
+	spec.Seed = 34
+	spec.MC.Shards = 2
+	_, v := submit(t, ts, spec)
+	fin := waitTerminal(t, ts, v.ID)
 	if fin.State != StateDone {
-		t.Fatalf("sharded campaign = %s (error %q), want done", fin.State, fin.Error)
+		t.Fatalf("campaign with a dead peer = %s (error %q), want local fallback to done", fin.State, fin.Error)
 	}
-	if n, _ := reg.Snapshot().Counter("serve_shards_dispatched_total"); n != 4 {
-		t.Errorf("serve_shards_dispatched_total = %d, want 4 (tenant credential not propagated?)", n)
-	}
-	if n, _ := reg.Snapshot().Counter("serve_shard_fallbacks_total"); n != 0 {
-		t.Errorf("serve_shard_fallbacks_total = %d, want 0", n)
-	}
-	// The peer owns the sub-jobs under the originating tenant.
-	if n, _ := regPeer.Snapshot().Counter("serve_tenant_acme_admitted_total"); n != 4 {
-		t.Errorf("peer admitted %d acme sub-jobs, want 4", n)
-	}
-
 	var got jobspec.Result
 	if err := json.Unmarshal(fin.Result, &got); err != nil {
 		t.Fatal(err)
 	}
-	ref := mcSpec(96)
-	ref.Seed = 51
-	ref.ApplyDefaults()
-	want, err := jobspec.Execute(context.Background(), ref)
-	if err != nil {
-		t.Fatal(err)
+	if got.MC == nil || got.MC.Completed() != 96 {
+		t.Fatalf("fallback campaign = %+v, want 96 completed trials", got.MC)
 	}
-	if got.MC.Stats.Moments != want.MC.Stats.Moments {
-		t.Errorf("tenant-authenticated sharded moments\n%+v\ndiffer from the unsharded run's\n%+v",
-			got.MC.Stats.Moments, want.MC.Stats.Moments)
+	snap := reg.Snapshot()
+	if n, _ := snap.Counter("serve_shard_fallbacks_total"); n != 2 {
+		t.Errorf("serve_shard_fallbacks_total = %d, want 2", n)
+	}
+	if n, _ := snap.Counter("serve_shard_fallbacks_unreachable_total"); n != 2 {
+		t.Errorf("serve_shard_fallbacks_unreachable_total = %d, want 2", n)
+	}
+	if n, _ := snap.Counter("serve_shards_dispatched_total"); n != 0 {
+		t.Errorf("serve_shards_dispatched_total = %d, want 0", n)
 	}
 }
 
-// TestShardDispatchAuthRejectionCounted: when the peer demands keys the
-// dispatching server cannot supply, the campaign must still complete by
+// TestShardDispatchAuthRejectionCounted: a peer whose keyfile lacks the
+// submitting tenant accepts the fleet key's probes but answers 401 to
+// the tenant-scoped shard submits. The campaign must still complete by
 // local fallback — and the fallbacks must be counted as auth rejections,
 // distinct from unreachable peers, so the operator sees a key problem,
 // not a network one.
 func TestShardDispatchAuthRejectionCounted(t *testing.T) {
-	_, tsPeer := newTestServer(t, Config{QueueDepth: 16, Workers: 2, Tenants: twoTenants()})
+	// b knows only beta. Its own fleet table is never dialed in this test.
+	_, peer := newTestServer(t, Config{QueueDepth: 16, Workers: 2,
+		Tenants: []TenantConfig{{ID: "beta", Key: "k-beta", Weight: 1}},
+		Fleet:   twoNodeFleet("b", "http://127.0.0.1:1", "http://127.0.0.1:2", "", "")})
 
-	// The origin runs single-tenant: it has no credential to attach.
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{
-		QueueDepth: 4, Workers: 1, Registry: reg, Peers: []string{tsPeer.URL},
-	})
+	ts := originWithPeer(t, peer.URL, Config{QueueDepth: 4, Workers: 1, Registry: reg, Tenants: twoTenants()})
 
 	spec := mcSpec(48)
 	spec.Seed = 52
 	spec.MC.Shards = 2
-	_, v := submit(t, ts, spec)
-	fin := waitTerminal(t, ts, v.ID)
+	_, v := submitAs(t, ts, "k-acme", spec)
+	fin := waitTerminalAs(t, ts, "k-acme", v.ID)
 	if fin.State != StateDone {
 		t.Fatalf("campaign = %s (error %q), want local-fallback done", fin.State, fin.Error)
 	}
@@ -200,36 +220,25 @@ func TestShardDispatchAuthRejectionCounted(t *testing.T) {
 	}
 }
 
-// --- satellite 2: dispatch timeouts ---
-
-// TestShardDispatchHungPeer points Peers at a listener that accepts TCP
-// and then never answers — the failure mode http.DefaultClient (no
+// TestShardDispatchHungPeer: a peer that answers its probes but never
+// answers a shard submit — the failure mode http.DefaultClient (no
 // timeout) turned into a worker goroutine parked forever. With
 // ShardHTTPTimeout the dispatch must time out, fall back locally
 // (counted as unreachable), finish the campaign, and leak no goroutines.
 func TestShardDispatchHungPeer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close() // hold every connection open, answer nothing
+	hang := make(chan struct{})
+	peer := fakePeer(t, func(w http.ResponseWriter, r *http.Request) {
+		select { // hold the request open, answer nothing
+		case <-r.Context().Done():
+		case <-hang:
 		}
-	}()
+	})
+	t.Cleanup(func() { close(hang) }) // runs before the peer's Close
 
 	baseline := runtime.NumGoroutine()
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{
-		QueueDepth: 4, Workers: 1, Registry: reg,
-		Peers:            []string{"http://" + ln.Addr().String()},
-		ShardHTTPTimeout: 300 * time.Millisecond,
-	})
+	ts := originWithPeer(t, peer.URL, Config{QueueDepth: 4, Workers: 1, Registry: reg,
+		ShardHTTPTimeout: 300 * time.Millisecond})
 
 	spec := mcSpec(48)
 	spec.Seed = 53
@@ -251,7 +260,7 @@ func TestShardDispatchHungPeer(t *testing.T) {
 		t.Errorf("serve_shard_fallbacks_auth_total = %d, want 0", n)
 	}
 
-	// No goroutine may stay parked on the hung sockets.
+	// No goroutine may stay parked on the hung requests.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > baseline+15 {
 		if time.Now().After(deadline) {
@@ -594,8 +603,10 @@ func TestFleetKillAndFailoverResume(t *testing.T) {
 }
 
 // TestFleetShardPlacement: fleet placement sends shards to the probed
-// least-backlog node instead of the blind rotation — and with every peer
-// quarantined it keeps everything local without a single dispatch
+// least-backlog node — every shard of a k=4 campaign lands on the idle
+// peer, answered under the fleet key and the submitting tenant, and the
+// merged moments stay bit-identical to an unsharded run — while with no
+// healthy peer it keeps everything local without a single dispatch
 // attempt.
 func TestFleetShardPlacement(t *testing.T) {
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
@@ -643,9 +654,9 @@ func TestFleetShardPlacement(t *testing.T) {
 		t.Errorf("serve_shard_fallbacks_total = %d, want 0 — local placement is not a fallback", n)
 	}
 
-	// After a probe, B (idle, more workers) is eligible: a sharded
-	// campaign spreads across both nodes and the peer executes real
-	// sub-jobs under the submitting tenant.
+	// After a probe, B is idle while A runs the campaign itself, so B is
+	// the least-backlog node for every shard: all four reach the peer,
+	// which executes real sub-jobs under the submitting tenant.
 	sA.probeFleet(time.Now())
 	spec2 := mcSpec(96)
 	spec2.Seed = 72
@@ -655,16 +666,16 @@ func TestFleetShardPlacement(t *testing.T) {
 	if fin2.State != StateDone {
 		t.Fatalf("fleet-placed campaign = %s (error %q), want done", fin2.State, fin2.Error)
 	}
-	if n, _ := regA.Snapshot().Counter("serve_shards_dispatched_total"); n == 0 {
-		t.Error("no shard reached the healthy peer")
+	if n, _ := regA.Snapshot().Counter("serve_shards_dispatched_total"); n != 4 {
+		t.Errorf("serve_shards_dispatched_total = %d, want 4", n)
 	}
 	if n, _ := regA.Snapshot().Counter("serve_shard_fallbacks_total"); n != 0 {
 		t.Errorf("serve_shard_fallbacks_total = %d, want 0", n)
 	}
 	// The peer ran the dispatched shards as fleet-internal sub-jobs:
 	// admitted and executed, but never charged to acme's own instruments.
-	if n, _ := regB.Snapshot().Counter("serve_jobs_submitted_total"); n == 0 {
-		t.Error("peer accepted no sub-jobs")
+	if n, _ := regB.Snapshot().Counter("serve_jobs_submitted_total"); n != 4 {
+		t.Errorf("peer accepted %d sub-jobs, want 4", n)
 	}
 	if n, _ := regB.Snapshot().Counter("serve_tenant_acme_admitted_total"); n != 0 {
 		t.Errorf("peer charged %d fleet-internal sub-jobs to acme's admission counter, want 0", n)
@@ -673,6 +684,12 @@ func TestFleetShardPlacement(t *testing.T) {
 	var got jobspec.Result
 	if err := json.Unmarshal(fin2.Result, &got); err != nil {
 		t.Fatal(err)
+	}
+	if got.MC == nil || got.MC.Stats == nil || got.MC.Shards != 4 {
+		t.Fatalf("fleet-placed outcome = %+v, want stats from a 4-way fan-out", got.MC)
+	}
+	if got.MC.Completed() != 96 {
+		t.Errorf("fleet-placed campaign completed %d trials, want 96", got.MC.Completed())
 	}
 	ref := mcSpec(96)
 	ref.Seed = 72
@@ -687,30 +704,38 @@ func TestFleetShardPlacement(t *testing.T) {
 	}
 }
 
+// validFleetConfig is the two-node table the config tests break one
+// field at a time.
+func validFleetConfig() *FleetConfig {
+	c := &FleetConfig{Self: "a", Key: "k", Nodes: []FleetNode{
+		{ID: "a", URL: "http://h1:1"}, {ID: "b", URL: "http://h2:1"},
+	}}
+	c.applyDefaults()
+	return c
+}
+
+// brokenFleetConfigs maps each config guard to a mutation of
+// validFleetConfig that must trip it.
+var brokenFleetConfigs = map[string]func(*FleetConfig){
+	"no key":         func(c *FleetConfig) { c.Key = "" },
+	"self missing":   func(c *FleetConfig) { c.Self = "zz" },
+	"dup id":         func(c *FleetConfig) { c.Nodes[1].ID = "a" },
+	"dup url":        func(c *FleetConfig) { c.Nodes[1].URL = c.Nodes[0].URL },
+	"dup url slash":  func(c *FleetConfig) { c.Nodes[1].URL = c.Nodes[0].URL + "/" },
+	"empty id":       func(c *FleetConfig) { c.Nodes[0].ID = "" },
+	"reserved infix": func(c *FleetConfig) { c.Nodes[0].ID = "x-job-y"; c.Self = "x-job-y" },
+	"reserved tail":  func(c *FleetConfig) { c.Nodes[0].ID = "x-job"; c.Self = "x-job" },
+	"no url":         func(c *FleetConfig) { c.Nodes[1].URL = "" },
+}
+
 // TestFleetConfigValidate covers the config guards that keep a bad
 // fleet.json from running half-federated.
 func TestFleetConfigValidate(t *testing.T) {
-	base := func() *FleetConfig {
-		c := &FleetConfig{Self: "a", Key: "k", Nodes: []FleetNode{
-			{ID: "a", URL: "http://h1:1"}, {ID: "b", URL: "http://h2:1"},
-		}}
-		c.applyDefaults()
-		return c
-	}
-	if err := base().validate(); err != nil {
+	if err := validFleetConfig().validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	cases := map[string]func(*FleetConfig){
-		"no key":         func(c *FleetConfig) { c.Key = "" },
-		"self missing":   func(c *FleetConfig) { c.Self = "zz" },
-		"dup id":         func(c *FleetConfig) { c.Nodes[1].ID = "a" },
-		"dup url":        func(c *FleetConfig) { c.Nodes[1].URL = c.Nodes[0].URL },
-		"empty id":       func(c *FleetConfig) { c.Nodes[0].ID = "" },
-		"reserved infix": func(c *FleetConfig) { c.Nodes[0].ID = "x-job-y"; c.Self = "x-job-y" },
-		"no url":         func(c *FleetConfig) { c.Nodes[1].URL = "" },
-	}
-	for name, mutate := range cases {
-		c := base()
+	for name, mutate := range brokenFleetConfigs {
+		c := validFleetConfig()
 		mutate(c)
 		if err := c.validate(); err == nil {
 			t.Errorf("%s: validate accepted a broken config", name)
@@ -728,4 +753,265 @@ func TestFleetConfigValidate(t *testing.T) {
 	if _, ok := jobSeq("b-job-000042", "a-"); ok {
 		t.Error("jobSeq accepted a foreign prefix")
 	}
+}
+
+// FuzzFleetConfig feeds arbitrary JSON through the LoadFleet pipeline
+// (unmarshal, applyDefaults, validate). It must never panic, and every
+// config it accepts must be one the fleet can route by: unique node IDs
+// and URLs, Self in the table, no trailing "/" on a URL (request paths
+// are appended to it), and every node's job IDs resolving back to that
+// node with their sequence number intact.
+func FuzzFleetConfig(f *testing.F) {
+	seed := func(c *FleetConfig) {
+		b, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	seed(validFleetConfig())
+	for _, mutate := range brokenFleetConfigs {
+		c := validFleetConfig()
+		mutate(c)
+		seed(c)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c := new(FleetConfig)
+		if json.Unmarshal(b, c) != nil {
+			return
+		}
+		c.applyDefaults()
+		if c.validate() != nil {
+			return
+		}
+		ids, urls := map[string]bool{}, map[string]bool{}
+		for _, n := range c.Nodes {
+			if ids[n.ID] || urls[n.URL] {
+				t.Fatalf("accepted duplicate node %q at %q", n.ID, n.URL)
+			}
+			ids[n.ID], urls[n.URL] = true, true
+			if strings.HasSuffix(n.URL, "/") {
+				t.Fatalf("accepted url %q with a trailing slash", n.URL)
+			}
+			id := n.ID + "-job-000007"
+			if owner := ownerFromID(id); owner != n.ID {
+				t.Fatalf("ownerFromID(%q) = %q, want %q", id, owner, n.ID)
+			}
+			if seq, ok := jobSeq(id, n.ID+"-"); !ok || seq != 7 {
+				t.Fatalf("jobSeq(%q) = %d,%v, want 7,true", id, seq, ok)
+			}
+		}
+		if !ids[c.Self] {
+			t.Fatalf("accepted self %q outside the node table", c.Self)
+		}
+	})
+}
+
+// outboundCounter is an http.RoundTripper that refuses and counts every
+// request: installed on a lone server's clients, it proves the server
+// never dials out.
+type outboundCounter struct{ n atomic.Int64 }
+
+func (c *outboundCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return nil, fmt.Errorf("outbound %s %s from a fleet of one", r.Method, r.URL)
+}
+
+// loneServer starts a server without a fleet config — a fleet of one —
+// whose node-to-node clients all report to the returned counter.
+func loneServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *outboundCounter) {
+	t.Helper()
+	s := NewServer(cfg)
+	out := new(outboundCounter)
+	s.shardClient.Transport = out
+	s.probeClient.Transport = out
+	s.streamClient.Transport = out
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		ts.Close()
+	})
+	return s, ts, out
+}
+
+// forgedFleetHeaders are requests that must never pass as node-to-node
+// fleet calls on a fleet of one, whose fleet key is blank.
+var forgedFleetHeaders = map[string]map[string]string{
+	"no key":          {},
+	"empty bearer":    {"Authorization": "Bearer "},
+	"forwarded":       {fleetForwardedHeader: "b"},
+	"tenant":          {fleetTenantHeader: "beta"},
+	"forwarded+empty": {"Authorization": "Bearer ", fleetForwardedHeader: "b", fleetTenantHeader: "beta"},
+}
+
+func withHeaders(t *testing.T, method, url string, h map[string]string, body []byte) *http.Request {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range h {
+		req.Header.Set(k, v)
+	}
+	return req
+}
+
+// TestSingleNodeFleetOfOne pins the wire behaviour of a server started
+// without a fleet config, which runs the fleet code as a fleet of one:
+// unprefixed job IDs, a /v1/fleet body without node or peers, a plain
+// 404 for unknown IDs, shards placed locally and bit-identical to an
+// unsharded run — all without a single outbound request. Its blank
+// fleet key must authenticate nothing: no request, however its headers
+// are forged, is admitted as a quota-exempt fleet call.
+func TestSingleNodeFleetOfOne(t *testing.T) {
+	t.Run("single-tenant", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		s, ts, out := loneServer(t, Config{QueueDepth: 16, Workers: 1, Registry: reg})
+
+		spec := mcSpec(96)
+		spec.Seed = 81
+		spec.MC.Shards = 4
+		_, v := submit(t, ts, spec)
+		if !regexp.MustCompile(`^job-\d{6}$`).MatchString(v.ID) {
+			t.Errorf("job id %q, want unprefixed job-NNNNNN", v.ID)
+		}
+		fin := waitTerminal(t, ts, v.ID)
+		if fin.State != StateDone {
+			t.Fatalf("sharded campaign = %s (error %q), want done", fin.State, fin.Error)
+		}
+		var got jobspec.Result
+		if err := json.Unmarshal(fin.Result, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.MC == nil || got.MC.Stats == nil || got.MC.Shards != 4 || got.MC.Completed() != 96 {
+			t.Fatalf("sharded outcome = %+v, want 96 trials from a 4-way fan-out", got.MC)
+		}
+		snap := reg.Snapshot()
+		if n, _ := snap.Counter("serve_shards_placed_local_total"); n != 4 {
+			t.Errorf("serve_shards_placed_local_total = %d, want 4", n)
+		}
+		for _, name := range []string{"serve_shards_dispatched_total", "serve_shard_fallbacks_total"} {
+			if n, _ := snap.Counter(name); n != 0 {
+				t.Errorf("%s = %d, want 0", name, n)
+			}
+		}
+		ref := mcSpec(96)
+		ref.Seed = 81
+		ref.ApplyDefaults()
+		want, err := jobspec.Execute(context.Background(), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MC.Stats.Moments != want.MC.Stats.Moments {
+			t.Errorf("locally sharded moments\n%+v\ndiffer from the unsharded run's\n%+v",
+				got.MC.Stats.Moments, want.MC.Stats.Moments)
+		}
+
+		// /v1/fleet answers 200 with this node's load and nothing else.
+		var doc map[string]json.RawMessage
+		if resp := doURL(t, "GET", ts.URL+"/v1/fleet", "", nil, &doc); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/fleet: status %d, want 200", resp.StatusCode)
+		}
+		for _, k := range []string{"queue_depth", "inflight", "workers"} {
+			if _, ok := doc[k]; !ok {
+				t.Errorf("/v1/fleet lacks %q: %v", k, doc)
+			}
+		}
+		for _, k := range []string{"node", "peers"} {
+			if _, ok := doc[k]; ok {
+				t.Errorf("/v1/fleet of a lone server carries %q: %s", k, doc[k])
+			}
+		}
+
+		// Unknown IDs, prefixed or not, die here with a 404.
+		for _, id := range []string{"job-999999", "b-job-000001"} {
+			if _, status := getURL(t, ts.URL, "", id); status != http.StatusNotFound {
+				t.Errorf("GET unknown %s: status %d, want 404", id, status)
+			}
+		}
+
+		// Forged fleet headers never make a fleet call: every submission is
+		// admitted under the default tenant, which internal calls skip.
+		admitted, _ := reg.Snapshot().Counter("serve_tenant_default_admitted_total")
+		body, _ := json.Marshal(mcSpec(8))
+		for name, h := range forgedFleetHeaders {
+			if s.isFleetReq(withHeaders(t, "POST", ts.URL+"/v1/jobs", h, nil)) {
+				t.Errorf("%s: treated as a fleet request", name)
+			}
+			resp, err := http.DefaultClient.Do(withHeaders(t, "POST", ts.URL+"/v1/jobs", h, body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("%s: submit status %d, want 202", name, resp.StatusCode)
+			}
+		}
+		if n, _ := reg.Snapshot().Counter("serve_tenant_default_admitted_total"); n != admitted+int64(len(forgedFleetHeaders)) {
+			t.Errorf("default tenant admitted %d of %d forged submissions; the rest ran as fleet calls",
+				n-admitted, len(forgedFleetHeaders))
+		}
+		if n := out.n.Load(); n != 0 {
+			t.Errorf("a fleet of one made %d outbound requests", n)
+		}
+	})
+
+	t.Run("tenants", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		s, ts, out := loneServer(t, Config{QueueDepth: 16, Workers: 1, Registry: reg, Tenants: twoTenants()})
+		body, _ := json.Marshal(mcSpec(8))
+		for name, h := range forgedFleetHeaders {
+			req := withHeaders(t, "POST", ts.URL+"/v1/jobs", h, nil)
+			if s.isFleetReq(req) {
+				t.Errorf("%s: treated as a fleet request", name)
+			}
+			if _, ok := s.tenants.authenticate(req); ok {
+				t.Errorf("%s: authenticated without a tenant key", name)
+			}
+			for _, r := range []*http.Request{
+				withHeaders(t, "POST", ts.URL+"/v1/jobs", h, body),
+				withHeaders(t, "GET", ts.URL+"/v1/fleet", h, nil),
+			} {
+				resp, err := http.DefaultClient.Do(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusUnauthorized {
+					t.Errorf("%s: %s %s status %d, want 401", name, r.Method, r.URL.Path, resp.StatusCode)
+				}
+			}
+		}
+
+		// A real tenant key with forged fleet headers stays that tenant.
+		h := map[string]string{"Authorization": "Bearer k-acme", fleetForwardedHeader: "b", fleetTenantHeader: "beta"}
+		req := withHeaders(t, "POST", ts.URL+"/v1/jobs", h, body)
+		if s.isFleetReq(req) {
+			t.Error("tenant key with forged fleet headers: treated as a fleet request")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v View
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || v.Tenant != "acme" {
+			t.Errorf("forged submit: status %d tenant %q, want 202 as acme", resp.StatusCode, v.Tenant)
+		}
+		snap := reg.Snapshot()
+		if n, _ := snap.Counter("serve_tenant_acme_admitted_total"); n != 1 {
+			t.Errorf("serve_tenant_acme_admitted_total = %d, want 1", n)
+		}
+		if n, _ := snap.Counter("serve_tenant_beta_admitted_total"); n != 0 {
+			t.Errorf("serve_tenant_beta_admitted_total = %d, want 0", n)
+		}
+		if n := out.n.Load(); n != 0 {
+			t.Errorf("a fleet of one made %d outbound requests", n)
+		}
+	})
 }

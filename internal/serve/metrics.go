@@ -26,7 +26,7 @@ import (
 //	serve_shard_fallbacks_total       count  peer shard dispatches that fell back to local execution
 //	serve_shard_fallbacks_auth_total  count  fallbacks caused by a peer rejecting the shard 401/403
 //	serve_shard_fallbacks_unreachable_total count fallbacks caused by an unreachable or timed-out peer
-//	serve_shards_placed_local_total   count  shards fleet placement ran on this node (least loaded / no healthy peer)
+//	serve_shards_placed_local_total   count  shards placed on this node (least loaded / no healthy peer / a lone server)
 //	serve_fleet_probes_total          count  fleet health probes issued
 //	serve_fleet_probe_failures_total  count  fleet health probes that failed
 //	serve_fleet_forwards_total        count  requests forwarded to the owning fleet node
@@ -91,7 +91,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		shardFallbacks:            reg.Counter("serve_shard_fallbacks_total", "1", "peer shard dispatches that fell back to local execution"),
 		shardFallbacksAuth:        reg.Counter("serve_shard_fallbacks_auth_total", "1", "shard fallbacks caused by a peer auth rejection"),
 		shardFallbacksUnreachable: reg.Counter("serve_shard_fallbacks_unreachable_total", "1", "shard fallbacks caused by an unreachable or timed-out peer"),
-		shardsLocal:               reg.Counter("serve_shards_placed_local_total", "1", "shards fleet placement ran on this node"),
+		shardsLocal:               reg.Counter("serve_shards_placed_local_total", "1", "shards placed on this node, a lone server's included"),
 		fleetProbes:               reg.Counter("serve_fleet_probes_total", "1", "fleet health probes issued"),
 		fleetProbeFails:           reg.Counter("serve_fleet_probe_failures_total", "1", "fleet health probes that failed"),
 		fleetForwards:             reg.Counter("serve_fleet_forwards_total", "1", "requests forwarded to the owning fleet node"),

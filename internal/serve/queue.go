@@ -48,8 +48,8 @@ type jobQueue struct {
 
 	tenants map[string]*tenantLane
 
-	// fleetRunning, when set (fleet mode), reports how many jobs of a
-	// tenant the healthy peer nodes are currently running, so the
+	// fleetRunning reports how many jobs of a tenant the healthy peer
+	// nodes are currently running (none in a fleet of one), so the
 	// max_running check below enforces the cap fleet-wide. It is called
 	// under q.mu and takes the fleet table's own lock, so fleet code must
 	// never acquire q.mu while holding that lock (the prober releases it
@@ -76,8 +76,8 @@ type tenantLane struct {
 
 func (l *tenantLane) depth() int { return len(l.interactive) + len(l.batch) }
 
-func newJobQueue(depth int) *jobQueue {
-	q := &jobQueue{capGlobal: depth, tenants: map[string]*tenantLane{}}
+func newJobQueue(depth int, fleetRunning func(tenant string) int) *jobQueue {
+	q := &jobQueue{capGlobal: depth, tenants: map[string]*tenantLane{}, fleetRunning: fleetRunning}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -192,10 +192,10 @@ func (q *jobQueue) selectLocked() *Job {
 		}
 		if l.maxRunning > 0 {
 			running := l.running
-			// Fleet mode: the cap counts the whole fleet's running jobs for
-			// the tenant, not just this node's. The internal shard lane is
-			// exempt (it has no cap to begin with).
-			if q.fleetRunning != nil && l.id != fleetLane {
+			// The cap counts the whole fleet's running jobs for the tenant,
+			// not just this node's. The internal shard lane is exempt (it
+			// has no cap to begin with).
+			if l.id != fleetLane {
 				running += q.fleetRunning(l.id)
 			}
 			if running >= l.maxRunning {

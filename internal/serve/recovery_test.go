@@ -126,8 +126,11 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	// Let the journal reach the exact crash point: A fully terminal
 	// (submitted+running+done), B mid-run (submitted+running), C accepted
-	// (submitted) — six appends.
-	waitCounter(t, reg1, "store_journal_appends_total", 6)
+	// (submitted) — six appends, plus A's chunk checkpoints, which are
+	// appends too (without them six is reached before A's terminal
+	// record lands, and the restart would see A as interrupted).
+	cps, _ := reg1.Snapshot().Counter("store_checkpoints_total")
+	waitCounter(t, reg1, "store_journal_appends_total", 6+cps)
 
 	// Restart: a fresh store and server over the same directory.
 	reg2 := obs.NewRegistry()

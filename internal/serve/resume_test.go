@@ -157,87 +157,3 @@ func TestKillAndResumeCampaign(t *testing.T) {
 			got.MC.Stats.Moments, want.MC.Stats.Moments)
 	}
 }
-
-// TestShardedCampaignPeerDispatch runs a k=4 campaign whose shards are
-// dispatched to a peer job server over HTTP and scatter-gathered back:
-// every shard must be answered by the peer, and the merged moments must
-// be bit-identical to an unsharded local run.
-func TestShardedCampaignPeerDispatch(t *testing.T) {
-	regPeer := obs.NewRegistry()
-	_, tsPeer := newTestServer(t, Config{QueueDepth: 16, Workers: 2, Registry: regPeer})
-
-	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{QueueDepth: 4, Workers: 1, Registry: reg, Peers: []string{tsPeer.URL}})
-
-	spec := mcSpec(96)
-	spec.Seed = 33
-	spec.MC.Shards = 4
-	_, v := submit(t, ts, spec)
-	fin := waitTerminal(t, ts, v.ID)
-	if fin.State != StateDone {
-		t.Fatalf("sharded campaign = %s (error %q), want done", fin.State, fin.Error)
-	}
-	var got jobspec.Result
-	if err := json.Unmarshal(fin.Result, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.MC == nil || got.MC.Stats == nil || got.MC.Shards != 4 {
-		t.Fatalf("sharded outcome = %+v, want stats from a 4-way fan-out", got.MC)
-	}
-	if got.MC.Completed() != 96 {
-		t.Errorf("sharded campaign completed %d trials, want 96", got.MC.Completed())
-	}
-	if n, _ := reg.Snapshot().Counter("serve_shards_dispatched_total"); n != 4 {
-		t.Errorf("serve_shards_dispatched_total = %d, want 4", n)
-	}
-	if n, _ := reg.Snapshot().Counter("serve_shard_fallbacks_total"); n != 0 {
-		t.Errorf("serve_shard_fallbacks_total = %d, want 0", n)
-	}
-	// The peer actually executed the trial-range sub-jobs.
-	if n, _ := regPeer.Snapshot().Counter("serve_jobs_submitted_total"); n != 4 {
-		t.Errorf("peer accepted %d sub-jobs, want 4", n)
-	}
-
-	ref := mcSpec(96)
-	ref.Seed = 33
-	ref.ApplyDefaults()
-	want, err := jobspec.Execute(context.Background(), ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MC.Stats.Moments != want.MC.Stats.Moments {
-		t.Errorf("peer-sharded moments\n%+v\ndiffer from the unsharded run's\n%+v",
-			got.MC.Stats.Moments, want.MC.Stats.Moments)
-	}
-}
-
-// TestShardPeerFallbackLocal points Peers at an address nothing listens
-// on: every dispatch must fall back to local execution and the campaign
-// must still complete — a dead peer costs throughput, never the result.
-func TestShardPeerFallbackLocal(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{QueueDepth: 4, Workers: 1, Registry: reg,
-		Peers: []string{"http://127.0.0.1:1"}})
-
-	spec := mcSpec(96)
-	spec.Seed = 34
-	spec.MC.Shards = 2
-	_, v := submit(t, ts, spec)
-	fin := waitTerminal(t, ts, v.ID)
-	if fin.State != StateDone {
-		t.Fatalf("campaign with a dead peer = %s (error %q), want local fallback to done", fin.State, fin.Error)
-	}
-	var got jobspec.Result
-	if err := json.Unmarshal(fin.Result, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.MC == nil || got.MC.Completed() != 96 {
-		t.Fatalf("fallback campaign = %+v, want 96 completed trials", got.MC)
-	}
-	if n, _ := reg.Snapshot().Counter("serve_shard_fallbacks_total"); n != 2 {
-		t.Errorf("serve_shard_fallbacks_total = %d, want 2", n)
-	}
-	if n, _ := reg.Snapshot().Counter("serve_shards_dispatched_total"); n != 0 {
-		t.Errorf("serve_shards_dispatched_total = %d, want 0", n)
-	}
-}

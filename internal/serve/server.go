@@ -75,20 +75,16 @@ type Config struct {
 	// Workers journal one checkpoint per completed campaign chunk, so a
 	// crash loses at most the chunk that was in flight.
 	Store *store.Store
-	// Peers lists base URLs of other relsim job servers (e.g.
-	// "http://host:9090") that campaign shards are dispatched to when a
-	// spec sets mc.shards > 1: shard k goes to Peers[k mod len(Peers)]
-	// as a trial-range sub-job. A peer failure falls back to executing
-	// that shard locally, so a dead peer degrades throughput, never
-	// correctness. Empty = every shard runs in this process. Ignored when
-	// Fleet is set — fleet placement is health-checked and load-aware.
-	Peers []string
 	// Fleet, when set, federates this server with the other nodes of the
 	// table: node-prefixed job IDs, request forwarding to owners,
-	// health-probed least-backlog shard placement, fleet-wide tenant
+	// health-probed least-backlog shard placement (campaign shards of
+	// mc.shards > 1 specs go to the least-loaded healthy node, falling
+	// back to local execution when a dispatch fails), fleet-wide tenant
 	// max_running, and journal-replay failover for dead peers. Load it
 	// with LoadFleet; an invalid config panics in NewServer, because
 	// silently running un-federated would mask a misconfigured fleet.
+	// Nil runs the server as a fleet of one: no peers, no fleet key,
+	// unprefixed job IDs, and every shard placed on this node.
 	Fleet *FleetConfig
 	// ShardHTTPTimeout bounds every node-to-node shard dispatch request —
 	// submit, poll, cancel (default 15s). This is what turns a peer that
@@ -130,8 +126,9 @@ type Server struct {
 	stopAll context.CancelFunc
 	wg      sync.WaitGroup
 
-	// Fleet state: nil outside fleet mode. nodeID/idPrefix derive from
-	// Fleet.Self ("" / "" single-node); the clients separate concerns —
+	// Fleet state: never nil — a server without a fleet config is a
+	// fleet of one. nodeID/idPrefix derive from Fleet.Self ("" / ""
+	// single-node); the clients separate concerns —
 	// shardClient and probeClient carry real timeouts, streamClient (event
 	// forwarding) is bounded only by a dial timeout plus the caller's own
 	// request context, because a streamed job can legitimately run for
@@ -203,51 +200,49 @@ func NewServer(cfg Config) *Server {
 	if n := countRecoveredRunnable(recovered); n > depth {
 		depth = n
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		queue:      newJobQueue(depth),
-		met:        newMetrics(cfg.Registry),
-		tenants:    newTenantSet(cfg.Tenants),
-		baseCtx:    ctx,
-		stopAll:    cancel,
-		jobs:       make(map[string]*Job),
-		batches:    make(map[string]*batchRecord),
-		proberStop: make(chan struct{}),
+	fc := cfg.Fleet
+	if fc == nil {
+		// A fleet of one: no peers, no key (which authenticates nothing),
+		// Self "" (unprefixed job IDs).
+		fc = new(FleetConfig)
 	}
-	s.shardClient = &http.Client{Timeout: cfg.ShardHTTPTimeout}
-	if fc := cfg.Fleet; fc != nil {
-		fc.applyDefaults()
+	fc.applyDefaults()
+	idPrefix := ""
+	if cfg.Fleet != nil {
 		if err := fc.validate(); err != nil {
 			panic(err) // a misconfigured fleet must not run silently un-federated
 		}
-		s.fleet = newFleetState(fc)
-		s.nodeID = fc.Self
-		s.idPrefix = fc.Self + "-"
-		if s.tenants != nil {
-			s.tenants.fleetKey = fc.Key
-		}
+		idPrefix = fc.Self + "-"
+	}
+	fleet := newFleetState(fc)
+	ctx, cancel := context.WithCancel(context.Background())
+	s := &Server{
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		queue:    newJobQueue(depth, fleet.runningFor),
+		met:      newMetrics(cfg.Registry),
+		tenants:  newTenantSet(cfg.Tenants, fc.Key),
+		baseCtx:  ctx,
+		stopAll:  cancel,
+		fleet:    fleet,
+		nodeID:   fc.Self,
+		idPrefix: idPrefix,
 		// Probes must fail fast relative to their own cadence; shard
-		// dispatch can afford the longer timeout.
-		probeTimeout := 2 * time.Duration(fc.ProbeEvery)
-		if probeTimeout > 10*time.Second {
-			probeTimeout = 10 * time.Second
-		}
-		if probeTimeout > cfg.ShardHTTPTimeout {
-			probeTimeout = cfg.ShardHTTPTimeout
-		}
-		// Probes dial fresh every time: a cached keep-alive connection to a
-		// node whose listener died still answers, turning the health check
-		// into a liveness check of a stale socket.
-		s.probeClient = &http.Client{
-			Timeout:   probeTimeout,
+		// dispatch can afford the longer timeout. Probes dial fresh every
+		// time: a cached keep-alive connection to a node whose listener
+		// died still answers, turning the health check into a liveness
+		// check of a stale socket.
+		shardClient: &http.Client{Timeout: cfg.ShardHTTPTimeout},
+		probeClient: &http.Client{
+			Timeout:   min(2*time.Duration(fc.ProbeEvery), 10*time.Second, cfg.ShardHTTPTimeout),
 			Transport: &http.Transport{DisableKeepAlives: true},
-		}
-		s.streamClient = &http.Client{Transport: &http.Transport{
+		},
+		streamClient: &http.Client{Transport: &http.Transport{
 			DialContext: (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-		}}
-		s.queue.fleetRunning = s.fleet.runningFor
+		}},
+		proberStop: make(chan struct{}),
+		jobs:       make(map[string]*Job),
+		batches:    make(map[string]*batchRecord),
 	}
 	s.routes()
 	s.restore(recovered)
@@ -256,7 +251,7 @@ func NewServer(cfg Config) *Server {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.fleet != nil {
+	if len(s.fleet.peers) > 0 {
 		s.wg.Add(1)
 		go s.prober()
 	}

@@ -33,8 +33,8 @@ const (
 )
 
 // Dispatch failure causes, counted separately so an auth misconfig (a
-// -tenants peer rejecting uncredentialed shards) is distinguishable
-// from a dead peer in the fallback metrics.
+// peer rejecting the fleet key or the shard's tenant) is
+// distinguishable from a dead peer in the fallback metrics.
 const (
 	causeAuth        = "auth"
 	causeUnreachable = "unreachable"
@@ -59,18 +59,17 @@ func dispatchCause(err error) string {
 }
 
 // runShard is the jobspec.Options.RunShard hook: shard k of job j's
-// campaign runs as a trial-range sub-job over the same /v1/jobs API
-// this server exposes. With a fleet config the target is the
-// least-loaded healthy node (which may be this one); with the legacy
-// static Peers list it is Peers[k mod len(Peers)]. Any dispatch failure
-// — peer unreachable, submission rejected, shard job failed — falls
-// back to executing the shard locally, so a dead peer costs throughput,
-// never the campaign.
+// campaign runs on the least-loaded healthy fleet node — this one
+// included, and always this one in a fleet of one — as a trial-range
+// sub-job over the same /v1/jobs API this server exposes. Any dispatch
+// failure — peer unreachable, submission rejected, shard job failed —
+// falls back to executing the shard locally, so a dead peer costs
+// throughput, never the campaign.
 func (s *Server) runShard(ctx context.Context, j *Job, shard int, sub *jobspec.Spec) (*jobspec.Result, error) {
-	peer := s.pickShardTarget(shard)
+	peer := s.fleet.leastLoaded(shard, s.queue.depth()+int(s.met.inflight.Value()))
 	if peer == "" {
-		// Fleet placement chose this node — least loaded, or no healthy
-		// peer. Not a failure, just local work.
+		// Placement chose this node — least loaded, or no healthy peer.
+		// Not a failure, just local work.
 		s.met.shardsLocal.Inc()
 		return jobspec.ExecuteOpts(ctx, sub, jobspec.Options{})
 	}
@@ -94,34 +93,11 @@ func (s *Server) runShard(ctx context.Context, j *Job, shard int, sub *jobspec.S
 	return jobspec.ExecuteOpts(ctx, sub, jobspec.Options{})
 }
 
-// pickShardTarget resolves where a shard should run: "" means locally.
-func (s *Server) pickShardTarget(shard int) string {
-	if s.fleet != nil {
-		return s.fleet.leastLoaded(shard, s.queue.depth()+int(s.met.inflight.Value()))
-	}
-	if len(s.cfg.Peers) > 0 {
-		return s.cfg.Peers[shard%len(s.cfg.Peers)]
-	}
-	return ""
-}
-
-// shardHeaders attaches the credentials a peer will demand: the shared
-// fleet key scoped to the submitting job's tenant in fleet mode, or —
-// with the legacy static Peers list — the tenant's own API key when
-// this server knows it. This is the fix for the silent-fallback bug
-// where dispatches carried no credentials at all, so a peer started
-// with -tenants answered 401 to every shard forever.
+// shardHeaders attaches the credentials a peer demands of a shard
+// request: the shared fleet key, scoped to the submitting job's tenant.
 func (s *Server) shardHeaders(req *http.Request, tenant string) {
-	if s.fleet != nil {
-		req.Header.Set("Authorization", "Bearer "+s.fleet.cfg.Key)
-		req.Header.Set(fleetTenantHeader, tenant)
-		return
-	}
-	if s.tenants != nil {
-		if st := s.tenants.byID[tenant]; st != nil {
-			req.Header.Set("Authorization", "Bearer "+st.cfg.Key)
-		}
-	}
+	req.Header.Set("Authorization", "Bearer "+s.fleet.cfg.Key)
+	req.Header.Set(fleetTenantHeader, tenant)
 }
 
 // dispatchShard runs one shard sub-spec on a peer end to end: submit,

@@ -222,16 +222,15 @@ type tenantSet struct {
 	// fleetKey, when non-empty, is the shared node-to-node fleet
 	// credential: it authenticates like a key but scopes itself to the
 	// tenant named by the X-Relsim-Tenant header (or the default tenant
-	// without one). Set by NewServer when both a keyfile and a fleet
-	// config are present.
+	// without one). A fleet of one has none.
 	fleetKey string
 }
 
-func newTenantSet(cfgs []TenantConfig) *tenantSet {
+func newTenantSet(cfgs []TenantConfig, fleetKey string) *tenantSet {
 	if len(cfgs) == 0 {
 		return nil
 	}
-	ts := &tenantSet{byKey: map[string]*tenantState{}, byID: map[string]*tenantState{}}
+	ts := &tenantSet{byKey: map[string]*tenantState{}, byID: map[string]*tenantState{}, fleetKey: fleetKey}
 	for _, c := range cfgs {
 		c.applyDefaults()
 		st := &tenantState{cfg: c}

@@ -82,10 +82,8 @@ func (s *Server) runJob(j *Job) {
 			s.met.checkpoints.Inc()
 		}
 	}
-	if len(s.cfg.Peers) > 0 || s.fleet != nil {
-		opts.RunShard = func(ctx context.Context, shard int, sub *jobspec.Spec) (*jobspec.Result, error) {
-			return s.runShard(ctx, j, shard, sub)
-		}
+	opts.RunShard = func(ctx context.Context, shard int, sub *jobspec.Spec) (*jobspec.Result, error) {
+		return s.runShard(ctx, j, shard, sub)
 	}
 	opts.RunSub = s.runSubJob
 	var (
