@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet doccheck docs build test race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke bench bench-solver bench-sparse bench-sparse-smoke
+.PHONY: ci fmt vet doccheck docs build test race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet fuzz-smoke loadgen-smoke bench-smoke bench bench-solver bench-sparse bench-sparse-smoke
 
-ci: fmt vet doccheck docs build race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke
+ci: fmt vet doccheck docs build race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet fuzz-smoke loadgen-smoke bench-smoke
 
 # Every Go file must be gofmt-clean.
 fmt:
@@ -51,12 +51,14 @@ race-fault:
 race-serve:
 	$(GO) test -race -count=2 ./internal/serve/ ./internal/jobspec/
 
-# Durability under the race detector: journal replay and compaction,
-# crash-recovery classification (done/queued/interrupted), the spec-
-# keyed result cache across restarts, and the retention policy that
-# bounds memory and disk.
+# Durability under the race detector: journal replay and compaction
+# (with the journal fuzz target's seed corpus), crash-recovery
+# classification (done/queued/interrupted), the spec-keyed result cache
+# across restarts and over the in-memory store, the persist-before-
+# publish order that lets a client read its own cached result, and the
+# retention policy that bounds memory and disk.
 race-store:
-	$(GO) test -race -count=2 -run 'Store|Crash|Recover|Cache|Retention|Evict|RetryAfter|Interrupted|Seed|Hash' ./internal/store/ ./internal/serve/ ./internal/jobspec/
+	$(GO) test -race -count=2 -run 'Store|Crash|Recover|Cache|Retention|Evict|RetryAfter|Interrupted|Seed|Hash|FuzzJournal|ReadYourWrites' ./internal/store/ ./internal/serve/ ./internal/jobspec/
 
 # The batched trial-evaluation paths under the race detector: the one
 # die pool (variation.DiePool) that reuses built circuits across trials
@@ -86,10 +88,11 @@ race-campaign:
 # quota and trial-rate 429s with tenant-derived Retry-After, weighted
 # fair-share convergence, batch dedup/cache admission atomicity, list
 # pagination, readiness, journaled fair-share accounting across restart,
-# priority classes and the /events fan-out (1k subscribers, slow-reader
-# disconnect, bounded batching).
+# priority classes, the /events fan-out (1k subscribers, slow-reader
+# disconnect, bounded batching), and the open default tenant of a
+# keyless server scoping its listing like a keyed one.
 race-tenant:
-	$(GO) test -race -count=1 -run 'TestTenant|TestFairShare|TestTrialRate|TestBatch|TestList|TestReadyz|TestRestartFairShare|TestInteractive|TestEvent' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestTenant|TestFairShare|TestTrialRate|TestBatch|TestList|TestReadyz|TestRestartFairShare|TestInteractive|TestEvent|TestStorelessKeyless' ./internal/serve/
 
 # The fleet-federation paths under the race detector: shard dispatch
 # failures against probed-healthy peers (dead, hung and auth-rejecting:
@@ -102,6 +105,15 @@ race-tenant:
 # of a lone server, and the fleet-config fuzz seeds.
 race-fleet:
 	$(GO) test -race -count=1 -run 'TestFleet|FuzzFleet|TestShardDispatch|TestShardPeerFallbackLocal|TestSingleNode' ./internal/serve/
+
+# A few seconds of coverage-guided fuzzing per target: the fleet config
+# parser and journal replay on arbitrary bytes. Minimizing each new
+# corpus entry is capped at 1s, or the fsync-bound journal target would
+# spend the whole budget minimizing. New failing inputs land in the
+# package's testdata/fuzz directory as regression seeds.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/store/
 
 # Harness-rot check for cmd/loadgen: one short open-loop stage against
 # an in-process server, asserting the BENCH_9 driver still runs end to

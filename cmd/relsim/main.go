@@ -57,16 +57,17 @@
 //	relsim -serve :8080 -queue 64 -workers 8 -timeout 5m -drain 30s
 //	curl -s localhost:8080/v1/jobs -d '{"analysis":"mc","netlist":"...","mc":{"trials":1000,"node":"out"}}'
 //
-// Durability: -data-dir journals job lifecycles and snapshots terminal
-// results, so a restarted server serves previously completed results
-// without recomputation and re-runs jobs that were still queued. Running
-// Monte-Carlo campaigns are checkpointed chunk by chunk: after a crash
-// the restarted server resumes them from the last journaled checkpoint,
-// re-running at most the chunk that was in flight, instead of failing
-// them; interrupted jobs of other kinds still fail with a structured
-// interrupted error. -data-dir also enables the spec-keyed result cache:
-// resubmitting a byte-equivalent spec (after defaulting) returns a
-// completed job immediately; a spec can opt out with "no_cache": true.
+// Result cache and durability: resubmitting a byte-equivalent spec
+// (after defaulting) returns a completed job immediately from the
+// spec-keyed result cache; a spec can opt out with "no_cache": true.
+// -data-dir makes the jobs and the cache survive restarts: it journals
+// job lifecycles and snapshots terminal results, so a restarted server
+// serves previously completed results without recomputation and re-runs
+// jobs that were still queued. Running Monte-Carlo campaigns are
+// checkpointed chunk by chunk: after a crash the restarted server
+// resumes them from the last journaled checkpoint, re-running at most
+// the chunk that was in flight, instead of failing them; interrupted
+// jobs of other kinds still fail with a structured interrupted error.
 // -keep-jobs / -keep-age bound the retained terminal jobs in memory and
 // on disk (the journal is compacted as evictions accumulate; a resumable
 // campaign's checkpoints are never evicted or compacted away):
@@ -173,7 +174,7 @@ func main() {
 		queue     = flag.Int("queue", 64, "serve: bounded job-queue depth (backpressure beyond it)")
 		workers   = flag.Int("workers", 0, "serve: worker pool size (0 = GOMAXPROCS)")
 		drain     = flag.Duration("drain", 30*time.Second, "serve: graceful-shutdown drain budget for running jobs")
-		dataDir   = flag.String("data-dir", "", "serve: journal jobs and results here; restart recovers them and enables the spec-keyed result cache")
+		dataDir   = flag.String("data-dir", "", "serve: journal jobs and results here so they and the result cache survive restarts (empty = in memory)")
 		keepJobs  = flag.Int("keep-jobs", 512, "serve: max retained terminal jobs (oldest evicted first; negative = unbounded)")
 		keepAge   = flag.Duration("keep-age", 0, "serve: evict terminal jobs older than this (0 = no age bound)")
 		tenants   = flag.String("tenants", "", "serve: tenant keyfile ({\"tenants\":[{\"id\",\"key\",\"weight\",...}]}); enables API-key auth, per-tenant quotas and weighted fair-share scheduling")

@@ -20,17 +20,18 @@ import (
 // API and the observability endpoints share one listener, per-job
 // defaults come from the same flags the one-shot mode uses, and SIGINT/
 // SIGTERM trigger a graceful drain in which running jobs persist partial
-// results. With -data-dir the server is durable: job lifecycles are
-// journaled, terminal results snapshotted, identical resubmissions
-// answered from the spec-keyed cache, and a restart against the same
-// directory restores the previous campaign — terminal jobs served
-// as-is, queued jobs re-run, interrupted Monte-Carlo campaigns resumed
-// from their last journaled chunk checkpoint, and other interrupted
-// jobs failed with a structured cause. With -tenants, the API requires
-// per-tenant keys and schedules tenants by weighted fair share under
-// their configured quotas. With -fleet, the server federates with the
-// configured nodes: forwarded job lookups, health-probed placement of
-// campaign shards (mc.shards > 1), fleet-wide max_running and
+// results. Identical resubmissions are answered from the spec-keyed
+// result cache. With -data-dir the jobs and the cache survive restarts:
+// job lifecycles are journaled, terminal results snapshotted, and a
+// restart against the same directory restores the previous campaign —
+// terminal jobs served as-is, queued jobs re-run, interrupted
+// Monte-Carlo campaigns resumed from their last journaled chunk
+// checkpoint, and other interrupted jobs failed with a structured
+// cause; without it the store lives in memory. With -tenants, the API
+// requires per-tenant keys and schedules tenants by weighted fair share
+// under their configured quotas. With -fleet, the server federates with
+// the configured nodes: forwarded job lookups, health-probed placement
+// of campaign shards (mc.shards > 1), fleet-wide max_running and
 // journal-replay failover for dead peers. Without it the server is a
 // fleet of one and runs every shard itself.
 func runServe(addr string, queueDepth, workers int, defaultTimeout, drain time.Duration, metricsAddr string, progress bool, dataDir string, keepJobs int, keepAge time.Duration, tenantsFile, fleetFile string) {
@@ -57,33 +58,29 @@ func runServe(addr string, queueDepth, workers int, defaultTimeout, drain time.D
 		log.Printf("fleet mode: node %s of %d from %s", fleetCfg.Self, len(fleetCfg.Nodes), fleetFile)
 	}
 
-	var st *store.Store
-	if dataDir != "" {
-		var err error
-		st, err = store.Open(dataDir, reg, store.Options{})
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		defer st.Close()
-		if rec := st.Recovered(); len(rec) > 0 {
-			var terminal, queued, interrupted, resumable int
-			for _, r := range rec {
-				switch r.State {
-				case store.StateQueued:
-					queued++
-				case store.StateInterrupted:
-					if len(r.Checkpoints) > 0 {
-						resumable++
-					} else {
-						interrupted++
-					}
-				default:
-					terminal++
+	st, err := store.Open(dataDir, reg, store.Options{})
+	if err != nil {
+		log.Fatalf("serve: %v", err)
+	}
+	defer st.Close()
+	if rec := st.Recovered(); len(rec) > 0 {
+		var terminal, queued, interrupted, resumable int
+		for _, r := range rec {
+			switch r.State {
+			case store.StateQueued:
+				queued++
+			case store.StateInterrupted:
+				if len(r.Checkpoints) > 0 {
+					resumable++
+				} else {
+					interrupted++
 				}
+			default:
+				terminal++
 			}
-			log.Printf("recovered %d job(s) from %s: %d terminal, %d re-queued, %d resumable from checkpoints, %d interrupted",
-				len(rec), dataDir, terminal, queued, resumable, interrupted)
 		}
+		log.Printf("recovered %d job(s) from %s: %d terminal, %d re-queued, %d resumable from checkpoints, %d interrupted",
+			len(rec), dataDir, terminal, queued, resumable, interrupted)
 	}
 
 	srv := serve.NewServer(serve.Config{

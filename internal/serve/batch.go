@@ -72,7 +72,7 @@ type batchView struct {
 // trial-rate debit. Batch specs default to the batch priority class
 // (X-Priority overrides) — a sweep should not preempt interactive work.
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	tenant := tenantID(ts)
+	tenant := ts.cfg.ID
 	class, err := requestClass(r, ClassBatch)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, apiError(ErrBadArgument, err))
@@ -123,14 +123,12 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request, ts *t
 	}
 	// Cache pass over the unique specs.
 	cachedRaw := map[int]json.RawMessage{}
-	if st := s.cfg.Store; st != nil {
-		for i, sp := range batch.Specs {
-			if dupOf[i] != -1 || sp.NoCache {
-				continue
-			}
-			if _, raw, ok := st.CachedResult(hashes[i]); ok {
-				cachedRaw[i] = raw
-			}
+	for i, sp := range batch.Specs {
+		if dupOf[i] != -1 || sp.NoCache {
+			continue
+		}
+		if _, raw, ok := s.cfg.Store.CachedResult(hashes[i]); ok {
+			cachedRaw[i] = raw
 		}
 	}
 	// Rate admission covers only the work that will actually run.
@@ -162,9 +160,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request, ts *t
 		for _, j := range queued {
 			s.removeJob(j.ID)
 		}
-		if ts != nil {
-			ts.refund(cost)
-		}
+		ts.refund(cost)
 		s.rejectPush(w, err, ts)
 		return
 	}
@@ -185,7 +181,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request, ts *t
 			allTerminal = false
 		default:
 			raw := cachedRaw[i]
-			j := s.addCachedJob(batch.Specs[i], hashes[i], tenant, class, raw)
+			j := s.addCachedJob(batch.Specs[i], hashes[i], tenant, class, raw, now)
 			if j == nil {
 				// Drain began mid-admission: the already-queued siblings run
 				// to completion under the drain (and land in the cache), but
@@ -196,16 +192,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request, ts *t
 				return
 			}
 			refs[i] = batchJobRef{index: i, jobID: j.ID, cached: true, dupOf: -1}
-			s.met.submitted.Inc()
-			s.met.kindCounter(batch.Specs[i].Analysis).Inc()
-			s.met.tenantAdmitted(tenant).Inc()
 			s.met.batchCached.Inc()
-			s.met.finished(StateDone)
-			s.persistSubmitted(j, now)
-			if st := s.cfg.Store; st != nil {
-				// cacheable=false: the cache already holds the canonical entry.
-				s.storeErr(st.JobTerminal(j.ID, string(StateDone), "", raw, false, now))
-			}
 		}
 	}
 	for i := range batch.Specs {
@@ -250,7 +237,7 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request, ts *tena
 	s.batchMu.Lock()
 	rec := s.batches[r.PathValue("id")]
 	s.batchMu.Unlock()
-	if rec == nil || (s.tenants != nil && rec.tenant != tenantID(ts)) {
+	if rec == nil || rec.tenant != ts.cfg.ID {
 		writeError(w, http.StatusNotFound, apiError(ErrNotFound, errors.New("no such batch")))
 		return
 	}

@@ -570,25 +570,16 @@ func (s *Server) adoptPeerJobs(node FleetNode) error {
 		// Journal the adoption locally — submission under this node's
 		// ownership plus the checkpoints that survived — so a restart of
 		// this node resumes the adopted campaign too.
-		if st := s.cfg.Store; st != nil {
-			s.storeErr(st.JobSubmitted(j.ID, j.Spec, j.specHash, store.SubmitMeta{
-				Tenant: j.tenant, Class: j.class, Node: s.nodeID, Internal: false,
-			}, now))
-			for _, cp := range r.Checkpoints {
-				s.storeErr(st.JobCheckpoint(j.ID, cp.Chunk, cp.Data, now))
-			}
+		s.persistSubmitted(j, now)
+		for _, cp := range r.Checkpoints {
+			s.storeErr(s.cfg.Store.JobCheckpoint(j.ID, cp.Chunk, cp.Data, now))
 		}
 		if len(j.resume) > 0 {
 			s.met.resumed.Inc()
 		}
-		if err := s.queue.forcePush(s.laneCfg(j), j); err != nil {
-			if j.requestCancel("adopted job dropped: " + err.Error()) {
-				s.met.finished(StateCancelled)
-				s.persistTerminal(j)
-			}
-			continue
+		if s.requeue(j, "adopted job") {
+			adopted++
 		}
-		adopted++
 	}
 	s.met.fleetTakeovers.Add(int64(adopted))
 	return nil
@@ -612,7 +603,7 @@ func (s *Server) forwardJob(w http.ResponseWriter, r *http.Request, id string, t
 		}
 		req.Header.Set("Authorization", "Bearer "+s.fleet.cfg.Key)
 		req.Header.Set(fleetForwardedHeader, s.nodeID)
-		req.Header.Set(fleetTenantHeader, tenantID(ts))
+		req.Header.Set(fleetTenantHeader, ts.cfg.ID)
 		client := s.probeClient
 		if streaming {
 			// Event streams outlive any sane fixed timeout; the proxied
@@ -668,14 +659,4 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 func (s *Server) isFleetReq(r *http.Request) bool {
 	key := requestKey(r)
 	return key != "" && key == s.fleet.cfg.Key
-}
-
-// laneCfg resolves the queue-lane config a job is pushed under: nil
-// (no quotas, weight 1) for fleet-internal shard sub-jobs, the owning
-// tenant's keyfile entry otherwise.
-func (s *Server) laneCfg(j *Job) *TenantConfig {
-	if j.internal {
-		return nil
-	}
-	return s.tenantCfg(j.tenant)
 }

@@ -933,7 +933,9 @@ func TestSingleNodeFleetOfOne(t *testing.T) {
 		}
 
 		// Forged fleet headers never make a fleet call: every submission is
-		// admitted under the default tenant, which internal calls skip.
+		// admitted under the default tenant, which internal calls skip. The
+		// submissions are identical, so once the first has run the result
+		// cache answers the rest (200) — admitted all the same.
 		admitted, _ := reg.Snapshot().Counter("serve_tenant_default_admitted_total")
 		body, _ := json.Marshal(mcSpec(8))
 		for name, h := range forgedFleetHeaders {
@@ -945,8 +947,8 @@ func TestSingleNodeFleetOfOne(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				t.Errorf("%s: submit status %d, want 202", name, resp.StatusCode)
+			if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: submit status %d, want 202 or a cached 200", name, resp.StatusCode)
 			}
 		}
 		if n, _ := reg.Snapshot().Counter("serve_tenant_default_admitted_total"); n != admitted+int64(len(forgedFleetHeaders)) {

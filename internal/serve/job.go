@@ -51,7 +51,7 @@ type Job struct {
 	// specHash is the canonical content address of Spec, computed once at
 	// admission; it keys the store's result cache.
 	specHash string
-	// tenant owns the job (DefaultTenant in single-tenant mode) and class
+	// tenant owns the job (DefaultTenant without a keyfile) and class
 	// is its priority class; both are fixed at admission and drive the
 	// fair-share scheduler, so they are immutable and safe to read without
 	// mu.
@@ -71,7 +71,6 @@ type Job struct {
 	finished        time.Time
 	result          json.RawMessage // encoded *jobspec.Result, set on finish
 	errMsg          string
-	partial         bool // result was cut short (never cached)
 	cached          bool // result served from the spec-hash cache
 	cancelRequested bool
 	cancel          context.CancelFunc // non-nil while running
@@ -194,7 +193,6 @@ func restoredJob(r store.RecoveredJob, now time.Time) *Job {
 		j.finished = now
 		j.errMsg = (&store.InterruptedError{JobID: r.ID, Started: r.Started}).Error()
 		j.result = r.Result
-		j.partial = true
 		j.appendLocked(Event{Type: "started"})
 		j.appendLocked(Event{Type: "failed", Error: j.errMsg})
 	default: // done | failed | cancelled
@@ -271,47 +269,65 @@ func (j *Job) requestCancel(reason string) (finalized bool) {
 	return false
 }
 
-// finish finalizes a running job from the executor's return values. The
-// terminal state, the persisted (possibly partial) result and the final
-// event are committed under one lock acquisition, so a streamer never
-// observes a terminal state without its terminal event.
-func (j *Job) finish(res *jobspec.Result, execErr error, now time.Time) State {
-	var raw json.RawMessage
+// outcome is a job's terminal transition: what the store journals and
+// what finish publishes.
+type outcome struct {
+	state    State
+	errMsg   string
+	result   json.RawMessage // encoded *jobspec.Result, possibly partial
+	finished time.Time
+	// cacheable marks the only kind of result the spec-hash cache takes:
+	// complete, computed here, of a spec that did not opt out.
+	cacheable bool
+}
+
+// settle computes a running job's outcome from the executor's return
+// values without publishing it, so the worker can persist the outcome
+// first: whoever observes the terminal state may rely on the store, and
+// its cache, already holding it.
+func (j *Job) settle(res *jobspec.Result, execErr error, now time.Time) outcome {
+	o := outcome{finished: now}
 	if res != nil {
 		b, err := json.Marshal(res)
 		if err != nil && execErr == nil {
 			execErr = fmt.Errorf("serve: result not encodable: %w", err)
 		}
-		raw = b
+		o.result = b
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.finished = now
-	j.result = raw
-	j.partial = res != nil && res.Partial
+	cancelled := j.cancelRequested
+	j.mu.Unlock()
 	switch {
 	case execErr != nil:
-		if j.cancelRequested {
-			j.state = StateCancelled
-		} else {
-			j.state = StateFailed
+		o.state, o.errMsg = StateFailed, execErr.Error()
+		if cancelled {
+			o.state = StateCancelled
 		}
-		j.errMsg = execErr.Error()
-	case j.cancelRequested:
+	case cancelled:
 		// Engine returned cleanly after cancellation: the result holds the
 		// exactly-accounted partial run.
-		j.state = StateCancelled
+		o.state = StateCancelled
 		if res != nil && res.Warning != "" {
-			j.errMsg = res.Warning
+			o.errMsg = res.Warning
 		}
 	default:
 		// Includes Partial results from the job's own timeout: the run
 		// answered with what it measured, which is a completed job.
-		j.state = StateDone
+		o.state = StateDone
+		o.cacheable = o.result != nil && !res.Partial && !j.Spec.NoCache
 	}
-	ev := Event{Type: string(j.state), Error: j.errMsg}
-	j.appendLocked(ev)
-	return j.state
+	return o
+}
+
+// finish publishes a running job's settled outcome. The terminal state,
+// the result and the final event are committed under one lock
+// acquisition, so a streamer never observes a terminal state without
+// its terminal event.
+func (j *Job) finish(o outcome) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state, j.errMsg, j.result, j.finished = o.state, o.errMsg, o.result, o.finished
+	j.appendLocked(Event{Type: string(o.state), Error: o.errMsg})
 }
 
 // eventCount returns the current length of the event log.
@@ -329,17 +345,13 @@ func (j *Job) terminalInfo() (State, time.Time) {
 	return j.state, j.finished
 }
 
-// terminalSnapshot returns everything the store needs to journal a
-// terminal transition: the state, the failure cause, the encoded result
-// and whether the result may enter the spec-hash cache. Only a complete
-// (non-partial) result of a cache-participating spec that was actually
-// computed here — not itself served from the cache — is cacheable.
-func (j *Job) terminalSnapshot() (st State, errMsg string, raw json.RawMessage, cacheable bool) {
+// terminalSnapshot returns the outcome of a job already published
+// terminal — cancelled while queued, failed at restore, or born from the
+// cache. None of these results was computed here, so none is cacheable.
+func (j *Job) terminalSnapshot() outcome {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	cacheable = j.state == StateDone && j.result != nil &&
-		!j.partial && !j.cached && !j.Spec.NoCache
-	return j.state, j.errMsg, j.result, cacheable
+	return outcome{state: j.state, errMsg: j.errMsg, result: j.result, finished: j.finished}
 }
 
 // eventsSince returns a copy of up to max events from seq on (max <= 0 =

@@ -82,9 +82,10 @@ func newJobQueue(depth int, fleetRunning func(tenant string) int) *jobQueue {
 	return q
 }
 
-// laneLocked returns (creating if needed) the tenant's lane. Tenants
-// outside the keyfile — the single-tenant default — get weight 1 and no
-// per-tenant quotas.
+// laneLocked returns (creating if needed) the tenant's lane. A nil cfg —
+// the fleet-internal shard lane, or a recovered job's tenant this
+// server's tenant table no longer lists — gets weight 1 and no
+// per-tenant quotas, exactly like the default tenant's entry.
 func (q *jobQueue) laneLocked(tenant string, cfg *TenantConfig) *tenantLane {
 	l := q.tenants[tenant]
 	if l == nil {

@@ -30,10 +30,9 @@ func mustStore(t *testing.T, dir string, reg *obs.Registry) *store.Store {
 	return st
 }
 
-// waitCounter polls the registry until a counter reaches want: the
-// in-memory terminal state commits before the journal append, so tests
-// that depend on persistence (cache hits, crash replay) synchronize on
-// the store's own append counter instead of racing the worker.
+// waitCounter polls the registry until a counter reaches want, so tests
+// that depend on a store write (cache hits, crash replay) can
+// synchronize on the store's own instruments.
 func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -229,10 +228,10 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	if fin.State != StateDone || fin.Cached {
 		t.Fatalf("first run = %+v", fin)
 	}
-	// The job turns visibly done before the worker journals it; wait for
-	// the terminal append (submitted+running+done, plus the chunk
-	// checkpoints journaled during the run) so the resubmission below
-	// deterministically finds the cache entry.
+	// The worker journals the terminal record before the job turns
+	// visibly done; the wait for the terminal append (submitted+running+
+	// done, plus the chunk checkpoints journaled during the run) only
+	// double-checks that the resubmission below finds the cache entry.
 	cps, _ := reg.Snapshot().Counter("store_checkpoints_total")
 	waitCounter(t, reg, "store_journal_appends_total", 3+cps)
 
@@ -307,6 +306,123 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	}
 }
 
+// TestReadYourWritesCache pins the worker's persist-then-publish order:
+// the instant a job's state turns terminal, the store already holds its
+// result in the spec-hash cache, so a client that saw the job finish
+// and resubmits the spec gets a cache hit. The test watches the job's
+// change channel in-process: polling over HTTP would hide the window
+// behind request latency.
+func TestReadYourWritesCache(t *testing.T) {
+	for _, mode := range []string{"disk", "memory"} {
+		t.Run(mode, func(t *testing.T) {
+			release := make(chan struct{})
+			cfg := Config{QueueDepth: 4, Workers: 1,
+				Execute: func(ctx context.Context, spec *jobspec.Spec, _ jobspec.Options) (*jobspec.Result, error) {
+					select {
+					case <-release:
+						return &jobspec.Result{Kind: spec.Analysis, Seed: spec.Seed}, nil
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+				}}
+			if mode == "disk" {
+				st := mustStore(t, t.TempDir(), nil)
+				t.Cleanup(func() { st.Close() })
+				cfg.Store = st
+			}
+			s, ts := newTestServer(t, cfg)
+			for seed := uint64(1); seed <= 20; seed++ {
+				spec := mcSpec(8)
+				spec.Seed = seed
+				resp, v := submit(t, ts, spec)
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("seed %d: submit status %d, want 202", seed, resp.StatusCode)
+				}
+				j := s.job(v.ID)
+				release <- struct{}{}
+				for {
+					_, terminal, wait := j.eventsSince(0, 1)
+					if terminal {
+						break
+					}
+					select {
+					case <-wait:
+					case <-time.After(10 * time.Second):
+						t.Fatalf("job %s never turned terminal", v.ID)
+					}
+				}
+				if _, _, ok := s.cfg.Store.CachedResult(j.specHash); !ok {
+					t.Fatalf("job %s is visibly terminal but its result is not in the cache yet", v.ID)
+				}
+			}
+		})
+	}
+}
+
+// TestStorelessKeylessServer pins the two wire decisions of a server
+// with neither a Store nor Tenants, which runs on an in-memory store and
+// one open default tenant: an identical resubmission is a cached 200
+// with a byte-identical result until retention evicts the computing
+// job, and listing is scoped to the default tenant like a keyed one —
+// every job with no filter or ?tenant=default, 403 for any other name.
+func TestStorelessKeylessServer(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueDepth: 8, Workers: 1, MaxTerminalJobs: 2})
+	spec := mcSpec(24)
+	spec.Seed = 5
+	_, first := submit(t, ts, spec)
+	fin := waitTerminal(t, ts, first.ID)
+	if fin.State != StateDone || fin.Tenant != DefaultTenant {
+		t.Fatalf("first run = %s owned by %q, want done by %q", fin.State, fin.Tenant, DefaultTenant)
+	}
+	resp, _ := submit(t, ts, spec)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("identical resubmission: status %d, want a cached 200", resp.StatusCode)
+	}
+	var page struct {
+		Jobs []View `json:"jobs"`
+	}
+	doAs(t, ts, "", "GET", "/v1/jobs?state=done", nil, &page)
+	if len(page.Jobs) != 2 {
+		t.Fatalf("listed %d done jobs, want the run and its cache hit", len(page.Jobs))
+	}
+	hit := getJob(t, ts, page.Jobs[1].ID)
+	if !hit.Cached || !bytes.Equal(hit.Result, fin.Result) {
+		t.Fatalf("cache hit = cached %v, result\n%s\nwant the first run's\n%s", hit.Cached, hit.Result, fin.Result)
+	}
+
+	// Every listing form a keyless client may use sees all jobs; naming
+	// another tenant is refused exactly as with a keyfile.
+	for _, q := range []string{"", "?tenant=" + DefaultTenant} {
+		page.Jobs = nil
+		if r := doAs(t, ts, "", "GET", "/v1/jobs"+q, nil, &page); r.StatusCode != http.StatusOK || len(page.Jobs) != 2 {
+			t.Errorf("GET /v1/jobs%s: status %d with %d jobs, want 200 with 2", q, r.StatusCode, len(page.Jobs))
+		}
+	}
+	var e ErrorBody
+	if r := doAs(t, ts, "", "GET", "/v1/jobs?tenant=x", nil, &e); r.StatusCode != http.StatusForbidden || e.Code != ErrForbidden {
+		t.Errorf("GET /v1/jobs?tenant=x: status %d code %q, want 403 %s", r.StatusCode, e.Code, ErrForbidden)
+	}
+
+	// Two more runs push the computing job past MaxTerminalJobs; its
+	// cache entry goes with it, so the same spec runs again.
+	for seed := uint64(6); seed <= 7; seed++ {
+		other := mcSpec(24)
+		other.Seed = seed
+		_, v := submit(t, ts, other)
+		waitTerminal(t, ts, v.ID)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.job(first.ID) != nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never evicted", first.ID)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if resp, _ := submit(t, ts, spec); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("resubmission after eviction: status %d, want 202 (a cache miss)", resp.StatusCode)
+	}
+}
+
 // TestRetentionBoundsTerminalJobs drives more terminal jobs than the
 // retention cap and expects the oldest evicted — from the in-memory
 // table, the list view, and (when a store is configured) the journal —
@@ -338,8 +454,7 @@ func TestRetentionBoundsTerminalJobs(t *testing.T) {
 		}
 
 		// Retention runs in the worker goroutine after the terminal state
-		// is already visible (with a store, the fsync'd terminal record
-		// sits between the two), so the list converges to the bound rather
+		// is already visible, so the list converges to the bound rather
 		// than hitting it atomically with the final job's completion.
 		var list struct {
 			Jobs []View `json:"jobs"`

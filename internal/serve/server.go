@@ -65,13 +65,15 @@ type Config struct {
 	// ProgressEvery forwards to jobspec.Options: emit every k-th
 	// progress sample (0 = auto, ~200 samples per job).
 	ProgressEvery int
-	// Store persists job lifecycles and results to disk and provides the
-	// spec-keyed result cache (nil = in-memory only, no cache). Jobs
-	// recovered by store.Open are restored by NewServer: terminal jobs
-	// are served without recomputation, queued jobs are re-enqueued,
-	// Monte-Carlo campaigns interrupted mid-run are re-enqueued with
-	// their journaled chunk checkpoints and resumed, and interrupted
-	// jobs of other kinds are failed with a structured InterruptedError.
+	// Store journals job lifecycles and results and holds the spec-keyed
+	// result cache. Nil opens an in-memory store (store.Open with no
+	// directory): the same cache and retention, nothing survives a
+	// restart. Jobs recovered by a disk store are restored by NewServer:
+	// terminal jobs are served without recomputation, queued jobs are
+	// re-enqueued, Monte-Carlo campaigns interrupted mid-run are
+	// re-enqueued with their journaled chunk checkpoints and resumed, and
+	// interrupted jobs of other kinds are failed with a structured
+	// InterruptedError.
 	// Workers journal one checkpoint per completed campaign chunk, so a
 	// crash loses at most the chunk that was in flight.
 	Store *store.Store
@@ -102,10 +104,10 @@ type Config struct {
 	// admission and job completion.
 	MaxTerminalAge time.Duration
 	// Tenants is the static tenant table (id, API key, weight, quotas).
-	// Empty means single-tenant mode: no authentication, every job owned
-	// by DefaultTenant with weight 1 and no quotas — the pre-multi-tenant
-	// behaviour, bit for bit. Non-empty means every /v1 request must
-	// present a listed key.
+	// Empty is a table of one open tenant: no authentication, every
+	// request acts for DefaultTenant with weight 1 and no quotas, scoped
+	// exactly as a keyed tenant is. Non-empty means every /v1 request
+	// must present a listed key.
 	Tenants []TenantConfig
 	// EventWriteTimeout bounds one NDJSON write on a /v1/jobs/{id}/events
 	// stream (default 10s): a reader that stops draining its socket is
@@ -188,10 +190,11 @@ func NewServer(cfg Config) *Server {
 	if cfg.ShardHTTPTimeout <= 0 {
 		cfg.ShardHTTPTimeout = 15 * time.Second
 	}
-	var recovered []store.RecoveredJob
-	if cfg.Store != nil {
-		recovered = cfg.Store.Recovered()
+	if cfg.Store == nil {
+		// An in-memory open cannot fail.
+		cfg.Store, _ = store.Open("", cfg.Registry, store.Options{})
 	}
+	recovered := cfg.Store.Recovered()
 	// A restart may hand back more runnable jobs (queued plus resumable
 	// campaigns) than the configured depth; the queue grows to fit them
 	// so recovery never drops accepted work. Admission backpressure
@@ -258,12 +261,9 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// tenantCfg returns the keyfile entry of a tenant id, nil for tenants
-// outside the keyfile (the default tenant in single-tenant mode).
+// tenantCfg returns the config of a tenant id, nil for tenants this
+// server does not know (a journal written under another keyfile).
 func (s *Server) tenantCfg(id string) *TenantConfig {
-	if s.tenants == nil {
-		return nil
-	}
 	if st := s.tenants.byID[id]; st != nil {
 		return &st.cfg
 	}
@@ -309,27 +309,15 @@ func (s *Server) restore(recovered []store.RecoveredJob) {
 		}
 		switch r.State {
 		case store.StateQueued:
-			if err := s.queue.forcePush(s.laneCfg(j), j); err != nil {
-				// Unreachable — restore precedes any drain — but a dropped
-				// job must still reach a terminal state.
-				if j.requestCancel("recovered queued job dropped: " + err.Error()) {
-					s.met.finished(StateCancelled)
-					s.persistTerminal(j)
-				}
-			}
+			s.requeue(j, "recovered queued job")
 		case store.StateInterrupted:
 			if resumable(r) {
 				s.met.resumed.Inc()
-				if err := s.queue.forcePush(s.laneCfg(j), j); err != nil {
-					if j.requestCancel("recovered campaign dropped: " + err.Error()) {
-						s.met.finished(StateCancelled)
-						s.persistTerminal(j)
-					}
-				}
+				s.requeue(j, "recovered campaign")
 				break
 			}
 			s.met.finished(StateFailed)
-			s.persistTerminal(j)
+			s.persistTerminal(j.ID, j.terminalSnapshot())
 		}
 	}
 	s.queue.restoreScheduled(scheduled, s.tenantCfg)
@@ -337,10 +325,9 @@ func (s *Server) restore(recovered []store.RecoveredJob) {
 	s.enforceRetention(now)
 }
 
-// authed wraps a /v1 handler with tenant authentication. In
-// single-tenant mode (no keyfile) every request passes with a nil
-// tenant state; with a keyfile, a missing or unknown key answers 401
-// before the handler runs.
+// authed wraps a /v1 handler with tenant authentication. Without a
+// keyfile every request passes as the default tenant; with one, a
+// missing or unknown key answers 401 before the handler runs.
 func (s *Server) authed(h func(http.ResponseWriter, *http.Request, *tenantState)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ts, ok := s.tenants.authenticate(r)
@@ -426,19 +413,27 @@ func (s *Server) addJob(spec *jobspec.Spec, hash, tenant, class string, internal
 	return j
 }
 
-// addCachedJob tracks a job born terminal from a cache hit. It returns
-// nil while draining, so the caller falls through to the queue push and
-// its canonical "draining" rejection.
-func (s *Server) addCachedJob(spec *jobspec.Spec, hash, tenant, class string, result json.RawMessage) *Job {
+// addCachedJob admits a job born terminal from a cache hit: tracked,
+// counted and journaled. It returns nil while draining, so the caller
+// falls through to the queue push and its canonical "draining"
+// rejection.
+func (s *Server) addCachedJob(spec *jobspec.Spec, hash, tenant, class string, result json.RawMessage, now time.Time) *Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.draining {
+		s.mu.Unlock()
 		return nil
 	}
 	s.nextID++
-	j := newCachedJob(fmt.Sprintf("%sjob-%06d", s.idPrefix, s.nextID), spec, hash, tenant, class, result, time.Now())
+	j := newCachedJob(fmt.Sprintf("%sjob-%06d", s.idPrefix, s.nextID), spec, hash, tenant, class, result, now)
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
+	s.mu.Unlock()
+	s.met.submitted.Inc()
+	s.met.kindCounter(spec.Analysis).Inc()
+	s.met.tenantAdmitted(tenant).Inc()
+	s.met.finished(StateDone)
+	s.persistSubmitted(j, now)
+	s.persistTerminal(j.ID, j.terminalSnapshot())
 	return j
 }
 
@@ -457,28 +452,47 @@ func (s *Server) removeJob(id string) {
 	}
 }
 
-// persistTerminal journals a job's terminal transition (and, when the
+// persistTerminal journals a job's terminal outcome (and, when the
 // result is a complete cacheable computation, enters it into the
 // spec-hash cache). Store write failures are counted, not fatal: the
-// job's in-memory state is already committed and still serveable.
-func (s *Server) persistTerminal(j *Job) {
-	st := s.cfg.Store
-	if st == nil {
-		return
+// job's in-memory state is still serveable.
+func (s *Server) persistTerminal(id string, o outcome) {
+	s.storeErr(s.cfg.Store.JobTerminal(id, string(o.state), o.errMsg, o.result, o.cacheable, o.finished))
+}
+
+// cancelJob asks a job to stop. When that finalizes it on the spot (it
+// was still queued), the cancellation is counted and journaled here;
+// a running job finalizes through its worker instead.
+func (s *Server) cancelJob(j *Job, reason string) {
+	if j.requestCancel(reason) {
+		s.met.finished(StateCancelled)
+		s.persistTerminal(j.ID, j.terminalSnapshot())
 	}
-	state, errMsg, raw, cacheable := j.terminalSnapshot()
-	s.storeErr(st.JobTerminal(j.ID, string(state), errMsg, raw, cacheable, time.Now()))
+}
+
+// requeue puts a recovered or adopted job back on the queue. The push
+// can only fail once a drain has begun, and a job it drops must still
+// reach a terminal state.
+func (s *Server) requeue(j *Job, what string) bool {
+	// Fleet-internal shard sub-jobs share the quota-exempt fleet lane.
+	cfg := s.tenantCfg(j.tenant)
+	if j.internal {
+		cfg = nil
+	}
+	if err := s.queue.forcePush(cfg, j); err != nil {
+		s.cancelJob(j, what+" dropped: "+err.Error())
+		return false
+	}
+	return true
 }
 
 // persistSubmitted journals a job's admission with its tenant/class
 // provenance, so a restart rebuilds both the job and the fair-share
 // accounting it participates in.
 func (s *Server) persistSubmitted(j *Job, now time.Time) {
-	if st := s.cfg.Store; st != nil {
-		s.storeErr(st.JobSubmitted(j.ID, j.Spec, j.specHash,
-			store.SubmitMeta{Tenant: j.tenant, Class: j.class,
-				Node: s.nodeID, Internal: j.internal}, now))
-	}
+	s.storeErr(s.cfg.Store.JobSubmitted(j.ID, j.Spec, j.specHash,
+		store.SubmitMeta{Tenant: j.tenant, Class: j.class,
+			Node: s.nodeID, Internal: j.internal}, now))
 }
 
 // storeErr counts a store write failure (nil is a no-op).
@@ -550,9 +564,7 @@ func (s *Server) enforceRetention(now time.Time) {
 		return
 	}
 	s.met.evicted.Add(int64(len(drop)))
-	if st := s.cfg.Store; st != nil {
-		s.storeErr(st.Evict(drop, now))
-	}
+	s.storeErr(s.cfg.Store.Evict(drop, now))
 }
 
 // retryAfter derives the backpressure hint from load: the queued work
@@ -589,12 +601,12 @@ func (s *Server) retryAfterHint() int {
 // it can actually occupy (its max_running cap, if tighter than the
 // pool). This is the 429 hint — a function of the tenant's own state,
 // deliberately independent of other tenants' backlogs.
-func (s *Server) tenantRetryAfterHint(tenant string, cfg *TenantConfig) int {
+func (s *Server) tenantRetryAfterHint(cfg *TenantConfig) int {
 	workers := s.cfg.Workers
-	if cfg != nil && cfg.MaxRunning > 0 && cfg.MaxRunning < workers {
+	if cfg.MaxRunning > 0 && cfg.MaxRunning < workers {
 		workers = cfg.MaxRunning
 	}
-	return retryAfter(s.queue.tenantDepth(tenant), workers, s.avgJobSec())
+	return retryAfter(s.queue.tenantDepth(cfg.ID), workers, s.avgJobSec())
 }
 
 // observeJobDuration folds one finished job's execution time into the
@@ -615,18 +627,14 @@ func (s *Server) job(id string) *Job {
 	return s.jobs[id]
 }
 
-// jobForTenant resolves a job id within the caller's tenant scope: with
-// a keyfile, a job owned by another tenant is reported exactly like a
-// missing one, so ids cannot be probed across tenants.
+// jobForTenant resolves a job id within the caller's tenant scope: a
+// job owned by another tenant is reported exactly like a missing one,
+// so ids cannot be probed across tenants.
 func (s *Server) jobForTenant(id string, ts *tenantState) *Job {
-	j := s.job(id)
-	if j == nil {
-		return nil
+	if j := s.job(id); j != nil && j.tenant == ts.cfg.ID {
+		return j
 	}
-	if s.tenants != nil && j.tenant != tenantID(ts) {
-		return nil
-	}
-	return j
+	return nil
 }
 
 // requestClass resolves the X-Priority header to a scheduling class.
@@ -654,7 +662,7 @@ func (s *Server) rejectPush(w http.ResponseWriter, err error, ts *tenantState) {
 	if errors.As(err, &tqf) {
 		s.met.tenantRejected(tqf.tenant).Inc()
 		body := apiError(ErrTenantQueueFull, err)
-		body.RetryAfterS = s.tenantRetryAfterHint(tqf.tenant, s.tenantCfg(tqf.tenant))
+		body.RetryAfterS = s.tenantRetryAfterHint(&ts.cfg)
 		writeError(w, http.StatusTooManyRequests, body)
 		return
 	}
@@ -671,9 +679,6 @@ func (s *Server) rejectPush(w http.ResponseWriter, err error, ts *tenantState) {
 // admitRate debits the tenant's trial-rate bucket for cost trials; on an
 // empty bucket it answers the 429 itself and returns false.
 func (s *Server) admitRate(w http.ResponseWriter, ts *tenantState, cost float64) bool {
-	if ts == nil {
-		return true
-	}
 	ok, wait := ts.takeTrials(cost, time.Now())
 	if ok {
 		return true
@@ -713,7 +718,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) *jobspec.Spe
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	tenant := tenantID(ts)
+	tenant := ts.cfg.ID
 	// Fleet-internal submissions (a peer dispatching a campaign shard with
 	// the shared fleet key) bypass per-tenant admission — trial-rate and
 	// max_queued were already charged to the campaign on the dispatching
@@ -734,18 +739,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ts *tenant
 	// answered with the persisted snapshot — byte-identical, no queue
 	// slot, no recomputation, no trial-rate debit — as a job born
 	// terminal (200, not 202).
-	if st := s.cfg.Store; st != nil && !spec.NoCache {
-		if _, raw, ok := st.CachedResult(hash); ok {
-			if j := s.addCachedJob(spec, hash, tenant, class, raw); j != nil {
-				s.met.submitted.Inc()
-				s.met.kindCounter(spec.Analysis).Inc()
-				s.met.tenantAdmitted(tenant).Inc()
-				s.met.finished(StateDone)
-				now := time.Now()
-				s.persistSubmitted(j, now)
-				// cacheable=false: the cache already holds the canonical
-				// entry this snapshot was copied from.
-				s.storeErr(st.JobTerminal(j.ID, string(StateDone), "", raw, false, now))
+	if !spec.NoCache {
+		if _, raw, ok := s.cfg.Store.CachedResult(hash); ok {
+			now := time.Now()
+			if j := s.addCachedJob(spec, hash, tenant, class, raw, now); j != nil {
 				s.enforceRetention(now)
 				writeJSON(w, http.StatusOK, j.view(true))
 				return
@@ -765,7 +762,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ts *tenant
 	}
 	if err := s.queue.tryPush(pushCfg, j); err != nil {
 		s.removeJob(j.ID)
-		if !internal && ts != nil {
+		if !internal {
 			ts.refund(cost)
 		}
 		s.rejectPush(w, err, ts)
@@ -811,18 +808,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, ts *tenantSt
 			apiError(ErrBadArgument, fmt.Errorf("unknown state %q", stateFilter)))
 		return
 	}
-	// Tenant scope: with a keyfile the listing is always the caller's own
-	// jobs, and naming any other tenant is refused; in single-tenant mode
-	// the tenant parameter is a free filter (operator tooling).
-	tenantFilter := q.Get("tenant")
-	if s.tenants != nil {
-		own := tenantID(ts)
-		if tenantFilter != "" && tenantFilter != own {
-			writeError(w, http.StatusForbidden,
-				apiError(ErrForbidden, fmt.Errorf("key is not tenant %q", tenantFilter)))
-			return
-		}
-		tenantFilter = own
+	// Tenant scope: the listing is always the caller's own jobs, and
+	// naming any other tenant is refused.
+	own := ts.cfg.ID
+	if t := q.Get("tenant"); t != "" && t != own {
+		writeError(w, http.StatusForbidden,
+			apiError(ErrForbidden, fmt.Errorf("key is not tenant %q", t)))
+		return
 	}
 	token := q.Get("page_token")
 	// Snapshot under the lock, skipping ids whose jobs were evicted
@@ -858,7 +850,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, ts *tenantSt
 				continue
 			}
 		}
-		if j := s.jobs[id]; j != nil {
+		if j := s.jobs[id]; j != nil && j.tenant == own {
 			jobs = append(jobs, j)
 		}
 	}
@@ -867,9 +859,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, ts *tenantSt
 	next := ""
 	for _, j := range jobs {
 		v := j.view(false)
-		if tenantFilter != "" && v.Tenant != tenantFilter {
-			continue
-		}
 		if stateFilter != "" && string(v.State) != stateFilter {
 			continue
 		}
@@ -911,10 +900,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, ts *tenant
 		writeError(w, http.StatusNotFound, apiError(ErrNotFound, errors.New("no such job")))
 		return
 	}
-	if j.requestCancel("cancelled by client") {
-		s.met.finished(StateCancelled)
-		s.persistTerminal(j)
-	}
+	s.cancelJob(j, "cancelled by client")
 	writeJSON(w, http.StatusOK, j.view(true))
 }
 

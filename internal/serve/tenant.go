@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,9 +15,9 @@ import (
 )
 
 // DefaultTenant is the implicit tenant every request belongs to when the
-// server runs without a tenant keyfile — the single-tenant mode of the
-// pre-multi-tenant API, kept bit-compatible: weight 1, no quotas, no
-// authentication.
+// server runs without a tenant keyfile: weight 1, no quotas, no key. A
+// keyfile server keeps it too (unless the keyfile defines its own), for
+// fleet calls that act for no named tenant.
 const DefaultTenant = "default"
 
 // Priority classes. Within one tenant the scheduler always serves
@@ -214,11 +215,14 @@ func trialCost(spec *jobspec.Spec) float64 {
 	return 1
 }
 
-// tenantSet resolves API keys and ids to runtime tenant state. With no
-// keyfile the set is nil and every request maps to DefaultTenant.
+// tenantSet resolves API keys and ids to runtime tenant state. byID
+// always holds DefaultTenant. Without a keyfile the set is open: that
+// default tenant is its only member and every request authenticates as
+// it.
 type tenantSet struct {
 	byKey map[string]*tenantState
 	byID  map[string]*tenantState
+	open  bool
 	// fleetKey, when non-empty, is the shared node-to-node fleet
 	// credential: it authenticates like a key but scopes itself to the
 	// tenant named by the X-Relsim-Tenant header (or the default tenant
@@ -227,15 +231,16 @@ type tenantSet struct {
 }
 
 func newTenantSet(cfgs []TenantConfig, fleetKey string) *tenantSet {
-	if len(cfgs) == 0 {
-		return nil
-	}
-	ts := &tenantSet{byKey: map[string]*tenantState{}, byID: map[string]*tenantState{}, fleetKey: fleetKey}
-	for _, c := range cfgs {
+	ts := &tenantSet{byKey: map[string]*tenantState{}, byID: map[string]*tenantState{},
+		open: len(cfgs) == 0, fleetKey: fleetKey}
+	// The keyless default entry comes first, so a keyfile may redefine it.
+	for _, c := range append([]TenantConfig{{ID: DefaultTenant}}, cfgs...) {
 		c.applyDefaults()
 		st := &tenantState{cfg: c}
-		ts.byKey[c.Key] = st
 		ts.byID[c.ID] = st
+		if c.Key != "" {
+			ts.byKey[c.Key] = st
+		}
 	}
 	return ts
 }
@@ -252,38 +257,21 @@ func requestKey(r *http.Request) string {
 	return ""
 }
 
-// authenticate resolves the request's API key to a tenant. A nil set
+// authenticate resolves the request's API key to a tenant. An open set
 // (no keyfile) accepts everything as the default tenant. The shared
 // fleet key authenticates node-to-node calls and acts for the tenant
-// the X-Relsim-Tenant header names (401 for an unknown one — a peer
-// must not mint tenants this node's keyfile does not know).
+// the X-Relsim-Tenant header names, the default tenant without one
+// (401 for an unknown one — a peer must not mint tenants this node's
+// keyfile does not know).
 func (ts *tenantSet) authenticate(r *http.Request) (*tenantState, bool) {
-	if ts == nil {
-		return nil, true
+	if ts.open {
+		return ts.byID[DefaultTenant], true
 	}
 	key := requestKey(r)
-	if key == "" {
-		return nil, false
-	}
 	if ts.fleetKey != "" && key == ts.fleetKey {
-		id := r.Header.Get(fleetTenantHeader)
-		if st, ok := ts.byID[id]; ok {
-			return st, true
-		}
-		if id == "" || id == DefaultTenant {
-			return nil, true
-		}
-		return nil, false
+		st, ok := ts.byID[cmp.Or(r.Header.Get(fleetTenantHeader), DefaultTenant)]
+		return st, ok
 	}
 	st, ok := ts.byKey[key]
 	return st, ok
-}
-
-// id returns the tenant id an authenticated state stands for (the
-// default tenant for nil).
-func tenantID(st *tenantState) string {
-	if st == nil {
-		return DefaultTenant
-	}
-	return st.cfg.ID
 }

@@ -44,10 +44,7 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *Job) {
 	if s.baseCtx.Err() != nil {
 		// Drain deadline passed while this job sat in the queue.
-		if j.requestCancel("server shut down before the job started") {
-			s.met.finished(StateCancelled)
-			s.persistTerminal(j)
-		}
+		s.cancelJob(j, "server shut down before the job started")
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -55,11 +52,9 @@ func (s *Server) runJob(j *Job) {
 	if !j.start(cancel, time.Now()) {
 		return // cancelled while queued; already finalized and counted
 	}
-	if st := s.cfg.Store; st != nil {
-		// Journal the transition: a crash from here until the terminal
-		// record classifies the job as interrupted at replay.
-		s.storeErr(st.JobRunning(j.ID, time.Now()))
-	}
+	// Journal the transition: a crash from here until the terminal record
+	// classifies the job as interrupted at replay.
+	s.storeErr(s.cfg.Store.JobRunning(j.ID, time.Now()))
 	_, submitted := j.snapshot()
 	s.met.waitSecs.Observe(time.Since(submitted).Seconds())
 	s.met.inflight.Add(1)
@@ -73,14 +68,12 @@ func (s *Server) runJob(j *Job) {
 		// this job (nil for fresh submissions): the campaign folds them in
 		// and re-runs only the chunks past the last one.
 		Resume: j.resume,
-	}
-	if st := s.cfg.Store; st != nil {
-		opts.OnCheckpoint = func(cp jobspec.Checkpoint) {
-			// Journal every completed campaign chunk: the durable unit of
-			// resume. A crash from here on loses at most the chunk in flight.
-			s.storeErr(st.JobCheckpoint(j.ID, cp.Seq, cp.Data, time.Now()))
+		// Journal every completed campaign chunk: the durable unit of
+		// resume. A crash from here on loses at most the chunk in flight.
+		OnCheckpoint: func(cp jobspec.Checkpoint) {
+			s.storeErr(s.cfg.Store.JobCheckpoint(j.ID, cp.Seq, cp.Data, time.Now()))
 			s.met.checkpoints.Inc()
-		}
+		},
 	}
 	opts.RunShard = func(ctx context.Context, shard int, sub *jobspec.Spec) (*jobspec.Result, error) {
 		return s.runShard(ctx, j, shard, sub)
@@ -103,19 +96,23 @@ func (s *Server) runJob(j *Job) {
 	// results replay byte-identical across tenants, and the job view's
 	// owner-scoped tenant field is the only place ownership belongs — a
 	// cross-tenant cache hit must not reveal who computed the entry.
-	st := j.finish(res, err, time.Now())
-	s.met.finished(st)
+	//
+	// Persist, then publish: once a client sees the terminal state, an
+	// identical resubmission finds the result in the cache.
+	o := j.settle(res, err, time.Now())
+	s.persistTerminal(j.ID, o)
+	j.finish(o)
+	s.met.finished(o.state)
 	// Completed-trial accounting feeds the fair-share share measurement:
 	// Monte-Carlo jobs count their completed trials, everything else
 	// counts 1 per finished job.
 	if res != nil && res.MC != nil {
 		s.met.tenantTrials(j.tenant).Add(int64(res.MC.Completed()))
-	} else if st == StateDone {
+	} else if o.state == StateDone {
 		s.met.tenantTrials(j.tenant).Inc()
 	}
-	s.met.jobSecs.Observe(time.Since(submitted).Seconds())
-	s.observeJobDuration(time.Since(started))
-	s.persistTerminal(j)
+	s.met.jobSecs.Observe(o.finished.Sub(submitted).Seconds())
+	s.observeJobDuration(o.finished.Sub(started))
 	s.enforceRetention(time.Now())
 }
 
@@ -127,8 +124,8 @@ func (s *Server) runJob(j *Job) {
 // enqueued its own sub-jobs while occupying a worker could deadlock a
 // fully-loaded pool on itself.
 func (s *Server) runSubJob(ctx context.Context, name string, sub *jobspec.Spec) (*jobspec.Result, bool, error) {
-	if st := s.cfg.Store; st != nil && !sub.NoCache {
-		if _, raw, ok := st.CachedResult(sub.CanonicalHash()); ok {
+	if !sub.NoCache {
+		if _, raw, ok := s.cfg.Store.CachedResult(sub.CanonicalHash()); ok {
 			res := new(jobspec.Result)
 			if err := json.Unmarshal(raw, res); err == nil {
 				s.met.subjobsCached.Inc()

@@ -14,7 +14,8 @@
 // are classified interrupted (their persisted partial results intact).
 // On top sits a content-addressed result cache keyed by the canonical
 // spec hash, and a journal compactor that keeps disk usage bounded as
-// the retention policy evicts old jobs.
+// the retention policy evicts old jobs. Opened without a directory, the
+// store keeps the same cache and retention semantics in memory.
 package store
 
 import (
@@ -66,9 +67,6 @@ func (e *InterruptedError) Error() string {
 
 // Options tunes a Store. The zero value is the production configuration.
 type Options struct {
-	// NoFsync skips the per-append fsync (tests; crash-safety is then
-	// only as good as the page cache).
-	NoFsync bool
 	// CompactEvery rewrites the journal after this many evictions
 	// (default 64). 1 compacts on every eviction — deterministic for
 	// tests, quadratic under sustained eviction.
@@ -79,8 +77,8 @@ type Options struct {
 // record: the owning tenant and the scheduling class the job was
 // admitted under. Replaying it is what lets a restarted server rebuild
 // per-tenant fair-share accounting and put every recovered job back in
-// its owner's weighted queue. Zero values mean the single-tenant,
-// default-class admission path.
+// its owner's weighted queue. Zero values (journals written before
+// multi-tenancy) mean the default tenant and class.
 type SubmitMeta struct {
 	Tenant string
 	Class  string
@@ -200,8 +198,9 @@ func (r *jobRec) sortedChunks() []int {
 
 func (r *jobRec) terminal() bool { return r.state != "" }
 
-// Store is a disk-backed journal of job lifecycles plus a result cache.
-// All methods are safe for concurrent use.
+// Store is a journal of job lifecycles plus a result cache, on disk or
+// (opened with no directory) in memory. All methods are safe for
+// concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -214,9 +213,12 @@ type Store struct {
 	f         *os.File
 	jobs      map[string]*jobRec
 	order     []string
-	cache     map[string]string // spec hash -> job id with a snapshot on disk
+	cache     map[string]string // spec hash -> job id with a result snapshot
 	evictions int               // since last compaction
 	recovered []RecoveredJob
+	// mem holds an in-memory store's result snapshots by job id (the
+	// caller's bytes, never copied); nil marks a disk store.
+	mem map[string][]byte
 }
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, "journal.ndjson") }
@@ -228,17 +230,17 @@ func (s *Store) resultPath(id string) string {
 // Open opens (creating if necessary) the store rooted at dir, replays
 // the journal and leaves the recovered jobs available via Recovered.
 // A torn final line — the signature of a crash mid-append — is
-// truncated away; garbage accumulated by evictions is compacted.
+// truncated away; garbage accumulated by evictions is compacted. An
+// empty dir opens an in-memory store: no journal, nothing recovered,
+// nothing written to disk.
 func Open(dir string, reg *obs.Registry, opts Options) (*Store, error) {
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = 64
 	}
-	s := &Store{
-		dir:   dir,
-		opts:  opts,
-		met:   newMetrics(reg),
-		jobs:  make(map[string]*jobRec),
-		cache: make(map[string]string),
+	s := newStore(dir, reg, opts)
+	if dir == "" {
+		s.mem = make(map[string][]byte)
+		return s, nil
 	}
 	if err := os.MkdirAll(s.resultsDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -265,6 +267,12 @@ func Open(dir string, reg *obs.Registry, opts Options) (*Store, error) {
 	s.met.replayed.Add(int64(len(s.recovered)))
 	s.met.jobs.Set(float64(len(s.jobs)))
 	return s, nil
+}
+
+// newStore builds an empty store over dir for Open or ReadJournal.
+func newStore(dir string, reg *obs.Registry, opts Options) *Store {
+	return &Store{dir: dir, opts: opts, met: newMetrics(reg),
+		jobs: make(map[string]*jobRec), cache: make(map[string]string)}
 }
 
 // replay reads the journal into the jobs map. It returns whether the
@@ -319,6 +327,11 @@ func (s *Store) replay() (dirty bool, err error) {
 			ensure(rec.Job).started = rec.Time
 		case StateCheckpoint:
 			r := ensure(rec.Job)
+			if r.terminal() {
+				// Progress recorded after the verdict is garbage.
+				dirty = true
+				break
+			}
 			if r.ckpts == nil {
 				r.ckpts = make(map[int]ckptRec)
 			}
@@ -346,12 +359,17 @@ func (s *Store) replay() (dirty bool, err error) {
 		}
 	}
 	// A job whose submitted record was lost (out-of-order append around a
-	// crash) has no spec and cannot be re-run or served: drop it.
+	// crash) has no spec and cannot be re-run or served: drop it. An id
+	// submitted again after its eviction keeps only its latest slot.
+	last := make(map[string]int, len(s.order))
+	for i, id := range s.order {
+		last[id] = i
+	}
 	live := s.order[:0]
-	for _, id := range s.order {
+	for i, id := range s.order {
 		r, ok := s.jobs[id]
-		if !ok {
-			continue // evicted
+		if !ok || last[id] != i {
+			continue // evicted, or superseded by a later submission
 		}
 		if r.spec == nil {
 			delete(s.jobs, id)
@@ -401,7 +419,7 @@ func (s *Store) buildRecovered() {
 		default:
 			rj.State = StateQueued
 		}
-		if b, err := os.ReadFile(s.resultPath(r.id)); err == nil {
+		if b, ok := s.readResult(r.id); ok {
 			rj.Result = b
 		}
 		for _, c := range r.sortedChunks() {
@@ -422,13 +440,8 @@ func (s *Store) Recovered() []RecoveredJob { return s.recovered }
 // case the owner comes back. A missing journal returns no jobs and no
 // error, exactly like Open on an empty dir.
 func ReadJournal(dir string) ([]RecoveredJob, error) {
-	s := &Store{
-		dir:      dir,
-		met:      newMetrics(nil),
-		readOnly: true,
-		jobs:     make(map[string]*jobRec),
-		cache:    make(map[string]string),
-	}
+	s := newStore(dir, nil, Options{})
+	s.readOnly = true
 	if _, err := s.replay(); err != nil {
 		return nil, err
 	}
@@ -443,8 +456,12 @@ func (s *Store) Jobs() int {
 	return len(s.jobs)
 }
 
-// appendLocked writes one journal record and fsyncs per Options.
+// appendLocked writes one journal record and fsyncs it. An in-memory
+// store has no journal: its state lives in the maps alone.
 func (s *Store) appendLocked(rec record) error {
+	if s.mem != nil {
+		return nil
+	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: encoding journal record: %w", err)
@@ -453,17 +470,15 @@ func (s *Store) appendLocked(rec record) error {
 		return fmt.Errorf("store: appending journal: %w", err)
 	}
 	s.met.appends.Inc()
-	if !s.opts.NoFsync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: fsync journal: %w", err)
-		}
-		s.met.fsyncs.Inc()
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("store: fsync journal: %w", err)
 	}
+	s.met.fsyncs.Inc()
 	return nil
 }
 
 // JobSubmitted journals a job's admission, including the tenant and
-// scheduling class it was admitted under (zero meta = single-tenant).
+// scheduling class it was admitted under (zero meta = default tenant).
 func (s *Store) JobSubmitted(id string, spec *jobspec.Spec, hash string, meta SubmitMeta, t time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -519,7 +534,7 @@ func (s *Store) JobCheckpoint(id string, chunk int, data []byte, t time.Time) er
 // deterministic computation (never cache partials or no_cache runs).
 func (s *Store) JobTerminal(id, state, errMsg string, result []byte, cacheable bool, t time.Time) error {
 	if result != nil {
-		if err := writeFileSync(s.resultPath(id), result); err != nil {
+		if err := s.putResult(id, result); err != nil {
 			return err
 		}
 	}
@@ -546,8 +561,9 @@ func (s *Store) JobTerminal(id, state, errMsg string, result []byte, cacheable b
 
 // CachedResult looks up a terminal result by canonical spec hash and
 // returns the owning job's id plus the snapshot bytes, exactly as they
-// were persisted (byte-identical across restarts). Every call counts a
-// hit or a miss.
+// were persisted (byte-identical across restarts; an in-memory store
+// returns the very slice JobTerminal was given, which callers must not
+// modify). Every call counts a hit or a miss.
 func (s *Store) CachedResult(hash string) (id string, result []byte, ok bool) {
 	s.mu.Lock()
 	id, ok = s.cache[hash]
@@ -556,8 +572,8 @@ func (s *Store) CachedResult(hash string) (id string, result []byte, ok bool) {
 		s.met.cacheMisses.Inc()
 		return "", nil, false
 	}
-	b, err := os.ReadFile(s.resultPath(id))
-	if err != nil {
+	b, ok := s.readResult(id)
+	if !ok {
 		s.met.cacheMisses.Inc()
 		return "", nil, false
 	}
@@ -588,7 +604,7 @@ func (s *Store) Evict(ids []string, t time.Time) error {
 		if err := s.appendLocked(record{Time: t, Job: id, State: StateEvicted}); err != nil {
 			return err
 		}
-		_ = os.Remove(s.resultPath(id))
+		s.dropResultLocked(id)
 		if r.hash != "" && s.cache[r.hash] == id {
 			delete(s.cache, r.hash)
 		}
@@ -604,7 +620,7 @@ func (s *Store) Evict(ids []string, t time.Time) error {
 	}
 	s.order = live
 	s.met.jobs.Set(float64(len(s.jobs)))
-	if s.evictions >= s.opts.CompactEvery {
+	if s.mem == nil && s.evictions >= s.opts.CompactEvery {
 		return s.compactLocked()
 	}
 	return nil
@@ -612,7 +628,8 @@ func (s *Store) Evict(ids []string, t time.Time) error {
 
 // compactLocked rewrites the journal from the in-memory state: live
 // jobs' records in submit order, no tombstones, no torn tail. The new
-// journal is synced and atomically renamed over the old one.
+// journal is synced and atomically renamed over the old one. An
+// in-memory store has no journal to rewrite and never calls it.
 func (s *Store) compactLocked() error {
 	tmp := s.journalPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -668,7 +685,8 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// Close syncs and closes the journal. The store is unusable afterwards.
+// Close syncs and closes the journal (a no-op in memory). The store is
+// unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -683,9 +701,17 @@ func (s *Store) Close() error {
 	return err
 }
 
-// writeFileSync writes b to path via a synced temp file and an atomic
-// rename, so a reader never observes a half-written snapshot.
-func writeFileSync(path string, b []byte) error {
+// putResult persists a terminal result snapshot: held by reference in
+// memory, or written to its own file via a synced temp file and an
+// atomic rename, so a reader never observes a half-written snapshot.
+func (s *Store) putResult(id string, b []byte) error {
+	if s.mem != nil {
+		s.mu.Lock()
+		s.mem[id] = b
+		s.mu.Unlock()
+		return nil
+	}
+	path := s.resultPath(id)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -706,4 +732,25 @@ func writeFileSync(path string, b []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
+}
+
+// readResult returns a job's result snapshot, if it has one.
+func (s *Store) readResult(id string) ([]byte, bool) {
+	if s.mem != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		b, ok := s.mem[id]
+		return b, ok
+	}
+	b, err := os.ReadFile(s.resultPath(id))
+	return b, err == nil
+}
+
+// dropResultLocked deletes a job's result snapshot.
+func (s *Store) dropResultLocked(id string) {
+	if s.mem != nil {
+		delete(s.mem, id)
+		return
+	}
+	_ = os.Remove(s.resultPath(id))
 }

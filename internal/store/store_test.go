@@ -135,44 +135,57 @@ func TestStoreRecoveryClassification(t *testing.T) {
 	}
 }
 
+// TestStoreCacheSemantics runs over both backings: a directory and the
+// in-memory store Open("") returns.
 func TestStoreCacheSemantics(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s := mustOpen(t, dir, reg, Options{})
-	now := time.Now()
-	spec := testSpec(5)
-	hash := spec.CanonicalHash()
+	for _, tc := range []struct{ name, dir string }{{"disk", t.TempDir()}, {"memory", ""}} {
+		dir := tc.dir
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			s := mustOpen(t, dir, reg, Options{})
+			now := time.Now()
+			spec := testSpec(5)
+			hash := spec.CanonicalHash()
 
-	if _, _, ok := s.CachedResult(hash); ok {
-		t.Fatal("empty store reported a cache hit")
-	}
-	if err := s.JobSubmitted("job-000001", spec, hash, SubmitMeta{}, now); err != nil {
-		t.Fatal(err)
-	}
-	// cacheable=false (e.g. a partial or no_cache run) must not populate.
-	if err := s.JobTerminal("job-000001", StateDone, "", []byte(`{"partial":true}`), false, now); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.CachedResult(hash); ok {
-		t.Fatal("non-cacheable terminal populated the cache")
-	}
-	// A cacheable run does.
-	if err := s.JobSubmitted("job-000002", spec, hash, SubmitMeta{}, now); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.JobTerminal("job-000002", StateDone, "", []byte(`{"kind":"mc"}`), true, now); err != nil {
-		t.Fatal(err)
-	}
-	id, b, ok := s.CachedResult(hash)
-	if !ok || id != "job-000002" || string(b) != `{"kind":"mc"}` {
-		t.Fatalf("cache hit = %q %q %v", id, b, ok)
-	}
-	snap := reg.Snapshot()
-	if n, _ := snap.Counter("store_cache_hits_total"); n != 1 {
-		t.Errorf("store_cache_hits_total = %d, want 1", n)
-	}
-	if n, _ := snap.Counter("store_cache_misses_total"); n != 2 {
-		t.Errorf("store_cache_misses_total = %d, want 2", n)
+			if _, _, ok := s.CachedResult(hash); ok {
+				t.Fatal("empty store reported a cache hit")
+			}
+			if err := s.JobSubmitted("job-000001", spec, hash, SubmitMeta{}, now); err != nil {
+				t.Fatal(err)
+			}
+			// cacheable=false (e.g. a partial or no_cache run) must not populate.
+			if err := s.JobTerminal("job-000001", StateDone, "", []byte(`{"partial":true}`), false, now); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := s.CachedResult(hash); ok {
+				t.Fatal("non-cacheable terminal populated the cache")
+			}
+			// A cacheable run does.
+			if err := s.JobSubmitted("job-000002", spec, hash, SubmitMeta{}, now); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.JobTerminal("job-000002", StateDone, "", []byte(`{"kind":"mc"}`), true, now); err != nil {
+				t.Fatal(err)
+			}
+			id, b, ok := s.CachedResult(hash)
+			if !ok || id != "job-000002" || string(b) != `{"kind":"mc"}` {
+				t.Fatalf("cache hit = %q %q %v", id, b, ok)
+			}
+			snap := reg.Snapshot()
+			if n, _ := snap.Counter("store_cache_hits_total"); n != 1 {
+				t.Errorf("store_cache_hits_total = %d, want 1", n)
+			}
+			if n, _ := snap.Counter("store_cache_misses_total"); n != 2 {
+				t.Errorf("store_cache_misses_total = %d, want 2", n)
+			}
+			// Evicting the owning job drops its entry.
+			if err := s.Evict([]string{"job-000002"}, now); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := s.CachedResult(hash); ok || s.Jobs() != 1 {
+				t.Errorf("after eviction: cache hit %v, %d live jobs; want a miss and 1", ok, s.Jobs())
+			}
+		})
 	}
 }
 
