@@ -101,19 +101,21 @@ race-tenant:
 # forwarding with the hop guard, probe-driven quarantine and recovery,
 # fleet-wide max_running, the two-node kill-and-failover acceptance run
 # proving an adopted campaign resumes from the dead node's journal
-# bit-identical to an uninterrupted one, the fleet-of-one wire contract
-# of a lone server, and the fleet-config fuzz seeds.
+# bit-identical to an uninterrupted one, a cache-answered shard staying
+# fleet-internal, the fleet-of-one wire contract of a lone server, and
+# the fleet-config fuzz seeds.
 race-fleet:
 	$(GO) test -race -count=1 -run 'TestFleet|FuzzFleet|TestShardDispatch|TestShardPeerFallbackLocal|TestSingleNode' ./internal/serve/
 
 # A few seconds of coverage-guided fuzzing per target: the fleet config
-# parser and journal replay on arbitrary bytes. Minimizing each new
+# parser, journal replay and spec decoding on arbitrary bytes. Minimizing each new
 # corpus entry is capped at 1s, or the fsync-bound journal target would
 # spend the whole budget minimizing. New failing inputs land in the
 # package's testdata/fuzz directory as regression seeds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/jobspec/
 
 # Harness-rot check for cmd/loadgen: one short open-loop stage against
 # an in-process server, asserting the BENCH_9 driver still runs end to

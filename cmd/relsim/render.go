@@ -102,9 +102,8 @@ func renderMC(spec *jobspec.Spec, res *jobspec.Result) {
 		h.Add(v)
 	}
 	fmt.Print(report.TextHist(h, 40))
-	if spec.MC.HasSpec() {
-		fmt.Printf("yield for %g <= V(%s) <= %g: %s\n",
-			spec.MC.SpecLo(), mc.Node, spec.MC.SpecHi(), mc.Yield)
+	if w := spec.MC.Window(); w.HasSpec() {
+		fmt.Printf("yield for %g <= V(%s) <= %g: %s\n", w.SpecLo(), mc.Node, w.SpecHi(), mc.Yield)
 	}
 }
 
@@ -127,9 +126,8 @@ func renderMCStats(spec *jobspec.Spec, mc *jobspec.MCOutcome) {
 	}
 	fmt.Println(t)
 	fmt.Fprintln(os.Stderr, "per-trial values not retained; no histogram (quantiles carry the sketch's bounded rank error)")
-	if spec.MC != nil && spec.MC.HasSpec() {
-		fmt.Printf("yield for %g <= V(%s) <= %g: %s\n",
-			spec.MC.SpecLo(), mc.Node, spec.MC.SpecHi(), mc.Yield)
+	if w := spec.MC.Window(); w.HasSpec() {
+		fmt.Printf("yield for %g <= V(%s) <= %g: %s\n", w.SpecLo(), mc.Node, w.SpecHi(), mc.Yield)
 	}
 }
 

@@ -21,18 +21,9 @@ type Batch struct {
 	Specs []*Spec `json:"specs"`
 }
 
-// ApplyDefaults defaults every spec in the batch (see Spec.ApplyDefaults).
-func (b *Batch) ApplyDefaults() {
-	for _, s := range b.Specs {
-		if s != nil {
-			s.ApplyDefaults()
-		}
-	}
-}
-
-// Validate checks the batch shape and every contained spec; the first
-// invalid spec fails the whole batch with its index, because batch
-// admission is atomic — nothing runs unless everything admits.
+// Validate checks the batch shape: 1 to MaxBatchSpecs specs, none null.
+// The specs themselves are defaulted and validated one by one, exactly
+// like standalone submissions (see Spec.Validate).
 func (b *Batch) Validate() error {
 	if len(b.Specs) == 0 {
 		return fmt.Errorf("jobspec: batch needs at least one spec")
@@ -43,9 +34,6 @@ func (b *Batch) Validate() error {
 	for i, s := range b.Specs {
 		if s == nil {
 			return fmt.Errorf("jobspec: batch spec %d is null", i)
-		}
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("jobspec: batch spec %d: %w", i, err)
 		}
 	}
 	return nil

@@ -36,7 +36,8 @@ func executeCentering(ctx context.Context, text string, deck *netlist.Deck, spec
 			}
 		}
 	}
-	vspec := variation.Spec{Name: p.Node, Lo: p.SpecLo(), Hi: p.SpecHi()}
+	w := p.Window()
+	vspec := variation.Spec{Name: p.Node, Lo: w.SpecLo(), Hi: w.SpecHi()}
 
 	// Each candidate evaluation is a full Monte-Carlo campaign on a deck
 	// resized to the candidate sizing. The seed is held fixed across

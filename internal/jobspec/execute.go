@@ -412,7 +412,7 @@ func mcOutcome(p *MCParams, mc *variation.MCResult, chunks []variation.ChunkStat
 		}
 		// NaN dies are measured rejects, so a campaign where every die
 		// measured NaN still has a (zero) yield.
-		if p.HasSpec() && int(st.Moments.Count)+st.NaNs > 0 {
+		if p.Window().HasSpec() && int(st.Moments.Count)+st.NaNs > 0 {
 			y := st.Yield()
 			out.Yield = &y
 		}
@@ -506,8 +506,8 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 	}
 	meter := newMeter("trial", toRun, opts)
 	var vspec *variation.Spec
-	if p.HasSpec() {
-		vspec = &variation.Spec{Name: p.Node, Lo: p.SpecLo(), Hi: p.SpecHi()}
+	if w := p.Window(); w.HasSpec() {
+		vspec = &variation.Spec{Name: p.Node, Lo: w.SpecLo(), Hi: w.SpecHi()}
 	}
 	// A corner-pinned campaign holds the systematic (die-to-die) component
 	// at a named corner while the local Pelgrom part still varies per die.
@@ -703,8 +703,9 @@ func executeCorners(deck *netlist.Deck, spec *Spec, res *Result) error {
 		return err
 	}
 	out := &CornersResult{Node: p.Node, Lo: p.Lo, Hi: p.Hi, Pass: true}
-	hasSpec := p.HasSpec()
-	lo, hi := p.SpecLo(), p.SpecHi()
+	w := p.Window()
+	hasSpec := w.HasSpec()
+	lo, hi := w.SpecLo(), w.SpecHi()
 	ttV := vals["TT"]
 	worstKey := math.Inf(1) // spec margin, or -|deviation from TT| without a spec
 	for _, co := range corners {

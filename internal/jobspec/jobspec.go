@@ -230,24 +230,39 @@ type TrialRange struct {
 	To   int `json:"to"`
 }
 
+// Bounds is the spec window a parameter block's Lo/Hi pair carries: a
+// nil side is unbounded (JSON cannot carry ±Inf).
+type Bounds struct{ Lo, Hi *float64 }
+
 // SpecLo returns the lower spec bound (-Inf when unset).
-func (p *MCParams) SpecLo() float64 {
-	if p == nil || p.Lo == nil {
+func (b Bounds) SpecLo() float64 {
+	if b.Lo == nil {
 		return math.Inf(-1)
 	}
-	return *p.Lo
+	return *b.Lo
 }
 
 // SpecHi returns the upper spec bound (+Inf when unset).
-func (p *MCParams) SpecHi() float64 {
-	if p == nil || p.Hi == nil {
+func (b Bounds) SpecHi() float64 {
+	if b.Hi == nil {
 		return math.Inf(1)
 	}
-	return *p.Hi
+	return *b.Hi
 }
 
-// HasSpec reports whether either yield bound is set.
-func (p *MCParams) HasSpec() bool { return p != nil && (p.Lo != nil || p.Hi != nil) }
+// HasSpec reports whether either bound is set.
+func (b Bounds) HasSpec() bool { return b.Lo != nil || b.Hi != nil }
+
+// validate rejects an inverted window.
+func (b Bounds) validate(kind Kind) error {
+	if b.Lo != nil && b.Hi != nil && *b.Lo > *b.Hi {
+		return fmt.Errorf("jobspec: %s spec lo %g above hi %g", kind, *b.Lo, *b.Hi)
+	}
+	return nil
+}
+
+// Window returns the yield spec window.
+func (p *MCParams) Window() Bounds { return Bounds{p.Lo, p.Hi} }
 
 // CornersParams parameterizes a global-corner sweep.
 type CornersParams struct {
@@ -264,40 +279,8 @@ type CornersParams struct {
 	Hi *float64 `json:"hi,omitempty"`
 }
 
-// SpecLo returns the lower spec bound (-Inf when unset).
-func (p *CornersParams) SpecLo() float64 {
-	if p == nil {
-		return math.Inf(-1)
-	}
-	return loBound(p.Lo)
-}
-
-// SpecHi returns the upper spec bound (+Inf when unset).
-func (p *CornersParams) SpecHi() float64 {
-	if p == nil {
-		return math.Inf(1)
-	}
-	return hiBound(p.Hi)
-}
-
-// HasSpec reports whether either spec bound is set.
-func (p *CornersParams) HasSpec() bool { return p != nil && (p.Lo != nil || p.Hi != nil) }
-
-// loBound/hiBound resolve an optional spec bound to its unbounded
-// sentinel, shared by every parameter block carrying a Lo/Hi window.
-func loBound(v *float64) float64 {
-	if v == nil {
-		return math.Inf(-1)
-	}
-	return *v
-}
-
-func hiBound(v *float64) float64 {
-	if v == nil {
-		return math.Inf(1)
-	}
-	return *v
-}
+// Window returns the per-corner spec window.
+func (p *CornersParams) Window() Bounds { return Bounds{p.Lo, p.Hi} }
 
 // CenteringParams parameterizes a design-centering run: a greedy
 // coordinate search over per-device width scale factors that moves the
@@ -329,24 +312,8 @@ type CenteringParams struct {
 	Devices []string `json:"devices,omitempty"`
 }
 
-// SpecLo returns the lower spec bound (-Inf when unset).
-func (p *CenteringParams) SpecLo() float64 {
-	if p == nil {
-		return math.Inf(-1)
-	}
-	return loBound(p.Lo)
-}
-
-// SpecHi returns the upper spec bound (+Inf when unset).
-func (p *CenteringParams) SpecHi() float64 {
-	if p == nil {
-		return math.Inf(1)
-	}
-	return hiBound(p.Hi)
-}
-
-// HasSpec reports whether either spec bound is set.
-func (p *CenteringParams) HasSpec() bool { return p != nil && (p.Lo != nil || p.Hi != nil) }
+// Window returns the yield spec window.
+func (p *CenteringParams) Window() Bounds { return Bounds{p.Lo, p.Hi} }
 
 // SignoffParams parameterizes the composite signoff campaign: a DAG of
 // sub-jobs (corner sweep → Monte-Carlo at the worst corner, with aging
@@ -374,24 +341,8 @@ type SignoffParams struct {
 	TargetFIT float64 `json:"target_fit,omitempty"`
 }
 
-// SpecLo returns the lower spec bound (-Inf when unset).
-func (p *SignoffParams) SpecLo() float64 {
-	if p == nil {
-		return math.Inf(-1)
-	}
-	return loBound(p.Lo)
-}
-
-// SpecHi returns the upper spec bound (+Inf when unset).
-func (p *SignoffParams) SpecHi() float64 {
-	if p == nil {
-		return math.Inf(1)
-	}
-	return hiBound(p.Hi)
-}
-
-// HasSpec reports whether either spec bound is set.
-func (p *SignoffParams) HasSpec() bool { return p != nil && (p.Lo != nil || p.Hi != nil) }
+// Window returns the yield spec window.
+func (p *SignoffParams) Window() Bounds { return Bounds{p.Lo, p.Hi} }
 
 // ApplyDefaults fills every unset field with the documented default —
 // the same values the relsim flags default to — and stamps Version. It
@@ -613,8 +564,8 @@ func (s *Spec) Validate() error {
 		if s.MC.Batch < 0 {
 			return fmt.Errorf("jobspec: mc needs batch >= 1 (0 selects the default)")
 		}
-		if s.MC.Lo != nil && s.MC.Hi != nil && *s.MC.Lo > *s.MC.Hi {
-			return fmt.Errorf("jobspec: mc spec lo %g above hi %g", *s.MC.Lo, *s.MC.Hi)
+		if err := s.MC.Window().validate(KindMC); err != nil {
+			return err
 		}
 		if s.MC.Shards < 0 {
 			return fmt.Errorf("jobspec: mc needs shards >= 0 (0 or 1 means unsharded)")
@@ -643,19 +594,19 @@ func (s *Spec) Validate() error {
 		if s.Corners == nil || s.Corners.Node == "" {
 			return fmt.Errorf("jobspec: corners needs a node")
 		}
-		if s.Corners.Lo != nil && s.Corners.Hi != nil && *s.Corners.Lo > *s.Corners.Hi {
-			return fmt.Errorf("jobspec: corners spec lo %g above hi %g", *s.Corners.Lo, *s.Corners.Hi)
+		if err := s.Corners.Window().validate(KindCorners); err != nil {
+			return err
 		}
 	case KindCentering:
 		p := s.Centering
 		if p == nil || p.Node == "" {
 			return fmt.Errorf("jobspec: centering needs a node")
 		}
-		if !p.HasSpec() {
+		if !p.Window().HasSpec() {
 			return fmt.Errorf("jobspec: centering needs a spec bound (lo and/or hi) — it optimizes yield against it")
 		}
-		if p.Lo != nil && p.Hi != nil && *p.Lo > *p.Hi {
-			return fmt.Errorf("jobspec: centering spec lo %g above hi %g", *p.Lo, *p.Hi)
+		if err := p.Window().validate(KindCentering); err != nil {
+			return err
 		}
 		if p.Trials < 1 || p.MaxIters < 1 {
 			return fmt.Errorf("jobspec: centering needs trials >= 1 and max_iters >= 1")
@@ -671,11 +622,11 @@ func (s *Spec) Validate() error {
 		if p == nil || p.Node == "" {
 			return fmt.Errorf("jobspec: signoff needs a node")
 		}
-		if !p.HasSpec() {
+		if !p.Window().HasSpec() {
 			return fmt.Errorf("jobspec: signoff needs a spec bound (lo and/or hi) — it judges yield against it")
 		}
-		if p.Lo != nil && p.Hi != nil && *p.Lo > *p.Hi {
-			return fmt.Errorf("jobspec: signoff spec lo %g above hi %g", *p.Lo, *p.Hi)
+		if err := p.Window().validate(KindSignoff); err != nil {
+			return err
 		}
 		if p.Trials < 1 {
 			return fmt.Errorf("jobspec: signoff needs trials >= 1")

@@ -174,18 +174,17 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 func TestMCParamsSpecBounds(t *testing.T) {
-	var nilP *MCParams
-	if nilP.HasSpec() {
-		t.Error("nil params claim a spec")
+	if (&MCParams{}).Window().HasSpec() {
+		t.Error("unbounded params claim a spec")
 	}
-	p := &MCParams{Lo: ptr(0.4)}
-	if !p.HasSpec() {
+	w := (&MCParams{Lo: ptr(0.4)}).Window()
+	if !w.HasSpec() {
 		t.Error("one-sided spec not detected")
 	}
-	if got := p.SpecLo(); got != 0.4 {
+	if got := w.SpecLo(); got != 0.4 {
 		t.Errorf("SpecLo = %g", got)
 	}
-	if hi := p.SpecHi(); !(hi > 1e308) {
+	if hi := w.SpecHi(); !(hi > 1e308) {
 		t.Errorf("unset SpecHi = %g, want +Inf", hi)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -17,8 +16,8 @@ import (
 const maxBatchRecords = 256
 
 // batchRecord is the server-side memory of one POST /v1/batches: which
-// job each spec index resolved to, and how (fresh, cache hit, or
-// duplicate of an identical sibling spec).
+// job each spec index (the refs position) resolved to, and how (fresh,
+// cache hit, or duplicate of an identical sibling spec).
 type batchRecord struct {
 	id        string
 	tenant    string
@@ -27,7 +26,6 @@ type batchRecord struct {
 }
 
 type batchJobRef struct {
-	index  int
 	jobID  string
 	cached bool
 	// dupOf is the index of the identical earlier spec this one was folded
@@ -64,152 +62,51 @@ type batchView struct {
 	Terminal bool           `json:"terminal"`
 }
 
-// handleBatchSubmit admits one request carrying a sweep of specs under
-// the tenant's quotas, atomically: either every non-cached spec is
-// enqueued or none is. Specs that are identical after defaulting (equal
-// canonical hash) are folded into one job; specs whose hash already has
-// a cached result are answered from the cache without a queue slot or a
-// trial-rate debit. Batch specs default to the batch priority class
-// (X-Priority overrides) — a sweep should not preempt interactive work.
+// handleBatchSubmit admits one request carrying a sweep of specs through
+// the same pipeline as a single submission (see admit), atomically:
+// either every non-cached spec is enqueued or none is. Batch specs
+// default to the batch priority class (X-Priority overrides) — a sweep
+// should not preempt interactive work.
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	tenant := ts.cfg.ID
 	class, err := requestClass(r, ClassBatch)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, apiError(ErrBadArgument, err))
 		return
 	}
 	batch := new(jobspec.Batch)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(batch); err != nil {
-		writeError(w, http.StatusBadRequest,
-			apiError(ErrInvalidSpec, fmt.Errorf("decoding batch: %w", err)))
+	if !decodeBody(w, r, "batch", batch) {
 		return
 	}
-	for i, sp := range batch.Specs {
-		if sp != nil && sp.NetlistFile != "" {
-			writeError(w, http.StatusBadRequest, apiError(ErrInvalidSpec, fmt.Errorf(
-				"batch spec %d: the job server accepts inline netlists only (set \"netlist\", not \"netlist_file\")", i)))
-			return
+	err = batch.Validate()
+	for i := 0; err == nil && i < len(batch.Specs); i++ {
+		if perr := s.prepareSpec(batch.Specs[i]); perr != nil {
+			err = fmt.Errorf("batch spec %d: %w", i, perr)
 		}
 	}
-	batch.ApplyDefaults()
-	if s.cfg.DefaultTimeout > 0 {
-		for _, sp := range batch.Specs {
-			if sp != nil && sp.Timeout == 0 {
-				sp.Timeout = jobspec.Duration(s.cfg.DefaultTimeout)
-			}
-		}
-	}
-	if err := batch.Validate(); err != nil {
+	if err != nil {
 		writeError(w, http.StatusBadRequest, apiError(ErrInvalidSpec, err))
 		return
 	}
-
-	// Dedup pass: hash every spec, fold identical siblings onto the first
-	// occurrence. firstIdx maps hash → owning spec index.
-	n := len(batch.Specs)
-	hashes := make([]string, n)
-	dupOf := make([]int, n)
-	firstIdx := map[string]int{}
-	for i, sp := range batch.Specs {
-		hashes[i] = sp.CanonicalHash()
-		if j, seen := firstIdx[hashes[i]]; seen {
-			dupOf[i] = j
-		} else {
-			firstIdx[hashes[i]] = i
-			dupOf[i] = -1
-		}
-	}
-	// Cache pass over the unique specs.
-	cachedRaw := map[int]json.RawMessage{}
-	for i, sp := range batch.Specs {
-		if dupOf[i] != -1 || sp.NoCache {
-			continue
-		}
-		if _, raw, ok := s.cfg.Store.CachedResult(hashes[i]); ok {
-			cachedRaw[i] = raw
-		}
-	}
-	// Rate admission covers only the work that will actually run.
-	cost := 0.0
-	var toRun []int
-	for i := range batch.Specs {
-		if dupOf[i] != -1 {
-			continue
-		}
-		if _, hit := cachedRaw[i]; hit {
-			continue
-		}
-		toRun = append(toRun, i)
-		cost += trialCost(batch.Specs[i])
-	}
-	if !s.admitRate(w, ts, cost) {
+	jobs, dupOf := s.admit(w, ts, class, false, batch.Specs)
+	if jobs == nil {
 		return
 	}
-	// Admit the runnable specs atomically; nothing is journaled or
-	// visible until the whole set has a queue slot.
-	queued := make(map[int]*Job, len(toRun))
-	jobsToPush := make([]*Job, 0, len(toRun))
-	for _, i := range toRun {
-		j := s.addJob(batch.Specs[i], hashes[i], tenant, class, false)
-		queued[i] = j
-		jobsToPush = append(jobsToPush, j)
-	}
-	if err := s.queue.tryPush(s.tenantCfg(tenant), jobsToPush...); err != nil {
-		for _, j := range queued {
-			s.removeJob(j.ID)
-		}
-		ts.refund(cost)
-		s.rejectPush(w, err, ts)
-		return
-	}
-	now := time.Now()
-	refs := make([]batchJobRef, n)
-	allTerminal := true
-	for i := range batch.Specs {
+	rec := &batchRecord{tenant: ts.cfg.ID, submitted: time.Now(), refs: make([]batchJobRef, len(jobs))}
+	status := http.StatusOK
+	for i, j := range jobs {
+		rec.refs[i] = batchJobRef{jobID: j.ID, cached: j.cached, dupOf: dupOf[i]}
 		switch {
 		case dupOf[i] != -1:
-			// Filled below once the owning index has its job.
-		case queued[i] != nil:
-			j := queued[i]
-			refs[i] = batchJobRef{index: i, jobID: j.ID, dupOf: -1}
-			s.met.submitted.Inc()
-			s.met.kindCounter(batch.Specs[i].Analysis).Inc()
-			s.met.tenantAdmitted(tenant).Inc()
-			s.persistSubmitted(j, now)
-			allTerminal = false
-		default:
-			raw := cachedRaw[i]
-			j := s.addCachedJob(batch.Specs[i], hashes[i], tenant, class, raw, now)
-			if j == nil {
-				// Drain began mid-admission: the already-queued siblings run
-				// to completion under the drain (and land in the cache), but
-				// the batch as a unit is refused, matching the single-submit
-				// drain contract.
-				writeError(w, http.StatusServiceUnavailable, ErrorBody{
-					Code: ErrDraining, Message: errDraining.Error(), RetryAfterS: s.retryAfterHint()})
-				return
-			}
-			refs[i] = batchJobRef{index: i, jobID: j.ID, cached: true, dupOf: -1}
+			s.met.batchDeduped.Inc()
+		case j.cached:
 			s.met.batchCached.Inc()
 		}
-	}
-	for i := range batch.Specs {
-		if d := dupOf[i]; d != -1 {
-			refs[i] = batchJobRef{index: i, jobID: refs[d].jobID, cached: refs[d].cached, dupOf: d}
-			s.met.batchDeduped.Inc()
-			if !refs[d].cached {
-				allTerminal = false
-			}
+		if !j.cached {
+			status = http.StatusAccepted
 		}
 	}
 	s.met.batches.Inc()
-	s.met.depth.Set(float64(s.queue.depth()))
-	s.met.tenantDepth(tenant).Set(float64(s.queue.tenantDepth(tenant)))
-	s.enforceRetention(now)
 
-	rec := &batchRecord{tenant: tenant, submitted: now, refs: refs}
 	s.batchMu.Lock()
 	s.nextBatchID++
 	rec.id = fmt.Sprintf("batch-%06d", s.nextBatchID)
@@ -221,11 +118,6 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request, ts *t
 		delete(s.batches, evict)
 	}
 	s.batchMu.Unlock()
-
-	status := http.StatusAccepted
-	if allTerminal {
-		status = http.StatusOK
-	}
 	writeJSON(w, status, s.batchViewOf(rec))
 }
 
@@ -255,7 +147,7 @@ func (s *Server) batchViewOf(rec *batchRecord) batchView {
 		Terminal:  true,
 	}
 	for i, ref := range rec.refs {
-		jv := batchJobView{Index: ref.index, JobID: ref.jobID, Cached: ref.cached}
+		jv := batchJobView{Index: i, JobID: ref.jobID, Cached: ref.cached}
 		if ref.dupOf != -1 {
 			d := ref.dupOf
 			jv.DuplicateOf = &d

@@ -243,7 +243,7 @@ func TestEventSlowReaderDisconnect(t *testing.T) {
 // maxEventBatch events, so a huge backlog is drained in bounded slices
 // rather than one full-log copy under the job lock.
 func TestEventBatchBound(t *testing.T) {
-	j := newJob("job-000001", mcSpec(1), "h", DefaultTenant, ClassInteractive, time.Now())
+	j := newJob(mcSpec(1), "h", DefaultTenant, ClassInteractive, time.Now())
 	for i := 0; i < 3*maxEventBatch; i++ {
 		j.mu.Lock()
 		j.appendLocked(Event{Type: "progress", Stage: "trial", Done: i + 1})

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/jobspec"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // --- raw-URL helpers (fleet tests address servers by base URL, which
@@ -378,6 +379,47 @@ func TestFleetForwarding(t *testing.T) {
 	// An unprefixed ID resolves to no owner and dies locally.
 	if _, status := getURL(t, urlB, "k-acme", "nope"); status != http.StatusNotFound {
 		t.Errorf("unprefixed id: status %d, want 404", status)
+	}
+}
+
+// TestFleetShardCacheHitStaysInternal: a fleet-internal shard submission
+// answered from the result cache is admitted exactly like one that
+// queues — journaled internal, and skipped by the per-tenant
+// instruments, because the dispatching node already admitted the
+// campaign under its tenant.
+func TestFleetShardCacheHitStaysInternal(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st := mustStore(t, dir, reg)
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Workers: 1, Registry: reg, Store: st,
+		Fleet: twoNodeFleet("a", "http://127.0.0.1:1", "http://127.0.0.1:2", "", "")})
+	body, err := json.Marshal(mcSpec(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second View
+	if resp := doURL(t, "POST", ts.URL+"/v1/jobs", "k-fleet", body, &first); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first shard submit: status %d, want 202", resp.StatusCode)
+	}
+	waitTerminalURL(t, ts.URL, "k-fleet", first.ID)
+	if resp := doURL(t, "POST", ts.URL+"/v1/jobs", "k-fleet", body, &second); resp.StatusCode != http.StatusOK || !second.Cached {
+		t.Fatalf("identical shard submit: status %d cached %v, want a cached 200", resp.StatusCode, second.Cached)
+	}
+	if n, _ := reg.Snapshot().Counter("serve_tenant_default_admitted_total"); n != 0 {
+		t.Errorf("serve_tenant_default_admitted_total = %d, want 0 for fleet-internal shards", n)
+	}
+	recovered, err := store.ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 2 {
+		t.Fatalf("journal holds %d jobs, want 2", len(recovered))
+	}
+	for _, r := range recovered {
+		if !r.Internal {
+			t.Errorf("job %s journaled internal=false", r.ID)
+		}
 	}
 }
 

@@ -84,9 +84,11 @@ type Job struct {
 	resume []json.RawMessage
 }
 
-func newJob(id string, spec *jobspec.Spec, hash, tenant, class string, now time.Time) *Job {
+// newJob builds a queued job; Server.track names it when admission
+// publishes it.
+func newJob(spec *jobspec.Spec, hash, tenant, class string, now time.Time) *Job {
 	j := &Job{
-		ID: id, Spec: spec, specHash: hash,
+		Spec: spec, specHash: hash,
 		tenant:    tenant,
 		class:     class,
 		state:     StateQueued,
@@ -110,9 +112,9 @@ func (j *Job) laneID() string {
 // newCachedJob builds a job that is born terminal: its result is the
 // byte-identical snapshot of an earlier run with the same canonical
 // spec hash, so it never touches the queue or the worker pool.
-func newCachedJob(id string, spec *jobspec.Spec, hash, tenant, class string, result json.RawMessage, now time.Time) *Job {
+func newCachedJob(spec *jobspec.Spec, hash, tenant, class string, result json.RawMessage, now time.Time) *Job {
 	j := &Job{
-		ID: id, Spec: spec, specHash: hash,
+		Spec: spec, specHash: hash,
 		tenant:    tenant,
 		class:     class,
 		state:     StateDone,

@@ -103,24 +103,24 @@ func (q *jobQueue) laneLocked(tenant string, cfg *TenantConfig) *tenantLane {
 }
 
 // tryPush admits jobs atomically for one tenant: either every job is
-// enqueued or none is. It rejects with errDraining after close,
-// errTenantQueueFull when the tenant's own max_queued quota cannot hold
-// them, and errQueueFull when global capacity cannot — checked in that
-// order, so a tenant over its own quota sees its own 429 even when the
-// server is also globally full.
+// enqueued or none is. It rejects with errDraining after close — even an
+// empty push, so a submission answered wholly from the cache is refused
+// by a draining server like any other — errTenantQueueFull when the
+// tenant's own max_queued quota cannot hold them, and errQueueFull when
+// global capacity cannot — checked in that order, so a tenant over its
+// own quota sees its own 429 even when the server is also globally full.
 func (q *jobQueue) tryPush(cfg *TenantConfig, jobs ...*Job) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	lane := jobs[0].laneID()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return errDraining
 	}
-	l := q.laneLocked(lane, cfg)
+	if len(jobs) == 0 {
+		return nil
+	}
+	l := q.laneLocked(jobs[0].laneID(), cfg)
 	if l.maxQueued > 0 && l.depth()+len(jobs) > l.maxQueued {
-		return &errTenantQueueFull{tenant: lane, limit: l.maxQueued}
+		return &errTenantQueueFull{tenant: l.id, limit: l.maxQueued}
 	}
 	if q.queued+len(jobs) > q.capGlobal {
 		return errQueueFull

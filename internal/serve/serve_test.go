@@ -191,38 +191,78 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
+// submitEndpoints runs a spec body through both admission endpoints: a
+// job is a batch of one, so every rule must answer alike on each.
+var submitEndpoints = []struct {
+	name, path, decoding string
+	wrap                 func(spec string) string
+}{
+	{"jobs", "/v1/jobs", "decoding spec", func(spec string) string { return spec }},
+	{"batches", "/v1/batches", "decoding batch", func(spec string) string { return `{"specs":[` + spec + `]}` }},
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1})
-	post := func(body string) *http.Response {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
+	// An empty want expects the endpoint's decode error.
 	cases := []struct {
 		name, body, want string
 	}{
-		{"malformed json", "{not json", "decoding spec"},
-		{"unknown field", `{"analysis":"op","netlist":"x","typo_field":1}`, "decoding spec"},
+		{"malformed json", "{not json", ""},
+		{"unknown field", `{"analysis":"op","netlist":"x","typo_field":1}`, ""},
 		{"netlist file refused", `{"analysis":"op","netlist_file":"/etc/passwd"}`, "inline netlists only"},
 		{"unknown analysis", `{"analysis":"bogus","netlist":"x"}`, "unknown analysis"},
 		{"mc without node", `{"analysis":"mc","netlist":"x"}`, "mc needs a node"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := post(tc.body)
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400", resp.StatusCode)
-			}
-			b, _ := io.ReadAll(resp.Body)
-			if !strings.Contains(string(b), tc.want) {
-				t.Errorf("body %q does not mention %q", b, tc.want)
+			for _, ep := range submitEndpoints {
+				t.Run(ep.name, func(t *testing.T) {
+					want := tc.want
+					if want == "" {
+						want = ep.decoding
+					}
+					var e ErrorBody
+					resp := doAs(t, ts, "", "POST", ep.path, []byte(ep.wrap(tc.body)), &e)
+					if resp.StatusCode != http.StatusBadRequest || e.Code != ErrInvalidSpec {
+						t.Fatalf("status %d code %q, want 400 %q", resp.StatusCode, e.Code, ErrInvalidSpec)
+					}
+					if !strings.Contains(e.Message, want) {
+						t.Errorf("message %q does not mention %q", e.Message, want)
+					}
+				})
 			}
 		})
 	}
+
+	// A drain refuses a submission the result cache could answer the same
+	// way on both endpoints: 503 draining, counted as a rejection.
+	t.Run("drain during cache hit", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		s, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1, Registry: reg})
+		spec, err := json.Marshal(&jobspec.Spec{Analysis: jobspec.KindOP, Netlist: inverterDeck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v View
+		if resp := doAs(t, ts, "", "POST", "/v1/jobs", spec, &v); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("first submit: status %d, want 202", resp.StatusCode)
+		}
+		waitTerminal(t, ts, v.ID)
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range submitEndpoints {
+			before, _ := reg.Snapshot().Counter("serve_jobs_rejected_total")
+			var e ErrorBody
+			resp := doAs(t, ts, "", "POST", ep.path, []byte(ep.wrap(string(spec))), &e)
+			if resp.StatusCode != http.StatusServiceUnavailable || e.Code != ErrDraining {
+				t.Errorf("%s: status %d code %q, want 503 %q", ep.name, resp.StatusCode, e.Code, ErrDraining)
+			}
+			if after, _ := reg.Snapshot().Counter("serve_jobs_rejected_total"); after != before+1 {
+				t.Errorf("%s: serve_jobs_rejected_total moved by %d, want 1", ep.name, after-before)
+			}
+		}
+	})
 }
 
 func TestEventsStreamOrdering(t *testing.T) {

@@ -6,7 +6,10 @@
 // (POST /v1/jobs), submit a sweep (POST /v1/batches), poll
 // (GET /v1/jobs/{id}), stream per-trial/per-checkpoint progress as
 // NDJSON (GET /v1/jobs/{id}/events), cancel (DELETE /v1/jobs/{id}) and
-// list (GET /v1/jobs, paginated). Tenants are authenticated by static
+// list (GET /v1/jobs, paginated). A job is a batch of one: both submit
+// routes run one admission pipeline (admit) that folds identical specs,
+// answers cache hits, debits the trial-rate budget, queues atomically
+// and journals every admitted job. Tenants are authenticated by static
 // API keys from a keyfile; each carries a fair-share weight, queue and
 // concurrency quotas and a trial-rate budget, and a weighted fair-share
 // scheduler with interactive/batch priority classes replaces the old
@@ -398,43 +401,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// addJob allocates the next job ID (node-prefixed in fleet mode, so IDs
-// are unique fleet-wide and name their owner) and tracks the new queued
-// job. internal marks fleet-dispatched shard sub-jobs, which schedule
-// from the quota-exempt fleet lane.
-func (s *Server) addJob(spec *jobspec.Spec, hash, tenant, class string, internal bool) *Job {
+// track publishes admitted jobs in the job table under the next job IDs
+// (node-prefixed in fleet mode, so IDs are unique fleet-wide and name
+// their owner).
+func (s *Server) track(jobs []*Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	j := newJob(fmt.Sprintf("%sjob-%06d", s.idPrefix, s.nextID), spec, hash, tenant, class, time.Now())
-	j.internal = internal
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	return j
-}
-
-// addCachedJob admits a job born terminal from a cache hit: tracked,
-// counted and journaled. It returns nil while draining, so the caller
-// falls through to the queue push and its canonical "draining"
-// rejection.
-func (s *Server) addCachedJob(spec *jobspec.Spec, hash, tenant, class string, result json.RawMessage, now time.Time) *Job {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil
+	for _, j := range jobs {
+		s.nextID++
+		j.ID = fmt.Sprintf("%sjob-%06d", s.idPrefix, s.nextID)
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
 	}
-	s.nextID++
-	j := newCachedJob(fmt.Sprintf("%sjob-%06d", s.idPrefix, s.nextID), spec, hash, tenant, class, result, now)
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.mu.Unlock()
-	s.met.submitted.Inc()
-	s.met.kindCounter(spec.Analysis).Inc()
-	s.met.tenantAdmitted(tenant).Inc()
-	s.met.finished(StateDone)
-	s.persistSubmitted(j, now)
-	s.persistTerminal(j.ID, j.terminalSnapshot())
-	return j
 }
 
 func (s *Server) removeJob(id string) {
@@ -691,93 +669,145 @@ func (s *Server) admitRate(w http.ResponseWriter, ts *tenantState, cost float64)
 	return false
 }
 
-// decodeSpec reads and validates one submission body into a
-// defaults-applied spec, answering the 400 itself on failure.
-func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) *jobspec.Spec {
-	spec := new(jobspec.Spec)
+// decodeBody strictly decodes a submission body (at most maxSpecBytes,
+// unknown fields refused) into v, answering the 400 itself on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		writeError(w, http.StatusBadRequest, apiError(ErrInvalidSpec, fmt.Errorf("decoding spec: %w", err)))
-		return nil
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, apiError(ErrInvalidSpec, fmt.Errorf("decoding %s: %w", what, err)))
+		return false
 	}
+	return true
+}
+
+// prepareSpec applies the rules every submitted spec shares, alone or in
+// a batch: inline netlists only, ApplyDefaults, the server's default
+// timeout, then Validate.
+func (s *Server) prepareSpec(spec *jobspec.Spec) error {
 	if spec.NetlistFile != "" {
-		writeError(w, http.StatusBadRequest, apiError(ErrInvalidSpec,
-			errors.New("the job server accepts inline netlists only (set \"netlist\", not \"netlist_file\")")))
-		return nil
+		return errors.New("the job server accepts inline netlists only (set \"netlist\", not \"netlist_file\")")
 	}
 	spec.ApplyDefaults()
 	if s.cfg.DefaultTimeout > 0 && spec.Timeout == 0 {
 		spec.Timeout = jobspec.Duration(s.cfg.DefaultTimeout)
 	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, apiError(ErrInvalidSpec, err))
-		return nil
-	}
-	return spec
+	return spec.Validate()
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ts *tenantState) {
+// admit is the one admission pipeline: POST /v1/jobs is a batch of one.
+// Every analysis is a pure function of the defaults-applied (Spec, Seed),
+// which is what lets it fold and cache. In order, it:
+//  1. fold specs identical after defaulting (equal CanonicalHash) onto
+//     their first occurrence;
+//  2. answer cache hits with the persisted snapshot, as jobs born done —
+//     no queue slot, no trial-rate debit;
+//  3. debit the tenant's trial-rate bucket for the work that will run
+//     (fleet-internal shard submissions were charged on the dispatching
+//     node and skip it);
+//  4. push the runnable jobs atomically, tenant quota first, then global
+//     capacity — the push refuses every admission, cached ones included,
+//     once a drain has begun — refunding the debit on rejection;
+//  5. count and journal every admitted job, queued or cached; the
+//     per-tenant instruments skip fleet-internal ones;
+//  6. enforce retention.
+//
+// On refusal it answers the error itself and returns nil. Otherwise
+// jobs[i] answers specs[i], and dupOf[i] is the index of the earlier
+// identical spec whose job it shares (-1 for a spec with its own job).
+func (s *Server) admit(w http.ResponseWriter, ts *tenantState, class string, internal bool, specs []*jobspec.Spec) (jobs []*Job, dupOf []int) {
 	tenant := ts.cfg.ID
-	// Fleet-internal submissions (a peer dispatching a campaign shard with
-	// the shared fleet key) bypass per-tenant admission — trial-rate and
-	// max_queued were already charged to the campaign on the dispatching
-	// node — and schedule from the quota-exempt fleet lane.
-	internal := s.isFleetReq(r)
+	now := time.Now()
+	jobs, dupOf = make([]*Job, len(specs)), make([]int, len(specs))
+	first := make(map[string]int, len(specs))
+	var admitted, queued []*Job
+	cost := 0.0
+	for i, sp := range specs {
+		hash := sp.CanonicalHash()
+		if d, seen := first[hash]; seen {
+			jobs[i], dupOf[i] = jobs[d], d
+			continue
+		}
+		first[hash], dupOf[i] = i, -1
+		var raw json.RawMessage
+		hit := false
+		if !sp.NoCache {
+			_, raw, hit = s.cfg.Store.CachedResult(hash)
+		}
+		if hit {
+			jobs[i] = newCachedJob(sp, hash, tenant, class, raw, now)
+		} else {
+			jobs[i] = newJob(sp, hash, tenant, class, now)
+			queued = append(queued, jobs[i])
+			cost += trialCost(sp)
+		}
+		jobs[i].internal = internal
+		admitted = append(admitted, jobs[i])
+	}
+	var pushCfg *TenantConfig
+	if internal {
+		cost = 0 // charged to the campaign on the dispatching node
+	} else {
+		pushCfg = s.tenantCfg(tenant)
+	}
+	if !s.admitRate(w, ts, cost) {
+		return nil, nil
+	}
+	s.track(admitted)
+	if err := s.queue.tryPush(pushCfg, queued...); err != nil {
+		for _, j := range admitted {
+			s.removeJob(j.ID)
+		}
+		ts.refund(cost)
+		s.rejectPush(w, err, ts)
+		return nil, nil
+	}
+	for _, j := range admitted {
+		s.met.kindCounter(j.Spec.Analysis).Inc()
+		s.persistSubmitted(j, now)
+		if j.cached {
+			s.met.finished(StateDone)
+			s.persistTerminal(j.ID, j.terminalSnapshot())
+		}
+	}
+	s.met.submitted.Add(int64(len(admitted)))
+	s.met.depth.Set(float64(s.queue.depth()))
+	if !internal {
+		s.met.tenantAdmitted(tenant).Add(int64(len(admitted)))
+		s.met.tenantDepth(tenant).Set(float64(s.queue.tenantDepth(tenant)))
+	}
+	s.enforceRetention(now)
+	return jobs, dupOf
+}
+
+// handleSubmit admits one spec — a batch of one, answered with the job
+// view: 200 for a job born done from the result cache, 202 when queued.
+// Fleet-internal submissions (a peer dispatching a campaign shard with
+// the shared fleet key) bypass per-tenant admission and schedule from
+// the quota-exempt fleet lane.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ts *tenantState) {
 	class, err := requestClass(r, ClassInteractive)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, apiError(ErrBadArgument, err))
 		return
 	}
-	spec := s.decodeSpec(w, r)
-	if spec == nil {
+	spec := new(jobspec.Spec)
+	if !decodeBody(w, r, "spec", spec) {
 		return
 	}
-	hash := spec.CanonicalHash()
-	// Spec-keyed result cache: every analysis is a pure function of the
-	// defaults-applied (Spec, Seed), so an identical resubmission is
-	// answered with the persisted snapshot — byte-identical, no queue
-	// slot, no recomputation, no trial-rate debit — as a job born
-	// terminal (200, not 202).
-	if !spec.NoCache {
-		if _, raw, ok := s.cfg.Store.CachedResult(hash); ok {
-			now := time.Now()
-			if j := s.addCachedJob(spec, hash, tenant, class, raw, now); j != nil {
-				s.enforceRetention(now)
-				writeJSON(w, http.StatusOK, j.view(true))
-				return
-			}
-			// Draining: fall through to the push below for the canonical
-			// "draining" 503.
-		}
-	}
-	cost := trialCost(spec)
-	if !internal && !s.admitRate(w, ts, cost) {
+	if err := s.prepareSpec(spec); err != nil {
+		writeError(w, http.StatusBadRequest, apiError(ErrInvalidSpec, err))
 		return
 	}
-	j := s.addJob(spec, hash, tenant, class, internal)
-	var pushCfg *TenantConfig
-	if !internal {
-		pushCfg = s.tenantCfg(tenant)
-	}
-	if err := s.queue.tryPush(pushCfg, j); err != nil {
-		s.removeJob(j.ID)
-		if !internal {
-			ts.refund(cost)
-		}
-		s.rejectPush(w, err, ts)
+	jobs, _ := s.admit(w, ts, class, s.isFleetReq(r), []*jobspec.Spec{spec})
+	if jobs == nil {
 		return
 	}
-	s.met.submitted.Inc()
-	s.met.kindCounter(spec.Analysis).Inc()
-	s.met.depth.Set(float64(s.queue.depth()))
-	if !internal {
-		s.met.tenantAdmitted(tenant).Inc()
-		s.met.tenantDepth(tenant).Set(float64(s.queue.tenantDepth(tenant)))
+	if j := jobs[0]; j.cached {
+		writeJSON(w, http.StatusOK, j.view(true))
+	} else {
+		writeJSON(w, http.StatusAccepted, j.view(false))
 	}
-	s.persistSubmitted(j, time.Now())
-	s.enforceRetention(time.Now())
-	writeJSON(w, http.StatusAccepted, j.view(false))
 }
 
 // List pagination bounds.
