@@ -21,13 +21,13 @@ vet:
 doccheck:
 	$(GO) run ./cmd/doccheck .
 
-# The documentation gates: exported campaign/report types must carry doc
+# The documentation gates: exported report types must carry doc
 # comments, docs/REPORT_SCHEMA.md must match the report structs' json
 # tags in both directions, docs/API.md must match the serve package's
 # mux routes, error-code taxonomy and error envelope in both directions,
 # and every runnable godoc example must still build and pass.
 docs:
-	$(GO) run ./cmd/doccheck -exported internal/campaign,internal/report,internal/report/signoff -schema docs/REPORT_SCHEMA.md=internal/report/signoff -api docs/API.md=internal/serve .
+	$(GO) run ./cmd/doccheck -exported internal/report,internal/report/signoff -schema docs/REPORT_SCHEMA.md=internal/report/signoff -api docs/API.md=internal/serve .
 	$(GO) test -run 'Example' ./...
 
 build:
@@ -66,7 +66,7 @@ race-store:
 # its own unit tests, and the bit-identity pins that prove reuse never
 # changes a result.
 race-batch:
-	$(GO) test -race -count=2 -run 'Batch|Pool|Golden|Quantile|Sparse' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/device/ ./internal/circuit/
+	$(GO) test -race -count=2 -run 'Batch|Pool|Golden|Sparse' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/device/ ./internal/circuit/
 
 # The sharded-campaign and checkpoint/resume paths under the race
 # detector: mergeable moments and sketches, shard-seed independence,
@@ -74,15 +74,17 @@ race-batch:
 # journaling with compaction/eviction guarantees, and the kill-and-
 # resume acceptance suite.
 race-shard:
-	$(GO) test -race -count=1 -run 'Moments|Sketch|SplitMix|Correl|Chunk|Campaign|Shard|Resume|Checkpoint|QuantileCache' ./internal/mathx/ ./internal/variation/ ./internal/jobspec/ ./internal/store/ ./internal/serve/
+	$(GO) test -race -count=1 -run 'Moments|Sketch|SplitMix|Correl|Chunk|Campaign|Shard|Resume|Checkpoint' ./internal/mathx/ ./internal/variation/ ./internal/jobspec/ ./internal/store/ ./internal/serve/
 
-# The composite-campaign paths under the race detector: the generic DAG
-# engine's concurrency, sub-job failure propagating a structured partial
-# report, mid-campaign kill + restart resuming from journaled sub-job
-# checkpoints, and cache-hit sub-jobs surfacing in report provenance.
+# The composite-campaign paths under the race detector: the signoff
+# graph's table at a higher count (failed, panicking and cancelled nodes
+# yielding a structured partial report, a complete run never partial,
+# serial progress and checkpoint emission), then mid-campaign kill +
+# restart resuming from journaled sub-job checkpoints and cache-hit
+# sub-jobs surfacing in report provenance.
 race-campaign:
-	$(GO) test -race -count=2 ./internal/campaign/
-	$(GO) test -race -count=1 -run 'Campaign|Signoff|Centering|Corner|DAG' ./internal/jobspec/ ./internal/serve/ ./internal/variation/ ./internal/report/...
+	$(GO) test -race -count=2 -run 'TestSignoffSubJobFailureYieldsPartialReport' ./internal/jobspec/
+	$(GO) test -race -count=1 -run 'Campaign|Signoff|Centering|Corner' ./internal/jobspec/ ./internal/serve/ ./internal/variation/ ./internal/report/...
 
 # The multi-tenant API paths under the race detector: key auth, tenant
 # quota and trial-rate 429s with tenant-derived Retry-After, weighted

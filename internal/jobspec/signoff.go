@@ -8,21 +8,32 @@ import (
 	"sort"
 
 	"repro/internal/aging"
-	"repro/internal/campaign"
 	"repro/internal/em"
 	"repro/internal/netlist"
 	"repro/internal/report/signoff"
 	"repro/internal/variation"
 )
 
-// SignoffNodes is the number of DAG nodes in a signoff campaign — the
+// SignoffNodes is the number of nodes in the signoff graph — the
 // resume-unit count the job server reports for a restored signoff job
 // (checkpoint Seq values are node indices in [0, SignoffNodes)).
 const SignoffNodes = 4
 
+// The signoff graph's nodes in declaration order: the provenance order
+// and the checkpoint Seq index space. mc depends on corners; the others
+// depend on nothing.
+const (
+	nodeCorners = iota
+	nodeMC
+	nodeAge
+	nodeWearout
+)
+
+var signoffNodeNames = [SignoffNodes]string{"corners", "mc", "age", "wearout"}
+
 // ResumeUnits returns the number of durable checkpoint units an
 // execution of this spec can emit: Monte-Carlo campaign grid chunks,
-// signoff DAG nodes, zero for everything else. The job server uses it
+// signoff graph nodes, zero for everything else. The job server uses it
 // as the Total of a restored job's resume accounting.
 func (s *Spec) ResumeUnits() int {
 	switch s.Analysis {
@@ -36,7 +47,7 @@ func (s *Spec) ResumeUnits() int {
 	return 0
 }
 
-// subjobCheckpoint is the durable record of one completed signoff DAG
+// subjobCheckpoint is the durable record of one completed signoff
 // node: the node name, the sub-spec's canonical hash (empty for the
 // inline wear-out node) and the node's marshalled result. Hash is
 // verified on restore, so a checkpoint journaled for a different
@@ -47,7 +58,7 @@ type subjobCheckpoint struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// subOut is a signoff DAG node's in-memory value: either a sub-job
+// subOut is a signoff node's in-memory value: either a sub-job
 // Result (corners/mc/age) or the inline wear-out roll-up, plus the
 // provenance bits the report records.
 type subOut struct {
@@ -59,6 +70,15 @@ type subOut struct {
 	resumed  bool
 }
 
+// nodeOutcome is one signoff node's terminal state. err is the node's
+// failure, or the cause it was skipped for; value is nil unless the
+// node ran to completion.
+type nodeOutcome struct {
+	value   *subOut
+	err     error
+	skipped bool
+}
+
 // wearOut is the inline EM+TDDB roll-up's checkpointable value.
 // LambdaPerHour is the combined wear-out failure rate (0 when every
 // channel is unbounded).
@@ -68,13 +88,17 @@ type wearOut struct {
 	LambdaPerHour float64              `json:"lambda_per_hour"`
 }
 
-// executeSignoff runs the composite signoff campaign: a DAG of sub-jobs
-// (corner sweep → Monte-Carlo at the worst corner, with the aging and
-// wear-out roll-ups alongside) compiled into one deterministic
-// compliance report. Sub-jobs execute through Options.RunSub when set —
-// the job server's cache-aware path — and in-process otherwise; each
-// completed node is checkpointed through Options.OnCheckpoint so a
-// killed campaign resumes from its completed sub-jobs.
+// executeSignoff runs the composite signoff campaign, a fixed graph of
+// four nodes compiled into one deterministic compliance report: the
+// corner sweep, the aging sub-job and the inline wear-out roll-up start
+// at once, and Monte-Carlo starts at the worst corner once the sweep
+// produced one. A failed sweep skips Monte-Carlo with the sweep's error
+// as cause; a cancelled context skips it with the context's error; a
+// panicking node fails only itself. Sub-jobs execute through
+// Options.RunSub when set — the job server's cache-aware path — and
+// in-process otherwise; each completed node is checkpointed through
+// Options.OnCheckpoint so a killed campaign resumes from its completed
+// sub-jobs. The result is Partial only when some node did not complete.
 func executeSignoff(ctx context.Context, text string, deck *netlist.Deck, spec *Spec, res *Result, opts Options) error {
 	p := spec.Signoff
 
@@ -160,103 +184,146 @@ func executeSignoff(ctx context.Context, text string, deck *netlist.Deck, spec *
 		return &subOut{res: r, hash: hash, analysis: sub.Analysis, cached: cached}, nil
 	}
 
-	nodes := []campaign.Node{
-		{Name: "corners", Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			sub := subSpec(KindCorners)
-			sub.Corners = &CornersParams{
-				Node: p.Node, SigmaVT: p.SigmaVT, SigmaBeta: p.SigmaBeta,
-				Lo: p.Lo, Hi: p.Hi,
-			}
-			return runJob(ctx, "corners", sub)
-		}},
-		{Name: "mc", Deps: []string{"corners"}, Run: func(ctx context.Context, deps map[string]any) (any, error) {
-			co, _ := deps["corners"].(*subOut)
-			if co == nil || co.res.Corners == nil || co.res.Corners.Worst == "" {
-				return nil, fmt.Errorf("sub-job corners produced no worst-case corner")
-			}
-			sub := subSpec(KindMC)
-			sub.MC = &MCParams{
-				Trials: p.Trials, Node: p.Node, Lo: p.Lo, Hi: p.Hi,
-				Corner: &CornerShift{Name: co.res.Corners.Worst, SigmaVT: p.SigmaVT, SigmaBeta: p.SigmaBeta},
-			}
-			return runJob(ctx, "mc", sub)
-		}},
-		{Name: "age", Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			sub := subSpec(KindAge)
-			sub.Age = &AgeParams{Years: p.Years, TempK: p.TempK}
-			return runJob(ctx, "age", sub)
-		}},
-		{Name: "wearout", Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			if cp, ok := restored["wearout"]; ok {
-				if cp.Hash != "" {
-					return nil, fmt.Errorf("jobspec: signoff checkpoint %q carries sub-spec hash %.12s — checkpoint from a different campaign?",
-						"wearout", cp.Hash)
-				}
-				var w wearOut
-				if err := json.Unmarshal(cp.Result, &w); err != nil {
-					return nil, fmt.Errorf("jobspec: decoding signoff checkpoint %q: %w", "wearout", err)
-				}
-				return &subOut{wear: &w, resumed: true}, nil
-			}
-			w, err := wearOutRollup(deck, p)
-			if err != nil {
-				return nil, err
-			}
-			return &subOut{wear: w}, nil
-		}},
-	}
-	nodeIndex := make(map[string]int, len(nodes))
-	for i, n := range nodes {
-		nodeIndex[n.Name] = i
-	}
-
-	done := 0
-	graph, runErr := campaign.Run(ctx, nodes, campaign.Options{
-		// OnDone is serialized by the campaign coordinator, so progress
-		// and checkpoint emission need no locking here.
-		OnDone: func(o *campaign.Outcome) {
-			done++
-			if opts.OnProgress != nil {
-				opts.OnProgress(Progress{Stage: "subjob", Done: done, Total: SignoffNodes})
-			}
-			so, _ := o.Value.(*subOut)
-			if opts.OnCheckpoint == nil || !o.OK() || so == nil || so.resumed {
-				return
-			}
-			cp := subjobCheckpoint{Name: o.Name, Hash: so.hash}
-			var err error
-			if so.wear != nil {
-				cp.Result, err = json.Marshal(so.wear)
-			} else {
-				cp.Result, err = json.Marshal(so.res)
-			}
-			if err != nil {
-				return // results always marshal; never fail the campaign on it
-			}
-			b, err := json.Marshal(cp)
-			if err != nil {
-				return
-			}
-			opts.OnCheckpoint(Checkpoint{Stage: "subjob", Seq: nodeIndex[o.Name], Data: b})
-		},
-	})
-	if runErr != nil {
-		if graph == nil {
-			return runErr
+	corners := func(ctx context.Context) (*subOut, error) {
+		sub := subSpec(KindCorners)
+		sub.Corners = &CornersParams{
+			Node: p.Node, SigmaVT: p.SigmaVT, SigmaBeta: p.SigmaBeta,
+			Lo: p.Lo, Hi: p.Hi,
 		}
-		res.Partial = true
-		res.Warning = runErr.Error()
+		return runJob(ctx, "corners", sub)
+	}
+	mc := func(ctx context.Context, co *subOut) (*subOut, error) {
+		if co.res.Corners == nil || co.res.Corners.Worst == "" {
+			return nil, fmt.Errorf("sub-job corners produced no worst-case corner")
+		}
+		sub := subSpec(KindMC)
+		sub.MC = &MCParams{
+			Trials: p.Trials, Node: p.Node, Lo: p.Lo, Hi: p.Hi,
+			Corner: &CornerShift{Name: co.res.Corners.Worst, SigmaVT: p.SigmaVT, SigmaBeta: p.SigmaBeta},
+		}
+		return runJob(ctx, "mc", sub)
+	}
+	age := func(ctx context.Context) (*subOut, error) {
+		sub := subSpec(KindAge)
+		sub.Age = &AgeParams{Years: p.Years, TempK: p.TempK}
+		return runJob(ctx, "age", sub)
+	}
+	wearout := func(context.Context) (*subOut, error) {
+		if cp, ok := restored["wearout"]; ok {
+			if cp.Hash != "" {
+				return nil, fmt.Errorf("jobspec: signoff checkpoint %q carries sub-spec hash %.12s — checkpoint from a different campaign?",
+					"wearout", cp.Hash)
+			}
+			var w wearOut
+			if err := json.Unmarshal(cp.Result, &w); err != nil {
+				return nil, fmt.Errorf("jobspec: decoding signoff checkpoint %q: %w", "wearout", err)
+			}
+			return &subOut{wear: &w, resumed: true}, nil
+		}
+		w, err := wearOutRollup(deck, p)
+		if err != nil {
+			return nil, err
+		}
+		return &subOut{wear: w}, nil
 	}
 
-	res.Signoff = assembleReport(deck, p, nodes, graph, res)
+	// Each node runs on its own goroutine; this goroutine alone records
+	// outcomes, so progress and checkpoints are emitted serially, in
+	// completion order, and need no locking.
+	type nodeDone struct {
+		i     int
+		value *subOut
+		err   error
+	}
+	done := make(chan nodeDone)
+	start := func(i int, run func(context.Context) (*subOut, error)) {
+		go func() {
+			v, err := runNode(ctx, signoffNodeNames[i], run)
+			done <- nodeDone{i: i, value: v, err: err}
+		}()
+	}
+	var outs [SignoffNodes]nodeOutcome
+	finished := 0
+	record := func(i int, o nodeOutcome) {
+		outs[i] = o
+		finished++
+		if opts.OnProgress != nil {
+			opts.OnProgress(Progress{Stage: "subjob", Done: finished, Total: SignoffNodes})
+		}
+		if opts.OnCheckpoint == nil || o.err != nil || o.value.resumed {
+			return
+		}
+		cp := subjobCheckpoint{Name: signoffNodeNames[i], Hash: o.value.hash}
+		var err error
+		if o.value.wear != nil {
+			cp.Result, err = json.Marshal(o.value.wear)
+		} else {
+			cp.Result, err = json.Marshal(o.value.res)
+		}
+		if err != nil {
+			return // results always marshal; never fail the campaign on it
+		}
+		b, err := json.Marshal(cp)
+		if err != nil {
+			return
+		}
+		opts.OnCheckpoint(Checkpoint{Stage: "subjob", Seq: i, Data: b})
+	}
+
+	start(nodeCorners, corners)
+	start(nodeAge, age)
+	start(nodeWearout, wearout)
+	for running := 3; running > 0; {
+		d := <-done
+		running--
+		record(d.i, nodeOutcome{value: d.value, err: d.err})
+		if d.i != nodeCorners {
+			continue
+		}
+		// mc needs corners' worst case: the dependency is checked
+		// before the context, so a failed sweep names itself as cause.
+		switch ctxErr := ctx.Err(); {
+		case d.err != nil:
+			record(nodeMC, nodeOutcome{skipped: true, err: fmt.Errorf("campaign: node %q skipped: dependency %q failed: %w",
+				signoffNodeNames[nodeMC], signoffNodeNames[nodeCorners], d.err)})
+		case ctxErr != nil:
+			record(nodeMC, nodeOutcome{skipped: true, err: fmt.Errorf("campaign: node %q skipped: %w", signoffNodeNames[nodeMC], ctxErr)})
+		default:
+			co := d.value
+			start(nodeMC, func(ctx context.Context) (*subOut, error) { return mc(ctx, co) })
+			running++
+		}
+	}
+
+	rep, complete := assembleReport(deck, p, &outs)
+	res.Signoff = rep
+	if !complete {
+		res.Partial = true
+		res.Warning = "signoff campaign incomplete: one or more sub-jobs failed"
+		if err := ctx.Err(); err != nil {
+			res.Warning = err.Error() // cancellation caused the gap
+		}
+	}
 	return nil
 }
 
-// assembleReport compiles the DAG outcomes into the compliance report.
-// Assembly is not itself a DAG node: it is pure, cheap and deterministic,
-// so re-running it on resume costs nothing. Failed or skipped nodes
-// leave their section nil and mark the run partial with a violation.
-func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node, graph *campaign.Result, res *Result) *signoff.Report {
+// runNode runs one signoff node behind a recover, so a panicking engine
+// fails its own node instead of the job.
+func runNode(ctx context.Context, name string, run func(context.Context) (*subOut, error)) (v *subOut, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, fmt.Errorf("campaign: node %q panicked: %v", name, r)
+		}
+	}()
+	return run(ctx)
+}
+
+// assembleReport compiles the node outcomes into the compliance report
+// and reports whether every node produced a value. Assembly is not
+// itself a node: it is pure, cheap and deterministic, so re-running it
+// on resume costs nothing. Failed or skipped nodes leave their section
+// nil and add a violation.
+func assembleReport(deck *netlist.Deck, p *SignoffParams, outs *[SignoffNodes]nodeOutcome) (*signoff.Report, bool) {
 	rep := &signoff.Report{
 		SchemaVersion: signoff.SchemaVersion,
 		Circuit:       deck.Title,
@@ -265,17 +332,15 @@ func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node,
 		SpecLo:        p.Lo,
 		SpecHi:        p.Hi,
 	}
-	sub := func(name string) *subOut {
-		o := graph.Outcome(name)
-		if o == nil || !o.OK() {
+	sub := func(i int) *subOut {
+		if outs[i].err != nil {
 			return nil
 		}
-		so, _ := o.Value.(*subOut)
-		return so
+		return outs[i].value
 	}
 
 	var worstCorner string
-	if so := sub("corners"); so != nil && so.res.Corners != nil {
+	if so := sub(nodeCorners); so != nil && so.res.Corners != nil {
 		cr := so.res.Corners
 		sec := &signoff.CornersSection{
 			SigmaVT: p.SigmaVT, SigmaBeta: p.SigmaBeta,
@@ -292,7 +357,7 @@ func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node,
 		worstCorner = cr.Worst
 	}
 
-	if so := sub("mc"); so != nil && so.res.MC != nil {
+	if so := sub(nodeMC); so != nil && so.res.MC != nil {
 		mo := so.res.MC
 		ys := &signoff.YieldSection{
 			Corner: worstCorner, Trials: mo.Requested, Completed: mo.Completed(),
@@ -323,7 +388,7 @@ func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node,
 		rep.Pareto = failurePareto(mo, ys.PassCount)
 	}
 
-	if so := sub("age"); so != nil && so.res.Age != nil {
+	if so := sub(nodeAge); so != nil && so.res.Age != nil {
 		ar := so.res.Age
 		sec := &signoff.AgingSection{Years: ar.Years, TempK: ar.TempK}
 		if n := len(ar.Checkpoints); n > 0 {
@@ -348,7 +413,7 @@ func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node,
 		rep.Aging = sec
 	}
 
-	if so := sub("wearout"); so != nil && so.wear != nil {
+	if so := sub(nodeWearout); so != nil && so.wear != nil {
 		w := so.wear
 		sec := &signoff.ReliabilitySection{TargetFIT: p.TargetFIT, EM: w.EM, TDDB: w.TDDB, Pass: true}
 		if w.LambdaPerHour > 0 {
@@ -365,7 +430,7 @@ func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node,
 	}
 
 	// Violations and provenance, in deterministic order: spec failures
-	// first, then incomplete sub-jobs in DAG declaration order.
+	// first, then incomplete sub-jobs in node declaration order.
 	if rep.Corners != nil && !rep.Corners.Pass {
 		for _, c := range rep.Corners.Corners {
 			if !c.Pass {
@@ -385,28 +450,17 @@ func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node,
 		}
 	}
 	complete := true
-	for _, n := range nodes {
-		o := graph.Outcome(n.Name)
-		sj := signoff.SubJob{Name: n.Name}
-		switch {
-		case o == nil:
+	for i, o := range outs {
+		sj := signoff.SubJob{Name: signoffNodeNames[i], Skipped: o.skipped}
+		if so := o.value; so != nil {
+			sj.Analysis = string(so.analysis)
+			sj.Hash = so.hash
+			sj.Cached = so.cached
+			sj.Resumed = so.resumed
+		}
+		if o.err != nil {
 			complete = false
-			sj.Skipped = true
-			sj.Error = "not run"
-		default:
-			if so, ok := o.Value.(*subOut); ok && so != nil {
-				sj.Analysis = string(so.analysis)
-				sj.Hash = so.hash
-				sj.Cached = so.cached
-				sj.Resumed = so.resumed
-			}
-			sj.Skipped = o.Skipped
-			if o.Err != nil {
-				sj.Error = o.Err.Error()
-			}
-			if !o.OK() {
-				complete = false
-			}
+			sj.Error = o.err.Error()
 		}
 		if sj.Error != "" {
 			rep.Violations = append(rep.Violations,
@@ -414,16 +468,10 @@ func assembleReport(deck *netlist.Deck, p *SignoffParams, nodes []campaign.Node,
 		}
 		rep.Provenance = append(rep.Provenance, sj)
 	}
-	if !complete {
-		res.Partial = true
-		if res.Warning == "" {
-			res.Warning = "signoff campaign incomplete: one or more sub-jobs failed"
-		}
-	}
 	rep.Pass = complete &&
 		(rep.Corners == nil || rep.Corners.Pass) &&
 		(rep.Reliability == nil || rep.Reliability.Pass)
-	return rep
+	return rep, complete
 }
 
 // failurePareto ranks the Monte-Carlo trial outcomes by failure class:

@@ -2,9 +2,13 @@ package jobspec
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/report/signoff"
@@ -221,53 +225,204 @@ func TestExecuteSignoffAssemblesReport(t *testing.T) {
 	}
 }
 
-// TestSignoffSubJobFailureYieldsPartialReport kills the Monte-Carlo node
-// through the RunSub hook: the campaign must still deliver a structured
-// report — corners intact, yield absent, the failure named in both the
-// violations and the provenance — flagged Partial rather than erroring out.
+// signoffOrder is the signoff graph's declaration order: the provenance
+// order and the checkpoint Seq index space.
+var signoffOrder = []string{"corners", "mc", "age", "wearout"}
+
+// cleanSignoffSHA256 pins the JSON of signoffSpec's clean report.
+const cleanSignoffSHA256 = "36f5897385c12fd1071f91aa4c4c1d91c4ce5c46bdf9b4c75a491f7cbfb7cbb1"
+
+// TestSignoffSubJobFailureYieldsPartialReport injects failures into the
+// signoff graph through the RunSub hook. The campaign must still deliver
+// a structured report: intact sections for the nodes that completed, the
+// failure named in both the violations and the provenance, flagged
+// Partial rather than erroring out — and a campaign whose nodes all
+// completed is not partial, even when its context is cancelled right
+// after the last node (a partial report is never cached). Every case
+// also checks the emission contract: progress Done runs 1..SignoffNodes
+// from one goroutine at a time, and each checkpoint's Seq is its node's
+// declaration index.
 func TestSignoffSubJobFailureYieldsPartialReport(t *testing.T) {
-	boom := errors.New("engine knocked over")
-	res, err := ExecuteOpts(context.Background(), signoffSpec(), Options{
-		RunSub: func(ctx context.Context, name string, sub *Spec) (*Result, bool, error) {
-			if name == "mc" {
-				return nil, false, boom
-			}
-			r, err := ExecuteOpts(ctx, sub, Options{})
-			return r, false, err
+	const incomplete = "signoff campaign incomplete: one or more sub-jobs failed"
+	type node struct {
+		err     string
+		skipped bool
+	}
+	cases := []struct {
+		name string
+		// inject, when set, runs at the top of RunSub; a non-nil error
+		// fails the named sub-job.
+		inject func(name string, cancel context.CancelFunc) error
+		// cancelAtDone, when positive, cancels the context from the
+		// progress event with that Done count.
+		cancelAtDone int
+		want         map[string]node // unlisted nodes must be clean
+		warning      string
+	}{
+		{name: "clean"},
+		{
+			name: "mc_fails",
+			inject: func(name string, _ context.CancelFunc) error {
+				if name == "mc" {
+					return errors.New("engine knocked over")
+				}
+				return nil
+			},
+			want:    map[string]node{"mc": {err: "sub-job mc: engine knocked over"}},
+			warning: incomplete,
 		},
-	})
+		{
+			name: "corners_fails",
+			inject: func(name string, _ context.CancelFunc) error {
+				if name == "corners" {
+					return errors.New("engine knocked over")
+				}
+				return nil
+			},
+			want: map[string]node{
+				"corners": {err: "sub-job corners: engine knocked over"},
+				"mc": {skipped: true,
+					err: `campaign: node "mc" skipped: dependency "corners" failed: sub-job corners: engine knocked over`},
+			},
+			warning: incomplete,
+		},
+		{
+			name: "age_panics",
+			inject: func(name string, _ context.CancelFunc) error {
+				if name == "age" {
+					panic("aging model blew up")
+				}
+				return nil
+			},
+			want:    map[string]node{"age": {err: `campaign: node "age" panicked: aging model blew up`}},
+			warning: incomplete,
+		},
+		{
+			name: "cancel_in_corners",
+			inject: func(name string, cancel context.CancelFunc) error {
+				if name == "corners" {
+					cancel()
+				}
+				return nil
+			},
+			want:    map[string]node{"mc": {skipped: true, err: `campaign: node "mc" skipped: context canceled`}},
+			warning: context.Canceled.Error(),
+		},
+		{name: "cancel_after_last_node", cancelAtDone: SignoffNodes},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var (
+				inFlight atomic.Int32
+				dones    []int
+				seqs     = map[string]int{}
+			)
+			res, err := ExecuteOpts(ctx, signoffSpec(), Options{
+				// Sub-jobs run on a fresh context, so a cancellation
+				// injected into one node cannot cut another short.
+				RunSub: func(_ context.Context, name string, sub *Spec) (*Result, bool, error) {
+					if tc.inject != nil {
+						if err := tc.inject(name, cancel); err != nil {
+							return nil, false, err
+						}
+					}
+					r, err := ExecuteOpts(context.Background(), sub, Options{})
+					return r, false, err
+				},
+				OnProgress: func(p Progress) {
+					if inFlight.Add(1) != 1 {
+						t.Error("concurrent progress calls")
+					}
+					defer inFlight.Add(-1)
+					if p.Stage != "subjob" || p.Total != SignoffNodes {
+						t.Errorf("progress %+v, want stage subjob of %d", p, SignoffNodes)
+					}
+					dones = append(dones, p.Done)
+					if p.Done == tc.cancelAtDone {
+						cancel()
+					}
+				},
+				OnCheckpoint: func(cp Checkpoint) {
+					if inFlight.Add(1) != 1 {
+						t.Error("checkpoint concurrent with another emission")
+					}
+					defer inFlight.Add(-1)
+					var sc subjobCheckpoint
+					if err := json.Unmarshal(cp.Data, &sc); err != nil {
+						t.Error(err)
+						return
+					}
+					seqs[sc.Name] = cp.Seq
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(dones) != "[1 2 3 4]" {
+				t.Errorf("progress Done sequence %v, want [1 2 3 4]", dones)
+			}
+			for i, name := range signoffOrder {
+				seq, ok := seqs[name]
+				if clean := tc.want[name] == (node{}); ok != clean {
+					t.Errorf("node %s: checkpointed=%v, clean=%v", name, ok, clean)
+				}
+				if ok && seq != i {
+					t.Errorf("node %s checkpointed at Seq %d, want declaration index %d", name, seq, i)
+				}
+			}
+
+			partial := len(tc.want) > 0
+			if res.Partial != partial || res.Warning != tc.warning {
+				t.Errorf("partial=%v warning=%q, want partial=%v warning=%q", res.Partial, res.Warning, partial, tc.warning)
+			}
+			r := res.Signoff
+			if r == nil {
+				t.Fatal("no report despite the partial contract")
+			}
+			if partial && r.Pass {
+				t.Error("report passed with an incomplete sub-job")
+			}
+			sections := map[string]bool{
+				"corners": r.Corners != nil, "mc": r.Yield != nil,
+				"age": r.Aging != nil, "wearout": r.Reliability != nil,
+			}
+			if len(r.Provenance) != len(signoffOrder) {
+				t.Fatalf("%d provenance records, want %d", len(r.Provenance), len(signoffOrder))
+			}
+			for i, sj := range r.Provenance {
+				want := tc.want[sj.Name]
+				if sj.Name != signoffOrder[i] {
+					t.Errorf("provenance[%d] = %s, want %s", i, sj.Name, signoffOrder[i])
+				}
+				if sj.Error != want.err || sj.Skipped != want.skipped {
+					t.Errorf("node %s: error=%q skipped=%v, want error=%q skipped=%v",
+						sj.Name, sj.Error, sj.Skipped, want.err, want.skipped)
+				}
+				if got := sections[sj.Name]; got != (want.err == "") {
+					t.Errorf("node %s: section present=%v with error %q", sj.Name, got, sj.Error)
+				}
+				if want.err != "" && !slices.Contains(r.Violations, "sub-job "+sj.Name+" did not complete: "+want.err) {
+					t.Errorf("violations %q do not name the failed node %s", r.Violations, sj.Name)
+				}
+			}
+			if !partial {
+				if sum := signoffSHA256(t, r); sum != cleanSignoffSHA256 {
+					t.Errorf("clean report sha256 %s, want %s", sum, cleanSignoffSHA256)
+				}
+			}
+		})
+	}
+}
+
+func signoffSHA256(t *testing.T, r *signoff.Report) string {
+	t.Helper()
+	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Partial {
-		t.Error("sub-job failure did not mark the result partial")
-	}
-	r := res.Signoff
-	if r == nil {
-		t.Fatal("no report despite the partial contract")
-	}
-	if r.Pass {
-		t.Error("report passed with a failed sub-job")
-	}
-	if r.Corners == nil {
-		t.Error("corners section lost although its node succeeded")
-	}
-	if r.Yield != nil {
-		t.Error("yield section present although its node failed")
-	}
-	var named bool
-	for _, v := range r.Violations {
-		if strings.Contains(v, "mc") {
-			named = true
-		}
-	}
-	if !named {
-		t.Errorf("violations %v do not name the failed node", r.Violations)
-	}
-	mc := provenanceOf(t, r.Provenance, "mc")
-	if mc.Error == "" || !strings.Contains(mc.Error, boom.Error()) {
-		t.Errorf("mc provenance error = %q, want the root cause", mc.Error)
-	}
+	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
 // TestSignoffResumesFromSubjobCheckpoints replays the checkpoints of a
@@ -335,15 +490,4 @@ func TestSignoffResumesFromSubjobCheckpoints(t *testing.T) {
 	if !mismatch {
 		t.Errorf("no provenance record names the hash mismatch: %+v", foreign.Signoff.Provenance)
 	}
-}
-
-func provenanceOf(t *testing.T, list []signoff.SubJob, name string) signoff.SubJob {
-	t.Helper()
-	for _, sj := range list {
-		if sj.Name == name {
-			return sj
-		}
-	}
-	t.Fatalf("no provenance record for %q", name)
-	panic("unreachable")
 }

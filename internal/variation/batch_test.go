@@ -58,33 +58,3 @@ func TestMismatchBatchBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantileCache asserts MCResult.Quantile sorts once per dataset:
-// repeated reads are allocation-free, and appending values invalidates the
-// cached order.
-func TestQuantileCache(t *testing.T) {
-	r := &MCResult{}
-	for i := 0; i < 1000; i++ {
-		r.Append(float64((i * 7919) % 1000))
-	}
-	if got, want := r.Quantile(0), 0.0; got != want {
-		t.Fatalf("Quantile(0) = %g, want %g", got, want)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, p := range []float64{0.05, 0.5, 0.95, 0.99} {
-			r.Quantile(p)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cached Quantile reads allocate %.1f times, want 0", allocs)
-	}
-	if got, want := r.Quantile(0.5), mathx.Quantile(r.Values, 0.5); got != want {
-		t.Fatalf("cached median %g, uncached %g", got, want)
-	}
-
-	// Appending must invalidate: the new maximum is visible immediately.
-	r.Append(5000)
-	if got := r.Quantile(1); got != 5000 {
-		t.Fatalf("Quantile(1) after append = %g, want 5000", got)
-	}
-}

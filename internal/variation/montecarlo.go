@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/mathx"
@@ -46,38 +45,6 @@ type MCResult struct {
 	Stats *MCStats
 	// Resumed counts chunks restored from checkpoints instead of re-run.
 	Resumed int
-
-	// sorted caches an ascending copy of Values for Quantile; sortedN
-	// records the length it was built for. The cache is rebuilt when the
-	// length changes and must be explicitly invalidated (Invalidate or
-	// SetValues) when Values is replaced at unchanged length — length
-	// alone cannot detect that mutation.
-	sorted  []float64
-	sortedN int
-}
-
-// Append adds a successful trial value, invalidating the quantile cache.
-func (r *MCResult) Append(v float64) {
-	r.Values = append(r.Values, v)
-	r.Invalidate()
-}
-
-// SetValues replaces the value set, invalidating the quantile cache —
-// also when the new slice has the same length as the old one, which the
-// length-keyed rebuild check cannot detect on its own. Snapshot/restore
-// paths that swap Values wholesale must use this (or call Invalidate)
-// rather than assigning the field directly.
-func (r *MCResult) SetValues(vs []float64) {
-	r.Values = vs
-	r.Invalidate()
-}
-
-// Invalidate drops the quantile cache. Any code that mutates Values in
-// place or replaces it by direct field assignment must call this before
-// the next Quantile read.
-func (r *MCResult) Invalidate() {
-	r.sorted = nil
-	r.sortedN = 0
 }
 
 // Mean returns the sample mean of the collected values (NaN when no trial
@@ -100,11 +67,8 @@ func (r *MCResult) StdDev() float64 {
 
 // Quantile returns the p-quantile of the collected values, or NaN when no
 // trial succeeded — consistent with Mean/StdDev rather than panicking.
-// The sorted order is computed once and cached, so reading a whole family
-// of quantiles (yield reports read p50/p95/p99/…) costs one sort total
-// instead of one per call; Append/SetValues/Invalidate drop the cache.
-// Without per-trial values the sketch in Stats answers with bounded rank
-// error.
+// Each call sorts a copy of Values. Without per-trial values the sketch
+// in Stats answers with bounded rank error.
 func (r *MCResult) Quantile(p float64) float64 {
 	if len(r.Values) == 0 {
 		if r.Stats != nil {
@@ -112,12 +76,7 @@ func (r *MCResult) Quantile(p float64) float64 {
 		}
 		return math.NaN()
 	}
-	if r.sorted == nil || r.sortedN != len(r.Values) {
-		r.sorted = append(r.sorted[:0], r.Values...)
-		sort.Float64s(r.sorted)
-		r.sortedN = len(r.Values)
-	}
-	return mathx.QuantileSorted(r.sorted, p)
+	return mathx.Quantile(r.Values, p)
 }
 
 // Completed returns the number of trials that actually ran to a verdict.
@@ -126,49 +85,6 @@ func (r *MCResult) Completed() int {
 		return r.Stats.Completed()
 	}
 	return len(r.Values) + r.NaNs + r.Failures
-}
-
-// Merge folds other into r as mergeable statistics: both results'
-// Stats (derived from Values on demand) combine exactly for moments and
-// counts, with bounded-error quantiles. Per-trial Values and Errors are
-// not carried over — a merged result reports from Stats. Merge results in
-// ascending shard order for bit-determinism across runs.
-func (r *MCResult) Merge(other *MCResult) {
-	if other == nil {
-		return
-	}
-	if r.Stats == nil {
-		r.Stats = statsFromValues(r)
-	}
-	os := other.Stats
-	if os == nil {
-		os = statsFromValues(other)
-	}
-	r.Stats.Merge(os)
-	r.N += other.N
-	r.NaNs = r.Stats.NaNs
-	r.Failures = r.Stats.Failures
-	r.Cancelled += other.Cancelled
-	r.Resumed += other.Resumed
-	if other.Elapsed > r.Elapsed {
-		r.Elapsed = other.Elapsed // shards run concurrently: wall time is the max
-	}
-	r.SetValues(nil)
-	r.Errors = nil
-}
-
-// statsFromValues derives an MCStats from a result that only carries
-// per-trial values (a pre-campaign MCResult).
-func statsFromValues(r *MCResult) *MCStats {
-	st := &MCStats{NaNs: r.NaNs}
-	for _, v := range r.Values {
-		st.addValue(v, false)
-	}
-	for _, te := range r.Errors {
-		st.addFailure(te)
-	}
-	st.Failures = r.Failures // trust the counter even if Errors were trimmed
-	return st
 }
 
 // ErrorsByKind tallies the structured failures by taxonomy kind.

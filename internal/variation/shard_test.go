@@ -248,44 +248,3 @@ func TestCampaignCancelPartial(t *testing.T) {
 		}
 	}
 }
-
-// Satellite regression: replacing Values at unchanged length must not
-// serve stale quantiles. The cache keys on length, so a same-length
-// replacement through SetValues (or Invalidate) has to drop it.
-func TestQuantileCacheInvalidatedOnSameLengthReplace(t *testing.T) {
-	r := &MCResult{Values: []float64{1, 2, 3, 4, 5}}
-	if got := r.Quantile(0.5); got != 3 {
-		t.Fatalf("median = %g, want 3", got)
-	}
-	r.SetValues([]float64{10, 20, 30, 40, 50}) // same length, new data
-	if got := r.Quantile(0.5); got != 30 {
-		t.Fatalf("stale quantile after same-length SetValues: got %g, want 30", got)
-	}
-	// In-place mutation + explicit Invalidate must also refresh.
-	r.Values[4] = -100
-	r.Invalidate()
-	if got := r.Quantile(0); got != -100 {
-		t.Fatalf("stale quantile after Invalidate: got %g, want -100", got)
-	}
-}
-
-// Merging two value-carrying results must agree with the statistics of
-// the concatenated value sets.
-func TestMCResultMerge(t *testing.T) {
-	a := &MCResult{N: 3, Values: []float64{1, 2, 3}}
-	b := &MCResult{N: 4, Values: []float64{4, 5, 6, 7}, NaNs: 1}
-	all := append(append([]float64(nil), a.Values...), b.Values...)
-	a.Merge(b)
-	if a.N != 7 || a.NaNs != 1 {
-		t.Fatalf("merged N=%d NaNs=%d", a.N, a.NaNs)
-	}
-	if got, want := a.Mean(), mathx.Mean(all); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("merged mean %g != %g", got, want)
-	}
-	if got, want := a.StdDev(), mathx.StdDev(all); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("merged std %g != %g", got, want)
-	}
-	if a.Completed() != 8 {
-		t.Fatalf("merged completed %d, want 8", a.Completed())
-	}
-}
