@@ -60,13 +60,14 @@ race-serve:
 race-store:
 	$(GO) test -race -count=2 -run 'Store|Crash|Recover|Cache|Retention|Evict|RetryAfter|Interrupted|Seed|Hash|FuzzJournal|ReadYourWrites' ./internal/store/ ./internal/serve/ ./internal/jobspec/
 
-# The batched trial-evaluation paths under the race detector: the one
-# die pool (variation.DiePool) that reuses built circuits across trials
-# for core reliability runs, jobspec MC campaigns and design centering,
-# its own unit tests, and the bit-identity pins that prove reuse never
-# changes a result.
+# The die pool under the race detector: variation.DiePool keeps one
+# built circuit per worker for a whole job in core reliability runs,
+# jobspec MC campaigns and design centering. Covers the pool's own unit
+# tests, the one-die-per-worker build counts, the core golden digests
+# and jobspec value digests that prove reuse never changes a result, and
+# the sparse-backend reuse tests in circuit.
 race-batch:
-	$(GO) test -race -count=2 -run 'Batch|Pool|Golden|Sparse' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/device/ ./internal/circuit/
+	$(GO) test -race -count=2 -run 'Batch|Pool|Golden|Sparse' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/circuit/
 
 # The sharded-campaign and checkpoint/resume paths under the race
 # detector: mergeable moments and sketches, shard-seed independence,
@@ -140,8 +141,9 @@ bench-solver:
 	$(GO) test -run '^$$' -bench 'BenchmarkOperatingPoint$$|BenchmarkOperatingPointCold$$|BenchmarkTransientStep$$' -benchmem -benchtime=2s .
 	$(GO) test -run '^$$' -bench 'FactorSolve' -benchmem ./internal/linalg/
 
-# The sparse-backend crossover and batched-campaign benchmarks behind
-# BENCH_6.json / the README crossover table.
+# The sparse-backend crossover and pooled-campaign benchmarks behind
+# BENCH_6.json / the README crossover table, plus the scalar compact-model
+# evaluation cost.
 bench-sparse:
 	$(GO) test -run '^$$' -bench 'BenchmarkLadderOP|BenchmarkMCCampaign|BenchmarkMCService' -benchtime=2s .
 	$(GO) test -run '^$$' -bench 'BenchmarkEval' -benchmem -benchtime=2s ./internal/device/

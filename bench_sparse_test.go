@@ -7,9 +7,10 @@ package repro
 //     solver as the MNA system grows? (BenchmarkLadderOP, dense vs sparse
 //     at matched sizes — the warm re-solve pattern of every Monte-Carlo
 //     and aging loop.)
-//  2. What does circuit reuse buy a Monte-Carlo campaign?
-//     (BenchmarkMCCampaign, Batch=1 vs batched, on the Fig. 3 current
-//     reference.)
+//  2. What does a Monte-Carlo campaign cost per trial when every worker
+//     keeps one die for the whole run? (BenchmarkMCCampaign through
+//     core.Simulator and BenchmarkMCService through jobspec, on the
+//     Fig. 3 current reference.)
 //
 // Run with: make bench-sparse
 
@@ -76,7 +77,7 @@ func BenchmarkLadderOP(b *testing.B) {
 // campaignSim is the Fig. 3 current reference wrapped as a reliability
 // Monte-Carlo campaign: per trial, sample mismatch and measure the output
 // voltage at time zero plus one mission checkpoint.
-func campaignSim(batch int) *core.Simulator {
+func campaignSim() *core.Simulator {
 	tech := device.MustTech("180nm")
 	return &core.Simulator{
 		Build: func() (*circuit.Circuit, error) {
@@ -94,37 +95,30 @@ func campaignSim(batch int) *core.Simulator {
 			},
 			Spec: variation.Spec{Name: "vout", Lo: 0, Hi: 10},
 		}},
-		Seed:  7,
-		Batch: batch,
+		Seed: 7,
 	}
 }
 
 // BenchmarkMCCampaign runs a 1000-trial mismatch campaign per iteration
-// and reports trials per second — the headline throughput number of the
-// batched structure-of-arrays evaluation path.
+// and reports trials per second.
 func BenchmarkMCCampaign(b *testing.B) {
 	const trials = 1000
 	mission := core.Mission{Duration: 3.156e8, TempK: 350, Checkpoints: 1}
-	for _, batch := range []int{1, 32} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			s := campaignSim(batch)
-			for i := 0; i < b.N; i++ {
-				res, err := s.RunCtx(context.Background(), trials, mission)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errors > 0 {
-					b.Fatalf("%d trials errored", res.Errors)
-				}
-			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-		})
+	s := campaignSim()
+	for i := 0; i < b.N; i++ {
+		res, err := s.RunCtx(context.Background(), trials, mission)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Errors > 0 {
+			b.Fatalf("%d trials errored", res.Errors)
+		}
 	}
+	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
 // currentRefDeck is the Fig. 3 current reference as a netlist, for the
-// service-path campaign benchmark (jobspec re-parses the deck per die
-// unless pooled).
+// service-path campaign benchmark.
 const currentRefDeck = `
 * fig. 3 current reference, 180nm
 .tech 180nm
@@ -139,27 +133,22 @@ CFILT gate 0 20p
 
 // BenchmarkMCService measures the jobspec Monte-Carlo dispatch path — the
 // one the relsim CLI and HTTP job server share — at 1000 trials per
-// iteration, with deck pooling off (batch=1) and on (batch=32, the
-// default).
+// iteration.
 func BenchmarkMCService(b *testing.B) {
 	const trials = 1000
-	for _, batch := range []int{1, 32} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			spec := &jobspec.Spec{
-				Analysis: jobspec.KindMC, Netlist: currentRefDeck, Seed: 7,
-				MC: &jobspec.MCParams{Trials: trials, Node: "out", Batch: batch},
-			}
-			spec.ApplyDefaults()
-			for i := 0; i < b.N; i++ {
-				res, err := jobspec.Execute(context.Background(), spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.MC.Failures > 0 {
-					b.Fatalf("%d trials failed", res.MC.Failures)
-				}
-			}
-			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-		})
+	spec := &jobspec.Spec{
+		Analysis: jobspec.KindMC, Netlist: currentRefDeck, Seed: 7,
+		MC: &jobspec.MCParams{Trials: trials, Node: "out"},
 	}
+	spec.ApplyDefaults()
+	for i := 0; i < b.N; i++ {
+		res, err := jobspec.Execute(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.MC.Failures > 0 {
+			b.Fatalf("%d trials failed", res.MC.Failures)
+		}
+	}
+	b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }

@@ -23,7 +23,8 @@
 //
 // The age analysis applies NBTI+HCI+TDDB with DC stress extracted from the
 // operating point; mc runs Monte-Carlo mismatch on all MOSFETs and reports
-// the node-voltage distribution and yield against [-lo, -hi]; corners
+// the node-voltage distribution and yield against [-lo, -hi] (each worker
+// parses the deck once and keeps that die for the whole run); corners
 // sweeps the five classic global corners (TT/SS/FF/SF/FS) and, when -lo or
 // -hi is given, judges each corner against the spec window and names the
 // worst-margin corner.
@@ -153,7 +154,6 @@ func main() {
 		acPoints = flag.Int("fpoints", 31, "ac: number of log-spaced points")
 		acSource = flag.String("acsource", "", "ac: source to stimulate (ACMag=1)")
 		trials   = flag.Int("trials", 200, "mc/centering/signoff: number of Monte-Carlo dies")
-		mcBatch  = flag.Int("batch", 0, "mc: trials evaluated per reused deck (0 = default 32, 1 = no reuse; never changes results)")
 		shards   = flag.Int("shards", 0, "mc: split the campaign into this many chunk-aligned trial-range shards (0/1 = unsharded; mean/σ/yield stay bit-identical)")
 		node     = flag.String("node", "", "mc/corners/centering/signoff: monitored node")
 		lo       = flag.Float64("lo", math.Inf(-1), "mc/corners/centering/signoff: spec lower bound")
@@ -224,7 +224,7 @@ func main() {
 	case jobspec.KindAge:
 		spec.Age = &jobspec.AgeParams{Years: *years, TempK: *temp, Checkpoints: 10}
 	case jobspec.KindMC:
-		spec.MC = &jobspec.MCParams{Trials: *trials, Node: *node, Batch: *mcBatch, Shards: *shards,
+		spec.MC = &jobspec.MCParams{Trials: *trials, Node: *node, Shards: *shards,
 			Lo: finitePtr(*lo), Hi: finitePtr(*hi)}
 	case jobspec.KindCorners:
 		spec.Corners = &jobspec.CornersParams{Node: *node, SigmaVT: *sigmaVT, SigmaBeta: *sigmaBe,

@@ -89,12 +89,6 @@ type Simulator struct {
 	GlobalSigmaVT, GlobalSigmaBeta float64
 	// Seed makes the whole analysis reproducible.
 	Seed uint64
-	// Batch is the number of trials one built circuit serves before it is
-	// rebuilt: trials share a variation.DiePool that restores a returned
-	// die to its as-built state, amortising netlist construction, pattern
-	// discovery and symbolic factorisation. Results are bit-identical for
-	// any Batch value. Values <= 1 build a fresh circuit for every trial.
-	Batch int
 }
 
 // Result is the outcome of a reliability run.
@@ -192,10 +186,13 @@ type trialOut struct {
 
 // RunCtx executes nTrials Monte-Carlo reliability trials on the
 // variation.Campaign engine. Trials run in parallel but the result depends
-// only on (Simulator.Seed, nTrials). Each trial is fault-isolated: a panic
-// in Build, mismatch sampling, aging or a Measure callback is recovered
-// and recorded as a structured TrialError instead of crashing the run.
-// When ctx is cancelled or its deadline passes, dispatch stops, in-flight
+// only on (Simulator.Seed, nTrials). Built circuits are pooled in a
+// variation.DiePool for the whole run: with no failed trials it builds at
+// most one circuit per worker, and a die is restored to its as-built
+// state before every trial. Each trial is fault-isolated: a panic in
+// Build, mismatch sampling, aging or a Measure callback is recovered and
+// recorded as a structured TrialError instead of crashing the run. When
+// ctx is cancelled or its deadline passes, dispatch stops, in-flight
 // trials drain, and the partial Result — with accurate Errors/Cancelled
 // accounting and telemetry — is returned alongside an error wrapping
 // variation.ErrCancelled.
@@ -222,7 +219,7 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 	nMet := len(s.Metrics)
 
 	outs := make([]trialOut, nTrials)
-	pool := &variation.DiePool{Build: s.Build, Guess: s.nominalGuess(), MaxUses: max(s.Batch, 1)}
+	pool := &variation.DiePool{Build: s.Build, Guess: s.nominalGuess()}
 	camp := variation.Campaign{
 		Trials: nTrials,
 		Seed:   s.Seed,

@@ -12,8 +12,8 @@ import (
 	"repro/internal/variation"
 )
 
-// TestRunSurvivesPanickingBuild injects a panic into every third Build
-// call: the run must complete, report each blown trial as a structured
+// TestRunSurvivesPanickingBuild injects a panic into the first seven die
+// builds: the run must complete, report each blown trial as a structured
 // build-phase failure, and keep the yield denominator at the survivors.
 func TestRunSurvivesPanickingBuild(t *testing.T) {
 	const nTrials = 21
@@ -21,9 +21,10 @@ func TestRunSurvivesPanickingBuild(t *testing.T) {
 	inner := s.Build
 	var calls int64
 	s.Build = func() (*circuit.Circuit, error) {
-		// Call 1 is the nominal warm-start build; trials are calls
-		// 2..nTrials+1, so calls 3, 6, ..., 21 panic: 7 trials.
-		if atomic.AddInt64(&calls, 1)%3 == 0 {
+		// Call 1 is the nominal warm-start build. Until a die is built,
+		// every trial builds one, so calls 2..8 panic in 7 trials; the
+		// die built by call 9 is kept and serves the rest.
+		if n := atomic.AddInt64(&calls, 1); n >= 2 && n <= 8 {
 			panic("fab line on fire")
 		}
 		return inner()
@@ -99,13 +100,14 @@ func TestRunCtxCancellationPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := ampSim("90nm", 11)
-	inner := s.Build
+	inner := s.Metrics[0].Measure
 	var calls int64
-	s.Build = func() (*circuit.Circuit, error) {
-		if atomic.AddInt64(&calls, 1) == 6 {
+	// Three measurements per trial: cancel during the fifth trial.
+	s.Metrics[0].Measure = func(c *circuit.Circuit) (float64, error) {
+		if atomic.AddInt64(&calls, 1) == 15 {
 			cancel()
 		}
-		return inner()
+		return inner(c)
 	}
 	res, err := s.RunCtx(ctx, nTrials, Mission{Duration: year, TempK: 350, Checkpoints: 2})
 	if !errors.Is(err, variation.ErrCancelled) {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/circuit"
-	"repro/internal/device"
 )
 
 // Sensitivity quantifies how strongly one device's threshold shift moves a
@@ -66,23 +65,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// DamageSnapshot captures the damage state of every MOSFET so an analysis
-// can restore it (paired with RestoreDamage).
-func DamageSnapshot(c *circuit.Circuit) map[string]device.Damage {
-	out := make(map[string]device.Damage)
-	for _, m := range c.MOSFETs() {
-		out[m.Name()] = m.Dev.Damage
-	}
-	return out
-}
-
-// RestoreDamage reinstalls a snapshot taken with DamageSnapshot.
-func RestoreDamage(c *circuit.Circuit, snap map[string]device.Damage) {
-	for _, m := range c.MOSFETs() {
-		if d, ok := snap[m.Name()]; ok {
-			m.Dev.Damage = d
-		}
-	}
 }

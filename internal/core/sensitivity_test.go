@@ -91,18 +91,3 @@ func TestVTSensitivitiesValidation(t *testing.T) {
 		t.Error("zero perturbation accepted")
 	}
 }
-
-func TestDamageSnapshotRoundTrip(t *testing.T) {
-	tech := device.MustTech("65nm")
-	c := circuit.New()
-	c.AddVSource("VDD", "vdd", "0", circuit.DC(1.1))
-	m := device.NewMosfet(tech.NMOSParams(1e-6, 65e-9, 300))
-	m.Damage = device.Damage{DeltaVT: 0.03, MobilityFactor: 0.95, LambdaFactor: 1.2, GateLeak: 1e-7}
-	c.AddMOSFET("M1", "vdd", "vdd", "0", "0", m)
-	snap := DamageSnapshot(c)
-	m.Damage = device.FreshDamage()
-	RestoreDamage(c, snap)
-	if m.Damage.DeltaVT != 0.03 || m.Damage.GateLeak != 1e-7 {
-		t.Error("snapshot round trip lost state")
-	}
-}

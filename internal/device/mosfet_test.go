@@ -230,3 +230,24 @@ func TestValidate(t *testing.T) {
 		t.Error("negative temperature accepted")
 	}
 }
+
+// BenchmarkEvalScalar measures scalar Eval over 256 mismatched instances
+// of one device, the per-trial compact-model cost of a Monte-Carlo
+// campaign.
+func BenchmarkEvalScalar(b *testing.B) {
+	tech := MustTech("65nm")
+	p := tech.NMOSParams(1e-6, 2*tech.Lmin, 300)
+	const nTrials = 256
+	devs := make([]*Mosfet, nTrials)
+	for i := range devs {
+		devs[i] = NewMosfet(p)
+		devs[i].Mismatch.DeltaVT0 = 0.01 * float64(i%7)
+	}
+	out := make([]OperatingPoint, nTrials)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t, d := range devs {
+			out[t] = d.Eval(0.9, 0.6, 0)
+		}
+	}
+}

@@ -468,6 +468,11 @@ func voltageTrial(pool *variation.DiePool, tech *device.Technology, corner *vari
 	}
 }
 
+// executeMC runs a Monte-Carlo mismatch campaign on the deck, or on the
+// trial sub-range a shard sub-job names, resuming from checkpoints in
+// opts.Resume; a campaign with Shards > 1 scatter-gathers instead. Every
+// worker draws its die from one variation.DiePool and keeps it for the
+// whole job.
 func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec, res *Result, opts Options) error {
 	p := spec.MC
 	resume, err := decodeResume(opts.Resume, p.Trials)
@@ -479,16 +484,12 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 	}
 	// Trials run in parallel, so each die solves a private circuit instead
 	// of mutating the shared deck; the nominal solution warm-starts every
-	// trial's first solve. Dies are pooled: one parse serves up to batch
-	// trials, which amortises netlist parsing and the sparse backend's
-	// pattern discovery without perturbing any value (mismatch is fully
+	// trial's first solve. Each worker keeps its die for the whole job,
+	// which amortises netlist parsing and the sparse backend's pattern
+	// discovery without perturbing any value (mismatch is fully
 	// overwritten per trial and the die reset to its parsed state on
 	// reuse). The nominal deck's Tech serves every die.
-	batch := p.Batch
-	if batch < 1 {
-		batch = 32
-	}
-	pool := &variation.DiePool{Build: deckBuilder(text, nil), MaxUses: batch}
+	pool := &variation.DiePool{Build: deckBuilder(text, nil)}
 	if sol, err := deck.Circuit.OperatingPoint(); err == nil {
 		pool.Guess = sol.X
 	}

@@ -182,18 +182,12 @@ type MCParams struct {
 	// (JSON cannot carry ±Inf).
 	Lo *float64 `json:"lo,omitempty"`
 	Hi *float64 `json:"hi,omitempty"`
-	// Batch is the number of trials one parsed deck serves, through the
-	// campaign's variation.DiePool, before it is re-parsed (1 disables
-	// reuse; ApplyDefaults picks 32). It is an execution knob: results are bit-identical for any
-	// value, so CanonicalHash excludes it and two submissions differing
-	// only in batch share a cache entry.
-	Batch int `json:"batch,omitempty"`
 	// Shards splits the campaign into that many trial-range sub-jobs
 	// executed concurrently (locally or on peer servers) and scatter-
-	// gathered into one result. Like Batch it is an execution knob —
-	// mean/std/yield are bit-identical for any shard count and quantiles
-	// stay within the sketch's rank-error bound — so CanonicalHash
-	// excludes it. 0 or 1 means unsharded.
+	// gathered into one result. It is an execution knob — mean/std/yield
+	// are bit-identical for any shard count and quantiles stay within the
+	// sketch's rank-error bound — so CanonicalHash excludes it. 0 or 1
+	// means unsharded.
 	Shards int `json:"shards,omitempty"`
 	// Range restricts execution to a chunk-aligned trial sub-range of the
 	// campaign grid — the form a shard sub-job takes. Unlike Shards it IS
@@ -414,9 +408,6 @@ func (s *Spec) ApplyDefaults() {
 		if s.MC.Trials == 0 {
 			s.MC.Trials = 200
 		}
-		if s.MC.Batch == 0 {
-			s.MC.Batch = 32
-		}
 		if c := s.MC.Corner; c != nil {
 			if c.SigmaVT == 0 {
 				c.SigmaVT = 0.03
@@ -478,21 +469,21 @@ func (s *Spec) ApplyDefaults() {
 
 // CanonicalHash returns the spec's content address: the hex SHA-256 of
 // its canonical JSON encoding with the execution-only fields cleared —
-// NoCache (cache control), MC.Batch (deck reuse) and MC.Shards
-// (scatter-gather fan-out), none of which changes a result. Everything
-// that influences an execution's outcome — version, analysis kind,
-// netlist text, record list, seed, timeout and the parameter blocks,
-// including MC.Range (a trial sub-range is different work) — is part of
-// the hash; two specs with equal hashes describe the same deterministic
-// computation, which is what makes the hash usable as a result-cache
-// key. Call ApplyDefaults first so that a sparse document and its
-// fully-explicit twin hash identically.
+// NoCache (cache control) and MC.Shards (scatter-gather fan-out), neither
+// of which changes a result. Everything that influences an execution's
+// outcome — version, analysis kind, netlist text, record list, seed,
+// timeout and the parameter blocks, including MC.Range (a trial sub-range
+// is different work) — is part of the hash; two specs with equal hashes
+// describe the same deterministic computation, which is what makes the
+// hash usable as a result-cache key. Call ApplyDefaults first so that a
+// sparse document and its fully-explicit twin hash identically. The
+// retired mc.batch field was always cleared here, so a journaled spec
+// that still carries it, decoded leniently, keeps its recorded hash.
 func (s *Spec) CanonicalHash() string {
 	c := *s
 	c.NoCache = false
-	if c.MC != nil && (c.MC.Batch != 0 || c.MC.Shards != 0) {
+	if c.MC != nil && c.MC.Shards != 0 {
 		mc := *c.MC
-		mc.Batch = 0
 		mc.Shards = 0
 		c.MC = &mc
 	}
@@ -560,9 +551,6 @@ func (s *Spec) Validate() error {
 		}
 		if s.MC.Trials < 1 {
 			return fmt.Errorf("jobspec: mc needs trials >= 1")
-		}
-		if s.MC.Batch < 0 {
-			return fmt.Errorf("jobspec: mc needs batch >= 1 (0 selects the default)")
 		}
 		if err := s.MC.Window().validate(KindMC); err != nil {
 			return err

@@ -1,0 +1,127 @@
+package jobspec
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/netlist"
+)
+
+// TestMCBatchDefaultsAndValidation pins the retirement of mc.batch:
+// ApplyDefaults writes no batch field into a valid MC spec, so a
+// journaled submit record no longer carries one. (The job server's
+// strict decode refusing one is serve's TestSubmitValidation.)
+func TestMCBatchDefaultsAndValidation(t *testing.T) {
+	s := &Spec{Analysis: KindMC, Netlist: inverterDeck, MC: &MCParams{Trials: 10, Node: "out"}}
+	s.ApplyDefaults()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(b, []byte(`"batch"`)) {
+		t.Fatalf("defaulted MC spec carries a batch field: %s", b)
+	}
+}
+
+// TestMCBatchExcludedFromHash decodes, leniently as journal replay does,
+// the MC spec of TestCanonicalHashPins as a journal written before
+// mc.batch was retired holds it, with "batch":32, and checks it keeps
+// the pinned hash: batch was always cleared from the hash, so no cached
+// result is orphaned.
+func TestMCBatchExcludedFromHash(t *testing.T) {
+	const want = "bc6ddafee51124018e88ea21a986a79f7af19b9c363230ec7ed81568fd1dffc5"
+	deck, _ := json.Marshal(inverterDeck)
+	old := fmt.Sprintf(`{"analysis":"mc","netlist":%s,"mc":{"trials":200,"node":"out","lo":0.2,"hi":0.9,"batch":32}}`, deck)
+	var s Spec
+	if err := json.Unmarshal([]byte(old), &s); err != nil {
+		t.Fatal(err)
+	}
+	s.ApplyDefaults()
+	if got := s.CanonicalHash(); got != want {
+		t.Fatalf("journaled spec with mc.batch hashes %s, want %s", got, want)
+	}
+}
+
+// ladderDeck is a resistively coupled chain of diode-connected NMOS
+// stages; from about 94 stages circuit solves it with the sparse LU.
+func ladderDeck(stages int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "* %d-stage diode ladder, 180nm\n.tech 180nm\nVSUP rail 0 DC 1.8\n", stages)
+	prev := "rail"
+	for i := 0; i < stages; i++ {
+		n := fmt.Sprintf("n%04d", i)
+		fmt.Fprintf(&b, "RF%04d rail %s 30k\nM%04d %s %s 0 0 NMOS W=2u L=720n\nRC%04d %s %s 50k\n",
+			i, n, i, n, n, i, prev, n)
+		prev = n
+	}
+	b.WriteString(".end\n")
+	return b.String()
+}
+
+// valuesDigest is the SHA-256 of the per-trial values' IEEE-754 bits.
+func valuesDigest(v []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestMCBatchBitIdenticalExecution pins every per-trial value of two MC
+// campaigns to digests recorded when each trial parsed a fresh deck, so
+// keeping one die per worker for the whole job moves no value, on any
+// worker count. The 128-stage ladder runs the sparse LU, whose pivot
+// order is chosen at a die's first factorisation and survives the reset
+// between trials.
+func TestMCBatchBitIdenticalExecution(t *testing.T) {
+	cases := []struct {
+		name, deck, node string
+		seed             uint64
+		want             string
+	}{
+		{"inverter", inverterDeck, "out", 9,
+			"fc99c8cf14a3db9af7f368c2368d3f29a598cb03268ee704f840200e171a51c6"},
+		{"ladder128", ladderDeck(128), "n0127", 5,
+			"9317045a98ff36dd6238139d54519e3efbbe4108cd0f8054ebf7183e4c49a270"},
+	}
+	ladder, err := netlist.Parse(cases[1].deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ladder.Circuit.OperatingPoint(); err != nil || !ladder.Circuit.UsingSparse() {
+		t.Fatalf("ladder deck does not solve on the sparse LU (err %v)", err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			s := &Spec{Analysis: KindMC, Netlist: tc.deck, Seed: tc.seed,
+				MC: &MCParams{Trials: 300, Node: tc.node}}
+			s.ApplyDefaults()
+			res, err := Execute(context.Background(), s)
+			if err != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
+			}
+			if n := len(res.MC.Values); n != 300 {
+				t.Fatalf("%s GOMAXPROCS=%d: %d values, want 300", tc.name, procs, n)
+			}
+			if got := valuesDigest(res.MC.Values); got != tc.want {
+				t.Errorf("%s GOMAXPROCS=%d: values digest %s, want %s", tc.name, procs, got, tc.want)
+			}
+		}
+	}
+}

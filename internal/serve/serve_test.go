@@ -212,6 +212,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"netlist file refused", `{"analysis":"op","netlist_file":"/etc/passwd"}`, "inline netlists only"},
 		{"unknown analysis", `{"analysis":"bogus","netlist":"x"}`, "unknown analysis"},
 		{"mc without node", `{"analysis":"mc","netlist":"x"}`, "mc needs a node"},
+		// mc.batch is retired: every worker keeps its die for the whole job.
+		{"mc batch refused", `{"analysis":"mc","netlist":"x","mc":{"trials":10,"node":"out","batch":32}}`, `unknown field "batch"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

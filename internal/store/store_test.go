@@ -322,3 +322,46 @@ func TestStoreResultSnapshotDecodable(t *testing.T) {
 		t.Fatalf("round-tripped result = %+v", got)
 	}
 }
+
+// legacyMCJournal is a journal written before mc.batch was retired:
+// ApplyDefaults then wrote "batch":32 into every MC submit record, so
+// every data dir of that age holds the field the job server's strict
+// decode now refuses.
+const legacyMCJournal = `{"time":"2026-08-05T12:00:00Z","job":"job-000001","state":"submitted","spec":{"version":2,"analysis":"mc","netlist":"* inv\nVDD vdd 0 DC 1\n.end\n","seed":7,"mc":{"trials":1000,"node":"out","lo":0.4,"hi":0.8,"batch":32}},"hash":"846be0555db53f5da6b8605afa57e24ce09803a9d1176151fd10ebcdd252bedc","tenant":"acme","class":"batch","node":"a"}
+`
+
+// TestStoreReplaysRetiredMCBatch checks that replay decodes a submit
+// record carrying the retired mc.batch leniently: Open and the fleet's
+// read-only ReadJournal both recover the job as queued with its journaled
+// hash, which its spec still reproduces, so the result cache stays keyed.
+func TestStoreReplaysRetiredMCBatch(t *testing.T) {
+	const hash = "846be0555db53f5da6b8605afa57e24ce09803a9d1176151fd10ebcdd252bedc"
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.ndjson"), []byte(legacyMCJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, rec []RecoveredJob) {
+		t.Helper()
+		if len(rec) != 1 {
+			t.Fatalf("%s: recovered %d jobs, want 1", how, len(rec))
+		}
+		j := rec[0]
+		if j.ID != "job-000001" || j.State != StateQueued || j.Hash != hash {
+			t.Fatalf("%s: recovered %s %s hash %s, want job-000001 queued hash %s", how, j.ID, j.State, j.Hash, hash)
+		}
+		if j.Spec == nil || j.Spec.MC == nil || j.Spec.MC.Trials != 1000 {
+			t.Fatalf("%s: spec not recovered: %+v", how, j.Spec)
+		}
+		if got := j.Spec.CanonicalHash(); got != hash {
+			t.Fatalf("%s: recovered spec hashes %s, journaled %s", how, got, hash)
+		}
+	}
+	read, err := ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ReadJournal", read)
+	s := mustOpen(t, dir, nil, Options{})
+	defer s.Close()
+	check("Open", s.Recovered())
+}

@@ -8,12 +8,14 @@ import (
 	"repro/internal/device"
 )
 
-// DiePool recycles built circuits ("dies") across Monte-Carlo trials,
-// amortising netlist construction, sparsity-pattern discovery and symbolic
-// factorisation. Every die it hands out is in its as-built state: on reuse
-// the device damage is restored from a snapshot taken at build, the
-// solver's warm-start state is reset and Guess is re-seeded. Mismatch is
-// not restored: a trial must overwrite it in full, as ApplyRandomMismatch
+// DiePool recycles built circuits ("dies") across the Monte-Carlo trials
+// of one job, amortising netlist construction, sparsity-pattern discovery
+// and symbolic factorisation. A die is kept for the whole job, so a pool
+// whose trials never fail builds at most one die per concurrent worker.
+// Every die it hands out is in its as-built state: on reuse the device
+// damage is restored from a snapshot taken at build, the solver's
+// warm-start state is reset and Guess is re-seeded. Mismatch is not
+// restored: a trial must overwrite it in full, as ApplyRandomMismatch
 // does, for reuse never to change a result. A DiePool is safe for
 // concurrent use.
 type DiePool struct {
@@ -22,9 +24,6 @@ type DiePool struct {
 	// Guess, when non-nil, warm-starts every die (best effort: a
 	// mis-sized guess is ignored).
 	Guess []float64
-	// MaxUses bounds the trials one die serves: 0 means no limit, 1 a
-	// fresh die for every trial.
-	MaxUses int
 
 	mu   sync.Mutex
 	free []*Die
@@ -35,7 +34,6 @@ type Die struct {
 	Circuit *circuit.Circuit
 	devs    []*circuit.MOSFET
 	snap    []device.Damage
-	uses    int
 }
 
 // Get returns a die in its as-built state, reusing a returned one when it
@@ -60,20 +58,15 @@ func (p *DiePool) Get() (*Die, error) {
 }
 
 // Put takes back a die whose trial finished cleanly; a die whose trial
-// errored must not be returned, since its state is suspect. A die that
-// has served MaxUses trials is dropped.
+// errored must not be returned, since its state is suspect.
 func (p *DiePool) Put(d *Die) {
-	d.uses++
-	if p.MaxUses > 0 && d.uses >= p.MaxUses {
-		return
-	}
 	p.mu.Lock()
 	p.free = append(p.free, d)
 	p.mu.Unlock()
 }
 
 // build runs Build with panic isolation and snapshots the new die's
-// damage, unless MaxUses 1 means it is never reused.
+// damage.
 func (p *DiePool) build() (d *Die, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -84,13 +77,10 @@ func (p *DiePool) build() (d *Die, err error) {
 	if err != nil {
 		return nil, err
 	}
-	d = &Die{Circuit: c}
-	if p.MaxUses != 1 {
-		d.devs = c.MOSFETList()
-		d.snap = make([]device.Damage, len(d.devs))
-		for i, m := range d.devs {
-			d.snap[i] = m.Dev.Damage
-		}
+	d = &Die{Circuit: c, devs: c.MOSFETList()}
+	d.snap = make([]device.Damage, len(d.devs))
+	for i, m := range d.devs {
+		d.snap[i] = m.Dev.Damage
 	}
 	p.seed(c)
 	return d, nil

@@ -126,40 +126,13 @@ func TestDiePoolBuildPanic(t *testing.T) {
 	}
 }
 
-// TestDiePoolMaxUses counts Build calls: MaxUses 1 builds a die for every
-// trial, MaxUses k serves each die at most k times, and 0 never rebuilds.
-func TestDiePoolMaxUses(t *testing.T) {
-	tech := device.MustTech("90nm")
-	const trials = 10
-	for _, tc := range []struct{ maxUses, builds int }{{1, 10}, {3, 4}, {4, 3}, {0, 1}} {
-		build, calls := poolTestBuild(tech)
-		pool := &DiePool{Build: build, MaxUses: tc.maxUses}
-		uses := map[*Die]int{}
-		for i := 0; i < trials; i++ {
-			die, err := pool.Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			uses[die]++
-			pool.Put(die)
-		}
-		if got := calls.Load(); got != int64(tc.builds) {
-			t.Errorf("MaxUses=%d: %d builds for %d trials, want %d", tc.maxUses, got, trials, tc.builds)
-		}
-		for _, n := range uses {
-			if tc.maxUses > 0 && n > tc.maxUses {
-				t.Errorf("MaxUses=%d: a die served %d trials", tc.maxUses, n)
-			}
-		}
-	}
-}
-
 // TestDiePoolConcurrent hammers one pool from several goroutines (run it
-// under -race): every die handed out is private to its taker until Put.
+// under -race): every die handed out is private to its taker until Put,
+// and with no failed trials the pool builds at most one die per worker.
 func TestDiePoolConcurrent(t *testing.T) {
 	tech := device.MustTech("90nm")
 	build, calls := poolTestBuild(tech)
-	pool := &DiePool{Build: build, MaxUses: 5}
+	pool := &DiePool{Build: build}
 	const workers, perWorker = 4, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -182,8 +155,8 @@ func TestDiePoolConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got, min := calls.Load(), int64(workers*perWorker/5); got < min {
-		t.Errorf("%d builds for %d trials at MaxUses 5, want >= %d", got, workers*perWorker, min)
+	if got := calls.Load(); got < 1 || got > workers {
+		t.Errorf("%d builds for %d trials on %d workers, want 1..%d", got, workers*perWorker, workers, workers)
 	}
 }
 
