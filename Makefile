@@ -111,7 +111,9 @@ race-fleet:
 	$(GO) test -race -count=1 -run 'TestFleet|FuzzFleet|TestShardDispatch|TestShardPeerFallbackLocal|TestSingleNode' ./internal/serve/
 
 # A few seconds of coverage-guided fuzzing per target: the fleet config
-# parser, journal replay and spec decoding on arbitrary bytes. Minimizing each new
+# parser, journal replay and spec decoding on arbitrary bytes, and the
+# sparse LU on MNA-shaped systems decoded from them (analysis bit-identical
+# to the map-based reference, solve against dense). Minimizing each new
 # corpus entry is capped at 1s, or the fsync-bound journal target would
 # spend the whole budget minimizing. New failing inputs land in the
 # package's testdata/fuzz directory as regression seeds.
@@ -119,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetConfig$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/jobspec/
+	$(GO) test -run '^$$' -fuzz '^FuzzSparseLU$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/linalg/sparse/
 
 # Harness-rot check for cmd/loadgen: one short open-loop stage against
 # an in-process server, asserting the BENCH_9 driver still runs end to
@@ -143,10 +146,12 @@ bench-solver:
 
 # The sparse-backend crossover and pooled-campaign benchmarks behind
 # BENCH_6.json / the README crossover table, plus the scalar compact-model
-# evaluation cost.
+# evaluation cost and one Markowitz analysis of the 256-unknown ladder
+# (BENCH_23.json).
 bench-sparse:
 	$(GO) test -run '^$$' -bench 'BenchmarkLadderOP|BenchmarkMCCampaign|BenchmarkMCService' -benchtime=2s .
 	$(GO) test -run '^$$' -bench 'BenchmarkEval' -benchmem -benchtime=2s ./internal/device/
+	$(GO) test -run '^$$' -bench 'BenchmarkSparseAnalyze' -benchmem -benchtime=2s ./internal/linalg/sparse/
 
 # Harness-rot check for the same set: one iteration each.
 bench-sparse-smoke:

@@ -113,9 +113,10 @@ type stateful interface {
 	accept(s *stamp)
 }
 
-// acStamper elements contribute to the small-signal complex system. The
-// linearisation point is the element state captured by the last OP solve
-// (lastOP for MOSFETs, the stored solution voltages otherwise).
+// acStamper elements contribute to the small-signal complex system,
+// linearised at the solution x of the last DC solve: a MOSFET evaluates
+// its model at that bias when stamped (the same operating point its OP
+// evaluates on demand), other elements read the solution voltages.
 type acStamper interface {
 	stampAC(m *linalg.CMatrix, rhs []complex128, omega float64, x []float64)
 }

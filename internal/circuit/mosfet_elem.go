@@ -19,9 +19,8 @@ type MOSFET struct {
 	cgsState capState
 	cgdState capState
 
-	// lastOP caches the most recent converged operating point for AC
-	// linearisation and stress extraction.
-	lastOP  device.OperatingPoint
+	// The bias (vgs, vds, vbs) of the most recent converged solution, for
+	// OP and stress extraction.
 	lastVgs float64
 	lastVds float64
 	lastVbs float64
@@ -40,8 +39,13 @@ func (m *MOSFET) name() string { return m.nm }
 // nonlinear marks the MOSFET's stamps as iterate-dependent; see solver.go.
 func (m *MOSFET) nonlinear() {}
 
-// OP returns the operating point captured at the last converged solution.
-func (m *MOSFET) OP() device.OperatingPoint { return m.lastOP }
+// OP returns the device's operating point at the last converged
+// solution: each call evaluates Dev's model, with its present mismatch and
+// damage, at the bias that solve recorded (BiasVoltages). Solves do not
+// evaluate it themselves, since most never read it.
+func (m *MOSFET) OP() device.OperatingPoint {
+	return m.Dev.Eval(m.lastVgs, m.lastVds, m.lastVbs)
+}
 
 // BiasVoltages returns (vgs, vds, vbs) captured at the last converged
 // solution; the aging stress extractor feeds these to the degradation
@@ -152,14 +156,13 @@ func (m *MOSFET) accept(s *stamp) {
 	m.capture(s.X)
 }
 
-// capture records the bias point and model evaluation at a converged
-// solution x.
+// capture records the bias point at a converged solution x. The model is
+// not evaluated here: OP evaluates it on demand at this bias.
 func (m *MOSFET) capture(x []float64) {
 	vd, vg, vs, vb := nodeV(x, m.d), nodeV(x, m.g), nodeV(x, m.s), nodeV(x, m.b)
 	m.lastVgs = vg - vs
 	m.lastVds = vd - vs
 	m.lastVbs = vb - vs
-	m.lastOP = m.Dev.Eval(m.lastVgs, m.lastVds, m.lastVbs)
 }
 
 func (m *MOSFET) stampAC(mat *linalg.CMatrix, _ []complex128, omega float64, x []float64) {

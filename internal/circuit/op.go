@@ -148,7 +148,7 @@ func (c *Circuit) operatingPoint() (*Solution, error) {
 	return c.finishDC(slv, x), nil
 }
 
-// finishDC captures device operating points, refreshes the warm-start
+// finishDC records device bias points, refreshes the warm-start
 // state and returns a Solution backed by its own copy of x (the solver's
 // scratch vector is reused by the next solve).
 func (c *Circuit) finishDC(slv *solver, x []float64) *Solution {
@@ -157,7 +157,7 @@ func (c *Circuit) finishDC(slv *solver, x []float64) *Solution {
 	return &Solution{circ: c, X: append([]float64(nil), x...)}
 }
 
-// captureAll records operating points on MOSFET elements.
+// captureAll records the bias points of MOSFET elements at x.
 func (c *Circuit) captureAll(x []float64) {
 	for _, e := range c.elements {
 		if m, ok := e.(*MOSFET); ok {

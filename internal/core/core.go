@@ -219,7 +219,8 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 	nMet := len(s.Metrics)
 
 	outs := make([]trialOut, nTrials)
-	pool := &variation.DiePool{Build: s.Build, Guess: s.nominalGuess()}
+	pool := &variation.DiePool{Build: s.Build}
+	pool.Guess = nominalGuess(pool)
 	camp := variation.Campaign{
 		Trials: nTrials,
 		Seed:   s.Seed,
@@ -322,21 +323,26 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 	return res, nil
 }
 
-// nominalGuess solves the nominal build once and hands its solution to
-// every trial as a warm start: mismatch and corners only perturb the bias
-// point, so each trial's first Newton solve starts next to its answer
-// instead of climbing the cold homotopy ladder. The guess is read-only
-// and shared; trials that diverge from it fall back to the cold ladder
-// inside OperatingPoint, so this is purely a performance hint — a failing
-// or even panicking nominal build just disables it.
-func (s *Simulator) nominalGuess() (guess []float64) {
+// nominalGuess solves a nominal die from pool once and hands its solution
+// to every trial as a warm start: mismatch and corners only perturb the
+// bias point, so each trial's first Newton solve starts next to its answer
+// instead of climbing the cold homotopy ladder. The die then goes back to
+// the pool as the first trial's die. The guess is read-only and shared;
+// trials that diverge from it fall back to the cold ladder inside
+// OperatingPoint, so this is purely a performance hint — a failing or even
+// panicking nominal build or solve just disables it.
+func nominalGuess(pool *variation.DiePool) (guess []float64) {
 	defer func() { _ = recover() }()
-	if c0, err := s.Build(); err == nil {
-		if sol, err := c0.OperatingPoint(); err == nil {
-			guess = sol.X
-		}
+	die, err := pool.Get()
+	if err != nil {
+		return nil
 	}
-	return
+	sol, err := die.Circuit.OperatingPoint()
+	if err != nil {
+		return nil
+	}
+	pool.Put(die)
+	return sol.X
 }
 
 // runTrialOn ages and measures one die on an already-built (possibly

@@ -21,10 +21,11 @@ func TestRunSurvivesPanickingBuild(t *testing.T) {
 	inner := s.Build
 	var calls int64
 	s.Build = func() (*circuit.Circuit, error) {
-		// Call 1 is the nominal warm-start build. Until a die is built,
-		// every trial builds one, so calls 2..8 panic in 7 trials; the
-		// die built by call 9 is kept and serves the rest.
-		if n := atomic.AddInt64(&calls, 1); n >= 2 && n <= 8 {
+		// Call 1 is the nominal warm-start build, which would otherwise
+		// serve the first trial; it panics too, so no die exists yet.
+		// Until one is built every trial builds one, so calls 2..8 panic
+		// in 7 trials; the die built by call 9 is kept and serves the rest.
+		if n := atomic.AddInt64(&calls, 1); n <= 8 {
 			panic("fab line on fire")
 		}
 		return inner()

@@ -36,8 +36,8 @@ func TestBatchedRunBitIdentical(t *testing.T) {
 
 // TestRunPoolsOneDiePerWorker counts Build calls: a run whose trials all
 // succeed keeps each die for the whole run, so it builds at most one die
-// per worker, plus the one nominal circuit solved for the warm-start
-// guess.
+// per worker; the die solved for the warm-start guess is the first of
+// them.
 func TestRunPoolsOneDiePerWorker(t *testing.T) {
 	s := fig3Sim()
 	inner := s.Build
@@ -54,7 +54,7 @@ func TestRunPoolsOneDiePerWorker(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d trials errored, want a clean run", res.Errors)
 	}
-	if dies, workers := calls.Load()-1, int64(runtime.GOMAXPROCS(0)); dies < 1 || dies > workers {
+	if dies, workers := calls.Load(), int64(runtime.GOMAXPROCS(0)); dies < 1 || dies > workers {
 		t.Errorf("%d dies built for %d trials on %d workers, want 1..%d", dies, trials, workers, workers)
 	}
 }

@@ -196,36 +196,31 @@ func (m *Mosfet) VT() float64 {
 		m.Mismatch.DeltaVT0 + m.Damage.DeltaVT
 }
 
-// ekvF is the EKV interpolation function F(x) = ln²(1 + exp(x/2)): ~exp(x)
-// deep in weak inversion, ~(x/2)² in strong inversion.
-func ekvF(x float64) float64 {
-	l := softplus(x / 2)
-	return l * l
-}
-
-// ekvFPrime is dF/dx = ln(1+exp(x/2)) · sigmoid(x/2).
-func ekvFPrime(x float64) float64 {
-	return softplus(x/2) * sigmoid(x/2)
-}
-
-// softplus computes ln(1+exp(x)) without overflow.
-func softplus(x float64) float64 {
-	if x > 40 {
-		return x
+// ekvTerm returns the EKV interpolation function F(x) = ln²(1 + exp(x/2))
+// — ~exp(x) deep in weak inversion, ~(x/2)² in strong inversion — and its
+// derivative F′(x) = ln(1+exp(x/2)) · sigmoid(x/2). It computes the
+// softplus ln(1+exp(x/2)) once for both, without overflow, and where
+// x/2 < 0 the sigmoid reuses the softplus's exp(x/2).
+func ekvTerm(x float64) (f, fPrime float64) {
+	h := x / 2
+	var l, s float64
+	if h >= 0 {
+		if h > 40 {
+			l = h
+		} else {
+			l = math.Log1p(math.Exp(h))
+		}
+		s = 1 / (1 + math.Exp(-h))
+	} else { // h < 0, or NaN
+		e := math.Exp(h)
+		if h < -40 {
+			l = e
+		} else {
+			l = math.Log1p(e)
+		}
+		s = e / (1 + e)
 	}
-	if x < -40 {
-		return math.Exp(x)
-	}
-	return math.Log1p(math.Exp(x))
-}
-
-// sigmoid computes 1/(1+exp(-x)).
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
+	return l * l, l * s
 }
 
 // Eval computes the drain current and small-signal conductances at the
@@ -282,8 +277,8 @@ func (m *Mosfet) Eval(vgs, vds, vbs float64) OperatingPoint {
 	vp := (vgs - vteff) / n
 	xf := vp / vt
 	xr := (vp - vds) / vt
-	ff := ekvF(xf)
-	fr := ekvF(xr)
+	ff, dfdxf := ekvTerm(xf)
+	fr, dfdxr := ekvTerm(xr)
 
 	lambda := p.Lambda * m.Damage.LambdaFactor
 	clm := 1 + lambda*vds // vds >= 0 after the swap
@@ -293,8 +288,6 @@ func (m *Mosfet) Eval(vgs, vds, vbs float64) OperatingPoint {
 	id := idCore * clm
 
 	// Derivatives in flipped space.
-	dfdxf := ekvFPrime(xf)
-	dfdxr := ekvFPrime(xr)
 	// dID/dVGS: VP depends on VGS with slope 1/n.
 	gm := ispec * (dfdxf - dfdxr) / (n * vt) * clm
 	// dID/dVDS: xr depends on VDS with slope -1/vt; plus CLM term.

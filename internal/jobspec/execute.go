@@ -483,15 +483,19 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 		return executeMCSharded(ctx, spec, res, opts, resume)
 	}
 	// Trials run in parallel, so each die solves a private circuit instead
-	// of mutating the shared deck; the nominal solution warm-starts every
-	// trial's first solve. Each worker keeps its die for the whole job,
-	// which amortises netlist parsing and the sparse backend's pattern
-	// discovery without perturbing any value (mismatch is fully
-	// overwritten per trial and the die reset to its parsed state on
-	// reuse). The nominal deck's Tech serves every die.
+	// of mutating the shared deck. The first die solves the nominal deck,
+	// whose solution warm-starts every trial's first solve, and then goes
+	// back to the pool for the first trial. Each worker keeps its die for
+	// the whole job, which amortises netlist parsing and the sparse
+	// backend's pattern discovery without perturbing any value (mismatch
+	// is fully overwritten per trial and the die reset to its parsed state
+	// on reuse). The nominal deck's Tech serves every die.
 	pool := &variation.DiePool{Build: deckBuilder(text, nil)}
-	if sol, err := deck.Circuit.OperatingPoint(); err == nil {
-		pool.Guess = sol.X
+	if die, err := pool.Get(); err == nil {
+		if sol, err := die.Circuit.OperatingPoint(); err == nil {
+			pool.Guess = sol.X
+			pool.Put(die)
+		}
 	}
 	from, to := 0, p.Trials
 	if p.Range != nil {

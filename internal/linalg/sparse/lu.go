@@ -1,10 +1,11 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrSingular is returned when the matrix is structurally or numerically
@@ -25,10 +26,11 @@ const defaultPivotTol = 1e-3
 // LU is a sparse LU factorisation P·A·Q = L·U with Markowitz-style
 // threshold pivoting. The zero value is ready to use: the first FactorInto
 // runs the full value-aware analysis (pivot-order selection plus exact
-// fill-in bookkeeping, allocating), and every later FactorInto on the same
-// pattern is a fixed-structure numeric refactorisation that performs zero
-// heap allocations — the property the circuit solver's Newton loop relies
-// on, mirroring the dense linalg.LU workspace idiom. If drifting values
+// fill-in bookkeeping over slice-based column and row lists, allocating),
+// and every later FactorInto on the same pattern is a fixed-structure
+// numeric refactorisation that performs zero heap allocations — the
+// property the circuit solver's Newton loop relies on, mirroring the
+// dense linalg.LU workspace idiom. If drifting values
 // make a recorded pivot degenerate, FactorInto transparently re-runs the
 // analysis; it returns ErrSingular only when the matrix truly admits no
 // pivot. An LU is not safe for concurrent use.
@@ -220,39 +222,70 @@ func (f *LU) clearColumn(j int) {
 // exact fill-in. It records the pivot order, the factor structure and the
 // numeric factors, so a successful Analyze leaves the LU ready for
 // SolveInto and primes the allocation-free refactor path.
+//
+// The active submatrix is held in slices: each column's entries as
+// unordered (row, value) lists, each row's active columns as an unordered
+// list, so a row's Markowitz count is its list's length. The pivot choice
+// depends on no list order: columns are scanned in ascending index, the
+// first column reaching the lowest cost wins and a zero cost stops the
+// scan; within a column the candidate with the fewest row entries wins,
+// then the larger magnitude, then the smaller row index.
 func (f *LU) Analyze(a *Matrix) error {
 	n := a.N
 	tol := f.pivotTol()
+	nnz := a.NNZ()
 
-	// Active submatrix in scatter form: colv[j] maps active row -> value,
-	// rows[i] is the set of active columns of row i.
-	colv := make([]map[int32]float64, n)
-	rows := make([]map[int32]struct{}, n)
+	// Active submatrix. Every list starts as a capacity-capped window of
+	// one shared backing array, so fill-in that outgrows a window moves
+	// only that list.
+	colRow := make([][]int32, n)
+	colVal := make([][]float64, n)
+	rowsBack := append([]int32(nil), a.RowIdx...)
+	valsBack := append([]float64(nil), a.Vals...)
+	for j := 0; j < n; j++ {
+		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
+		colRow[j] = rowsBack[lo:hi:hi]
+		colVal[j] = valsBack[lo:hi:hi]
+	}
+	rowCol := make([][]int32, n)
+	rowStart := make([]int32, n+1)
+	for _, i := range a.RowIdx {
+		rowStart[i+1]++
+	}
 	for i := 0; i < n; i++ {
-		rows[i] = make(map[int32]struct{}, 8)
+		rowStart[i+1] += rowStart[i]
+	}
+	colsBack := make([]int32, nnz)
+	for i := 0; i < n; i++ {
+		rowCol[i] = colsBack[rowStart[i]:rowStart[i]:rowStart[i+1]]
 	}
 	for j := 0; j < n; j++ {
-		c := make(map[int32]float64, int(a.ColPtr[j+1]-a.ColPtr[j])+4)
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			c[i] = a.Vals[p]
-			rows[i][int32(j)] = struct{}{}
+		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
+			rowCol[i] = append(rowCol[i], int32(j))
 		}
-		colv[j] = c
 	}
 
 	colActive := make([]bool, n)
 	for i := range colActive {
 		colActive[i] = true
 	}
+	// pos[r] is row r's index in the column being updated, -1 otherwise;
+	// val[r] holds the pivot column's value at row r while it is read.
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	val := make([]float64, n)
 
 	prow := make([]int32, n)
 	pcol := make([]int32, n)
-	// Factor structure in original coordinates, per elimination step.
-	lrows := make([][]int32, n)   // L column k: original rows
-	lvals := make([][]float64, n) // aligned values
-	ucols := make([][]int32, n)   // U row k: original columns
-	uvals := make([][]float64, n)
+	// Factor structure in original coordinates, per elimination step: L
+	// column k is lRows/lVals[lStep[k]:lStep[k+1]] (rows ascending), U row
+	// k is uCols/uVals[uStep[k]:uStep[k+1]] (columns ascending).
+	lStep := make([]int32, n+1)
+	uStep := make([]int32, n+1)
+	var lRows, uCols []int32
+	var lVals, uVals []float64
 	udiag := make([]float64, n)
 
 	for k := 0; k < n; k++ {
@@ -265,42 +298,12 @@ func (f *LU) Analyze(a *Matrix) error {
 			if !colActive[j] {
 				continue
 			}
-			c := colv[j]
-			colmax := 0.0
-			for _, v := range c {
-				if av := math.Abs(v); av > colmax {
-					colmax = av
-				}
-			}
-			if colmax == 0 {
-				continue // numerically empty column; try others
-			}
-			ccount := int64(len(c)) - 1
-			thresh := tol * colmax
-			// Within the column pick the acceptable row with the smallest
-			// row count; break ties toward larger magnitude then smaller
-			// row index (deterministic despite map iteration order).
-			rBest, rBestCount := int32(-1), int64(math.MaxInt64)
-			var rBestAbs float64
-			for r, v := range c {
-				av := math.Abs(v)
-				if av < thresh {
-					continue
-				}
-				rc := int64(len(rows[r])) - 1
-				switch {
-				case rc < rBestCount,
-					rc == rBestCount && av > rBestAbs,
-					rc == rBestCount && av == rBestAbs && r < rBest:
-					rBest, rBestCount, rBestAbs = r, rc, av
-				}
-			}
-			if rBest < 0 {
+			r, cost := columnPivot(colRow[j], colVal[j], rowCol, tol)
+			if r < 0 {
 				continue
 			}
-			cost := rBestCount * ccount
 			if cost < bestCost || (cost == bestCost && bestCol < 0) {
-				bestCost, bestRow, bestCol = cost, rBest, int32(j)
+				bestCost, bestRow, bestCol = cost, r, int32(j)
 			}
 			if bestCost == 0 {
 				break // cannot do better than zero fill
@@ -311,57 +314,86 @@ func (f *LU) Analyze(a *Matrix) error {
 			return fmt.Errorf("%w (no acceptable pivot at step %d of %d)", ErrSingular, k, n)
 		}
 		pi, pj := bestRow, bestCol
-		piv := colv[pj][pi]
 		prow[k], pcol[k] = pi, pj
+
+		// L column k: the pivot column's other rows, ascending, divided
+		// by the pivot.
+		var piv float64
+		l0 := len(lRows)
+		for t, r := range colRow[pj] {
+			if r == pi {
+				piv = colVal[pj][t]
+				continue
+			}
+			val[r] = colVal[pj][t]
+			lRows = append(lRows, r)
+		}
 		udiag[k] = piv
+		lr := lRows[l0:]
+		slices.Sort(lr)
+		for _, r := range lr {
+			lVals = append(lVals, val[r]/piv)
+		}
+		lv := lVals[l0:]
+		lStep[k+1] = int32(len(lRows))
 
-		// Record the pivot row (U row k) and pivot column (L column k)
-		// structure, then eliminate.
-		delete(colv[pj], pi)
-		delete(rows[pi], pj)
-		uc := make([]int32, 0, len(rows[pi]))
-		for cIdx := range rows[pi] {
-			uc = append(uc, cIdx)
-		}
-		sort.Slice(uc, func(x, y int) bool { return uc[x] < uc[y] })
-		uv := make([]float64, len(uc))
-		for t, cIdx := range uc {
-			uv[t] = colv[cIdx][pi]
-		}
-		lr := make([]int32, 0, len(colv[pj]))
-		for rIdx := range colv[pj] {
-			lr = append(lr, rIdx)
-		}
-		sort.Slice(lr, func(x, y int) bool { return lr[x] < lr[y] })
-		lv := make([]float64, len(lr))
-		for t, rIdx := range lr {
-			lv[t] = colv[pj][rIdx] / piv
-		}
-		ucols[k], uvals[k] = uc, uv
-		lrows[k], lvals[k] = lr, lv
-
-		// Rank-1 update of the active submatrix with exact fill tracking.
-		for t, rIdx := range lr {
-			l := lv[t]
-			for s, cIdx := range uc {
-				cv := colv[cIdx]
-				old, ok := cv[rIdx]
-				cv[rIdx] = old - l*uv[s]
-				if !ok {
-					rows[rIdx][cIdx] = struct{}{}
-				}
+		// U row k: the pivot row's other columns, ascending. Each one
+		// gives up its pivot-row entry as the U value and takes the
+		// rank-1 update, with exact fill tracking.
+		u0 := len(uCols)
+		for _, c := range rowCol[pi] {
+			if c != pj {
+				uCols = append(uCols, c)
 			}
 		}
-		// Deactivate the pivot row and column.
-		for _, cIdx := range uc {
-			delete(colv[cIdx], pi)
+		uc := uCols[u0:]
+		slices.Sort(uc)
+		for _, c := range uc {
+			rs, vs := colRow[c], colVal[c]
+			for t, r := range rs {
+				pos[r] = int32(t)
+			}
+			tp := pos[pi]
+			u := vs[tp]
+			uVals = append(uVals, u)
+			for t, r := range lr {
+				if p := pos[r]; p >= 0 {
+					vs[p] = vs[p] - lv[t]*u
+					continue
+				}
+				// Fill-in starts from +0: 0 − l·u, unlike −(l·u), keeps a
+				// +0 product +0.
+				var old float64
+				rs = append(rs, r)
+				vs = append(vs, old-lv[t]*u)
+				rowCol[r] = append(rowCol[r], c)
+			}
+			for _, r := range colRow[c] {
+				pos[r] = -1
+			}
+			// Deactivate the pivot row in this column.
+			last := len(rs) - 1
+			rs[tp], vs[tp] = rs[last], vs[last]
+			colRow[c], colVal[c] = rs[:last], vs[:last]
 		}
-		for _, rIdx := range lr {
-			delete(rows[rIdx], pj)
+		uStep[k+1] = int32(len(uCols))
+
+		// Deactivate the pivot column in the L rows, and drop the pivot
+		// row and column.
+		for _, r := range lr {
+			cs := rowCol[r]
+			last := len(cs) - 1
+			for t, c := range cs {
+				if c == pj {
+					cs[t] = cs[last]
+					break
+				}
+			}
+			rowCol[r] = cs[:last]
 		}
 		colActive[pj] = false
-		colv[pj] = nil
-		rows[pi] = nil
+		colRow[pj], colVal[pj] = nil, nil
+		rowCol[pi] = nil
 	}
 
 	// Permutation inverses.
@@ -374,13 +406,9 @@ func (f *LU) Analyze(a *Matrix) error {
 
 	// Pack L (columns are elimination steps; convert rows to permuted
 	// positions and sort).
-	lnnz := 0
-	for k := range lrows {
-		lnnz += len(lrows[k])
-	}
 	f.lPtr = make([]int32, n+1)
-	f.lRow = make([]int32, 0, lnnz)
-	f.lVal = make([]float64, 0, lnnz)
+	f.lRow = make([]int32, 0, len(lRows))
+	f.lVal = make([]float64, 0, len(lRows))
 	type ent struct {
 		pos int32
 		val float64
@@ -389,10 +417,10 @@ func (f *LU) Analyze(a *Matrix) error {
 	for k := 0; k < n; k++ {
 		f.lPtr[k] = int32(len(f.lRow))
 		scratch = scratch[:0]
-		for t, rIdx := range lrows[k] {
-			scratch = append(scratch, ent{rowPos[rIdx], lvals[k][t]})
+		for t := lStep[k]; t < lStep[k+1]; t++ {
+			scratch = append(scratch, ent{rowPos[lRows[t]], lVals[t]})
 		}
-		sort.Slice(scratch, func(x, y int) bool { return scratch[x].pos < scratch[y].pos })
+		slices.SortFunc(scratch, func(x, y ent) int { return cmp.Compare(x.pos, y.pos) })
 		for _, e := range scratch {
 			f.lRow = append(f.lRow, e.pos)
 			f.lVal = append(f.lVal, e.val)
@@ -402,29 +430,24 @@ func (f *LU) Analyze(a *Matrix) error {
 
 	// Pack U column-major: entry (k, colPos[c]) for each recorded U-row
 	// entry (k, c).
-	ucount := make([]int32, n)
-	unnz := 0
-	for k := 0; k < n; k++ {
-		for _, cIdx := range ucols[k] {
-			ucount[colPos[cIdx]]++
-			unnz++
-		}
-	}
 	f.uPtr = make([]int32, n+1)
-	for j := 0; j < n; j++ {
-		f.uPtr[j+1] = f.uPtr[j] + ucount[j]
+	for _, c := range uCols {
+		f.uPtr[colPos[c]+1]++
 	}
-	f.uRow = make([]int32, unnz)
-	f.uVal = make([]float64, unnz)
+	for j := 0; j < n; j++ {
+		f.uPtr[j+1] += f.uPtr[j]
+	}
+	f.uRow = make([]int32, len(uCols))
+	f.uVal = make([]float64, len(uCols))
 	fill := make([]int32, n)
 	copy(fill, f.uPtr[:n])
 	// Iterate k ascending so each U column's rows come out sorted.
 	for k := 0; k < n; k++ {
-		for t, cIdx := range ucols[k] {
-			j := colPos[cIdx]
+		for t := uStep[k]; t < uStep[k+1]; t++ {
+			j := colPos[uCols[t]]
 			p := fill[j]
 			f.uRow[p] = int32(k)
-			f.uVal[p] = uvals[k][t]
+			f.uVal[p] = uVals[t]
 			fill[j] = p + 1
 		}
 	}
@@ -432,8 +455,8 @@ func (f *LU) Analyze(a *Matrix) error {
 
 	// A-scatter map: permuted column j draws from original column pcol[j].
 	f.aPtr = make([]int32, n+1)
-	f.aRow = make([]int32, a.NNZ())
-	f.aSlot = make([]int32, a.NNZ())
+	f.aRow = make([]int32, nnz)
+	f.aSlot = make([]int32, nnz)
 	t := int32(0)
 	for j := 0; j < n; j++ {
 		f.aPtr[j] = t
@@ -458,6 +481,44 @@ func (f *LU) Analyze(a *Matrix) error {
 		}
 	}
 	f.analyzed = true
-	f.patNNZ = a.NNZ()
+	f.patNNZ = nnz
 	return nil
+}
+
+// columnPivot returns an active column's best pivot candidate: among the
+// entries with |v| ≥ tol·colmax, the row with the fewest active entries,
+// then the larger magnitude, then the smaller row index; and its
+// Markowitz cost (row count − 1)·(column count − 1). row is -1 when the
+// column is numerically empty or has no acceptable entry.
+func columnPivot(rs []int32, vs []float64, rowCol [][]int32, tol float64) (row int32, cost int64) {
+	colmax := 0.0
+	for _, v := range vs {
+		if av := math.Abs(v); av > colmax {
+			colmax = av
+		}
+	}
+	if colmax == 0 {
+		return -1, 0
+	}
+	thresh := tol * colmax
+	rBest, rBestCount := int32(-1), int64(math.MaxInt64)
+	var rBestAbs float64
+	for t, v := range vs {
+		av := math.Abs(v)
+		if av < thresh {
+			continue
+		}
+		r := rs[t]
+		rc := int64(len(rowCol[r])) - 1
+		switch {
+		case rc < rBestCount,
+			rc == rBestCount && av > rBestAbs,
+			rc == rBestCount && av == rBestAbs && r < rBest:
+			rBest, rBestCount, rBestAbs = r, rc, av
+		}
+	}
+	if rBest < 0 {
+		return -1, 0
+	}
+	return rBest, rBestCount * (int64(len(vs)) - 1)
 }
