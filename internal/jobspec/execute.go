@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aging"
@@ -151,7 +152,7 @@ func ExecuteOpts(ctx context.Context, spec *Spec, opts Options) (*Result, error)
 		}
 		text = string(b)
 	}
-	deck, err := netlist.Parse(text)
+	deck, err := parseDeck(text)
 	if err != nil {
 		return nil, err
 	}
@@ -420,13 +421,17 @@ func mcOutcome(p *MCParams, mc *variation.MCResult, chunks []variation.ChunkStat
 	return out
 }
 
+// parseDeck parses a netlist; a variable so tests can count the parses
+// an execution makes.
+var parseDeck = netlist.Parse
+
 // deckBuilder returns a DiePool Build that parses text into a fresh deck
 // and scales the named MOSFETs' widths (nil scales: the deck as written).
 // Resizing happens once per die, at build: ResizeMOSFET compounds on a
 // reused deck, so a pooled die is only ever reset, never re-resized.
 func deckBuilder(text string, scales map[string]float64) func() (*circuit.Circuit, error) {
 	return func() (*circuit.Circuit, error) {
-		deck, err := netlist.Parse(text)
+		deck, err := parseDeck(text)
 		if err != nil {
 			return nil, err
 		}
@@ -441,6 +446,20 @@ func deckBuilder(text string, scales map[string]float64) func() (*circuit.Circui
 			variation.ResizeMOSFET(m, deck.Tech, deck.TempK, sc)
 		}
 		return deck.Circuit, nil
+	}
+}
+
+// parsedFirst returns a DiePool Build that serves deck's circuit as the
+// first die, so the text Execute already parsed is not parsed again for
+// it, and calls build for every later die.
+func parsedFirst(deck *netlist.Deck, build func() (*circuit.Circuit, error)) func() (*circuit.Circuit, error) {
+	var first atomic.Pointer[circuit.Circuit]
+	first.Store(deck.Circuit)
+	return func() (*circuit.Circuit, error) {
+		if c := first.Swap(nil); c != nil {
+			return c, nil
+		}
+		return build()
 	}
 }
 
@@ -489,8 +508,9 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 	// the whole job, which amortises netlist parsing and the sparse
 	// backend's pattern discovery without perturbing any value (mismatch
 	// is fully overwritten per trial and the die reset to its parsed state
-	// on reuse). The nominal deck's Tech serves every die.
-	pool := &variation.DiePool{Build: deckBuilder(text, nil)}
+	// on reuse). The first die is the deck Execute already parsed, and the
+	// nominal deck's Tech serves every die.
+	pool := &variation.DiePool{Build: parsedFirst(deck, deckBuilder(text, nil))}
 	if die, err := pool.Get(); err == nil {
 		if sol, err := die.Circuit.OperatingPoint(); err == nil {
 			pool.Guess = sol.X

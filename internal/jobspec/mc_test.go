@@ -11,6 +11,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/netlist"
@@ -122,6 +123,42 @@ func TestMCBatchBitIdenticalExecution(t *testing.T) {
 			if got := valuesDigest(res.MC.Values); got != tc.want {
 				t.Errorf("%s GOMAXPROCS=%d: values digest %s, want %s", tc.name, procs, got, tc.want)
 			}
+		}
+	}
+}
+
+// TestMCParsesDeckOncePerDie counts the netlist parses of MC jobs: the
+// first pooled die is the deck Execute already parsed, so a worker that
+// keeps its die for the whole job costs no parse beyond Execute's. On
+// one worker the job parses its deck exactly once; on more, at most
+// once per worker.
+func TestMCParsesDeckOncePerDie(t *testing.T) {
+	var parses atomic.Int64
+	defer func(p func(string) (*netlist.Deck, error)) { parseDeck = p }(parseDeck)
+	parseDeck = func(text string) (*netlist.Deck, error) {
+		parses.Add(1)
+		return netlist.Parse(text)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		parses.Store(0)
+		s := &Spec{Analysis: KindMC, Netlist: inverterDeck, Seed: 9,
+			MC: &MCParams{Trials: 300, Node: "out"}}
+		s.ApplyDefaults()
+		res, err := Execute(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := valuesDigest(res.MC.Values); got != "fc99c8cf14a3db9af7f368c2368d3f29a598cb03268ee704f840200e171a51c6" {
+			t.Errorf("GOMAXPROCS=%d: values digest %s moved", procs, got)
+		}
+		n := parses.Load()
+		if procs == 1 && n != 1 {
+			t.Errorf("GOMAXPROCS=1: %d parses, want 1", n)
+		}
+		if n < 1 || n > int64(procs) {
+			t.Errorf("GOMAXPROCS=%d: %d parses, want 1..%d", procs, n, procs)
 		}
 	}
 }

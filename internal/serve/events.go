@@ -89,6 +89,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, ts *tenant
 			// event is already in evs (or was streamed earlier).
 			return
 		}
+		if len(evs) == 0 && flusher != nil {
+			// Send the headers anyway: a client resuming with ?from= sees a
+			// live stream.
+			flusher.Flush()
+		}
 		select {
 		case <-wait:
 		case <-r.Context().Done():

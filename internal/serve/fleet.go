@@ -430,7 +430,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request, ts *tenantS
 	st := fleetStatus{
 		Node:       s.nodeID,
 		QueueDepth: s.queue.depth(),
-		Inflight:   int(s.met.inflight.Value()),
+		Inflight:   int(s.inflight.Load()),
 		Workers:    s.cfg.Workers,
 		Tenants:    s.queue.tenantLoads(),
 	}

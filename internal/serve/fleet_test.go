@@ -19,6 +19,7 @@ import (
 	"repro/internal/jobspec"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/variation"
 )
 
 // --- raw-URL helpers (fleet tests address servers by base URL, which
@@ -268,6 +269,211 @@ func TestShardDispatchHungPeer(t *testing.T) {
 			t.Fatalf("goroutine leak: %d now vs baseline %d", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// cutAfterStarted passes an event stream through until the shard's
+// started event, flushes it, and then drops the connection mid-stream.
+type cutAfterStarted struct{ http.ResponseWriter }
+
+func (w cutAfterStarted) Write(b []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(b)
+	if bytes.Contains(b, []byte(`"type":"started"`)) {
+		w.Flush()
+		panic(http.ErrAbortHandler)
+	}
+	return n, err
+}
+
+func (w cutAfterStarted) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestShardDispatchStreamResume: a peer drops each shard's first /events
+// stream right after the shard starts, and the shards run on only once
+// a stream has been reopened. The dispatcher must resume each stream
+// past the events it has seen (?from=2: queued, started), finish both
+// shards remotely with no fallback and no resubmission, and merge
+// moments bit-identical to an unsharded run.
+func TestShardDispatchStreamResume(t *testing.T) {
+	reconnected := make(chan struct{})
+	var (
+		mu    sync.Mutex
+		froms []string
+	)
+	cut := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/events") {
+				from := r.URL.Query().Get("from")
+				if from == "0" {
+					next.ServeHTTP(cutAfterStarted{w}, r)
+					return
+				}
+				mu.Lock()
+				if froms = append(froms, from); len(froms) == 1 {
+					close(reconnected)
+				}
+				mu.Unlock()
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+	execB := func(ctx context.Context, sp *jobspec.Spec, opts jobspec.Options) (*jobspec.Result, error) {
+		select { // a shard is halfway through until its stream is back
+		case <-reconnected:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return jobspec.ExecuteOpts(ctx, sp, opts)
+	}
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	_, sB, urlA, _ := startFleet(t,
+		Config{QueueDepth: 8, Workers: 1, Registry: regA, Tenants: twoTenants()},
+		Config{QueueDepth: 8, Workers: 2, Registry: regB, Tenants: twoTenants(), Execute: execB}, cut)
+
+	spec := mcSpec(96)
+	spec.Seed = 54
+	spec.MC.Shards = 2
+	v := submitURL(t, urlA, "k-acme", spec)
+	fin := waitTerminalURL(t, urlA, "k-acme", v.ID)
+	if fin.State != StateDone {
+		t.Fatalf("campaign = %s (error %q), want done", fin.State, fin.Error)
+	}
+	assertUnshardedMoments(t, fin, spec)
+	snap := regA.Snapshot()
+	if n, _ := snap.Counter("serve_shards_dispatched_total"); n != 2 {
+		t.Errorf("serve_shards_dispatched_total = %d, want 2", n)
+	}
+	if n, _ := snap.Counter("serve_shard_fallbacks_total"); n != 0 {
+		t.Errorf("serve_shard_fallbacks_total = %d, want 0", n)
+	}
+	mu.Lock()
+	if len(froms) != 2 || froms[0] != "2" || froms[1] != "2" {
+		t.Errorf("reopened streams asked for from=%q, want one from=2 per shard", froms)
+	}
+	mu.Unlock()
+	if n, _ := regB.Snapshot().Counter("serve_jobs_submitted_total"); n != 2 {
+		t.Errorf("peer accepted %d sub-jobs, want 2 (no resubmission)", n)
+	}
+	sB.mu.Lock()
+	held := len(sB.jobs)
+	sB.mu.Unlock()
+	if held != 2 {
+		t.Errorf("peer holds %d jobs, want 2", held)
+	}
+}
+
+// TestShardDispatchSilentEvents: a peer that accepts the shard submit
+// and then holds every /events stream open without writing a byte. Each
+// stream attempt times out after ShardHTTPTimeout; past the retry bound
+// the dispatch must fall back locally, counted as unreachable, within a
+// bounded time and without leaking goroutines.
+func TestShardDispatchSilentEvents(t *testing.T) {
+	hang := make(chan struct{})
+	var ids atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, fleetStatus{Node: "b"})
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, View{ID: fmt.Sprintf("b-job-%06d", ids.Add(1)), State: StateQueued})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		select { // hold the stream open, write nothing
+		case <-r.Context().Done():
+		case <-hang:
+		}
+	})
+	peer := httptest.NewServer(mux)
+	t.Cleanup(peer.Close)
+	t.Cleanup(func() { close(hang) }) // runs before the peer's Close
+
+	baseline := runtime.NumGoroutine()
+	reg := obs.NewRegistry()
+	ts := originWithPeer(t, peer.URL, Config{QueueDepth: 4, Workers: 1, Registry: reg,
+		ShardHTTPTimeout: 300 * time.Millisecond})
+
+	spec := mcSpec(48)
+	spec.Seed = 55
+	spec.MC.Shards = 2
+	start := time.Now()
+	_, v := submit(t, ts, spec)
+	fin := waitTerminal(t, ts, v.ID)
+	if fin.State != StateDone {
+		t.Fatalf("campaign = %s (error %q), want local-fallback done", fin.State, fin.Error)
+	}
+	if elapsed := time.Since(start); elapsed > 20*time.Second {
+		t.Errorf("campaign took %s against a silent stream; the retry bound did not bite", elapsed)
+	}
+	snap := reg.Snapshot()
+	if n, _ := snap.Counter("serve_shard_fallbacks_unreachable_total"); n != 2 {
+		t.Errorf("serve_shard_fallbacks_unreachable_total = %d, want 2", n)
+	}
+	if n, _ := snap.Counter("serve_shard_fallbacks_total"); n != 2 {
+		t.Errorf("serve_shard_fallbacks_total = %d, want 2", n)
+	}
+	if n := ids.Load(); n != 2 {
+		t.Errorf("peer saw %d shard submits, want 2", n)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline+15 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d now vs baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestShardDispatchFinishedBeforeAnswer: a peer's worker can finish a
+// shard before the peer writes its 202 answer to the submit, which then
+// reads done but, like every 202, carries no result. The peer here
+// holds each submit answer until the shard is done. The dispatcher must
+// still fetch the result rather than fall back, and merge moments
+// bit-identical to an unsharded run.
+func TestShardDispatchFinishedBeforeAnswer(t *testing.T) {
+	var peer atomic.Pointer[Server]
+	late := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost {
+				next.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			var v View
+			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+				t.Errorf("peer submit answer: %v", err)
+				return
+			}
+			for j := peer.Load().job(v.ID); j != nil; time.Sleep(time.Millisecond) {
+				if st, _ := j.terminalInfo(); st.Terminal() {
+					v = j.view(false)
+					break
+				}
+			}
+			writeJSON(w, rec.Code, v)
+		})
+	}
+	reg := obs.NewRegistry()
+	_, sB, urlA, _ := startFleet(t,
+		Config{QueueDepth: 8, Workers: 1, Registry: reg, Tenants: twoTenants()},
+		Config{QueueDepth: 8, Workers: 2, Tenants: twoTenants()}, late)
+	peer.Store(sB)
+
+	spec := mcSpec(96)
+	spec.Seed = 56
+	spec.MC.Shards = 2
+	v := submitURL(t, urlA, "k-acme", spec)
+	fin := waitTerminalURL(t, urlA, "k-acme", v.ID)
+	if fin.State != StateDone {
+		t.Fatalf("campaign = %s (error %q), want done", fin.State, fin.Error)
+	}
+	assertUnshardedMoments(t, fin, spec)
+	snap := reg.Snapshot()
+	if n, _ := snap.Counter("serve_shards_dispatched_total"); n != 2 {
+		t.Errorf("serve_shards_dispatched_total = %d, want 2", n)
+	}
+	if n, _ := snap.Counter("serve_shard_fallbacks_total"); n != 0 {
+		t.Errorf("serve_shard_fallbacks_total = %d, want 0", n)
 	}
 }
 
@@ -743,6 +949,193 @@ func TestFleetShardPlacement(t *testing.T) {
 	if got.MC.Stats.Moments != want.MC.Stats.Moments {
 		t.Errorf("fleet-placed moments\n%+v\ndiffer from the unsharded run's\n%+v",
 			got.MC.Stats.Moments, want.MC.Stats.Moments)
+	}
+}
+
+// startFleet starts fleet nodes a and b on loopback listeners with cfgA
+// and cfgB (their Fleet tables filled in here), b's handler wrapped in
+// wrapB when non-nil, and has each node probe the other once, so
+// placement sees a healthy, idle peer.
+func startFleet(t *testing.T, cfgA, cfgB Config, wrapB func(http.Handler) http.Handler) (sA, sB *Server, urlA, urlB string) {
+	t.Helper()
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	urlA = "http://" + lnA.Addr().String()
+	urlB = "http://" + lnB.Addr().String()
+	cfgA.Fleet = twoNodeFleet("a", urlA, urlB, "", "")
+	cfgB.Fleet = twoNodeFleet("b", urlA, urlB, "", "")
+	sA, sB = NewServer(cfgA), NewServer(cfgB)
+	var hB http.Handler = sB
+	if wrapB != nil {
+		hB = wrapB(sB)
+	}
+	go func() { _ = http.Serve(lnA, sA) }()
+	go func() { _ = http.Serve(lnB, hB) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = sA.Shutdown(ctx)
+		_ = sB.Shutdown(ctx)
+		lnA.Close()
+		lnB.Close()
+	})
+	now := time.Now()
+	sA.probeFleet(now)
+	sB.probeFleet(now)
+	if sA.fleet.healthyCount() != 2 || sB.fleet.healthyCount() != 2 {
+		t.Fatal("fleet nodes do not see each other healthy after a probe")
+	}
+	return sA, sB, urlA, urlB
+}
+
+// assertUnshardedMoments checks a finished campaign's merged moments are
+// bit-identical to a single-node, unsharded run of spec.
+func assertUnshardedMoments(t *testing.T, fin View, spec *jobspec.Spec) {
+	t.Helper()
+	var got jobspec.Result
+	if err := json.Unmarshal(fin.Result, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.MC == nil || got.MC.Stats == nil || got.MC.Completed() != spec.MC.Trials {
+		t.Fatalf("campaign %s outcome = %+v, want stats over %d trials", fin.ID, got.MC, spec.MC.Trials)
+	}
+	ref := *spec
+	mc := *spec.MC
+	mc.Shards = 0
+	ref.MC = &mc
+	ref.ApplyDefaults()
+	want, err := jobspec.Execute(context.Background(), &ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MC.Stats.Moments != want.MC.Stats.Moments {
+		t.Errorf("campaign %s moments\n%+v\ndiffer from the unsharded run's\n%+v",
+			fin.ID, got.MC.Stats.Moments, want.MC.Stats.Moments)
+	}
+}
+
+// TestFleetPlacementLoadAwareWithoutRegistry: with no metrics registry
+// on either node, the node running a campaign still counts that
+// campaign as load, so every shard goes to the idle peer instead of
+// being split round-robin between the two.
+func TestFleetPlacementLoadAwareWithoutRegistry(t *testing.T) {
+	sA, sB, urlA, _ := startFleet(t,
+		Config{QueueDepth: 16, Workers: 1, Tenants: twoTenants()},
+		Config{QueueDepth: 16, Workers: 2, Tenants: twoTenants()}, nil)
+	spec := mcSpec(96)
+	spec.Seed = 73
+	spec.MC.Shards = 4
+	v := submitURL(t, urlA, "k-acme", spec)
+	fin := waitTerminalURL(t, urlA, "k-acme", v.ID)
+	if fin.State != StateDone {
+		t.Fatalf("campaign = %s (error %q), want done", fin.State, fin.Error)
+	}
+	assertUnshardedMoments(t, fin, spec)
+	sB.mu.Lock()
+	onB := len(sB.jobs)
+	sB.mu.Unlock()
+	if onB != 4 {
+		t.Errorf("idle peer ran %d of 4 shards, want all 4", onB)
+	}
+	if n := sA.inflight.Load(); n != 0 {
+		t.Errorf("in-flight count after the campaign = %d, want 0", n)
+	}
+}
+
+// TestFleetWorkersOneCrossPlacement is the cross-placement deadlock:
+// two nodes with one worker each run a campaign apiece and place every
+// shard on the other node, where it queues behind the campaign that
+// waits for it. A shard the peer has not started within
+// ShardHTTPTimeout must be withdrawn and run locally, so both campaigns
+// finish, bit-identical to single-node runs.
+func TestFleetWorkersOneCrossPlacement(t *testing.T) {
+	// Each campaign holds its node's only worker until both are running,
+	// so the shards are placed while both nodes are busy.
+	var both sync.WaitGroup
+	both.Add(2)
+	exec := func(ctx context.Context, sp *jobspec.Spec, opts jobspec.Options) (*jobspec.Result, error) {
+		if sp.MC != nil && sp.MC.Range == nil {
+			both.Done()
+			both.Wait()
+		}
+		return jobspec.ExecuteOpts(ctx, sp, opts)
+	}
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	const timeout = 300 * time.Millisecond
+	_, _, urlA, urlB := startFleet(t,
+		Config{QueueDepth: 8, Workers: 1, Registry: regA, Tenants: twoTenants(), ShardHTTPTimeout: timeout, Execute: exec},
+		Config{QueueDepth: 8, Workers: 1, Registry: regB, Tenants: twoTenants(), ShardHTTPTimeout: timeout, Execute: exec}, nil)
+
+	specA, specB := mcSpec(96), mcSpec(96)
+	specA.Seed, specB.Seed = 74, 75
+	specA.MC.Shards, specB.MC.Shards = 2, 2
+	vA := submitURL(t, urlA, "k-acme", specA)
+	vB := submitURL(t, urlB, "k-acme", specB)
+	for _, c := range []struct {
+		url  string
+		id   string
+		spec *jobspec.Spec
+	}{{urlA, vA.ID, specA}, {urlB, vB.ID, specB}} {
+		fin := waitTerminalURL(t, c.url, "k-acme", c.id)
+		if fin.State != StateDone {
+			t.Fatalf("campaign %s = %s (error %q), want done", c.id, fin.State, fin.Error)
+		}
+		assertUnshardedMoments(t, fin, c.spec)
+	}
+	var fallbacks, dispatched, unreachable int64
+	for _, reg := range []*obs.Registry{regA, regB} {
+		snap := reg.Snapshot()
+		n, _ := snap.Counter("serve_shard_fallbacks_total")
+		fallbacks += n
+		n, _ = snap.Counter("serve_shards_dispatched_total")
+		dispatched += n
+		n, _ = snap.Counter("serve_shard_fallbacks_unreachable_total")
+		unreachable += n
+	}
+	// The first campaign to finish cannot have had a shard run on the
+	// other, still-busy node: both of its shards fell back.
+	if fallbacks < 2 || fallbacks+dispatched != 4 {
+		t.Errorf("%d fallbacks and %d dispatched shards, want at least 2 fallbacks of 4 shards", fallbacks, dispatched)
+	}
+	if unreachable != 0 {
+		t.Errorf("%d fallbacks counted unreachable, want 0: both peers answered", unreachable)
+	}
+}
+
+// TestFleetJournalsEachChunkOnce: a campaign whose shards run on a peer
+// journals each chunk once, on the dispatching node, which owns resume.
+// Summed across both stores, the checkpoints equal the campaign's chunks.
+func TestFleetJournalsEachChunkOnce(t *testing.T) {
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	stA, stB := mustStore(t, t.TempDir(), regA), mustStore(t, t.TempDir(), regB)
+	t.Cleanup(func() {
+		stA.Close()
+		stB.Close()
+	})
+	_, _, urlA, _ := startFleet(t,
+		Config{QueueDepth: 8, Workers: 1, Registry: regA, Store: stA, Tenants: twoTenants()},
+		Config{QueueDepth: 8, Workers: 2, Registry: regB, Store: stB, Tenants: twoTenants()}, nil)
+	spec := mcSpec(96)
+	spec.Seed = 76
+	spec.MC.Shards = 2
+	v := submitURL(t, urlA, "k-acme", spec)
+	fin := waitTerminalURL(t, urlA, "k-acme", v.ID)
+	if fin.State != StateDone {
+		t.Fatalf("campaign = %s (error %q), want done", fin.State, fin.Error)
+	}
+	if n, _ := regA.Snapshot().Counter("serve_shards_dispatched_total"); n != 2 {
+		t.Fatalf("serve_shards_dispatched_total = %d, want both shards on the peer", n)
+	}
+	a, _ := regA.Snapshot().Counter("store_checkpoints_total")
+	b, _ := regB.Snapshot().Counter("store_checkpoints_total")
+	if chunks := int64(variation.NumChunks(spec.MC.Trials)); a+b != chunks {
+		t.Errorf("journaled %d checkpoints on the dispatcher and %d on the peer, want %d in all (one per chunk)", a, b, chunks)
 	}
 }
 

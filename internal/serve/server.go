@@ -91,10 +91,11 @@ type Config struct {
 	// Nil runs the server as a fleet of one: no peers, no fleet key,
 	// unprefixed job IDs, and every shard placed on this node.
 	Fleet *FleetConfig
-	// ShardHTTPTimeout bounds every node-to-node shard dispatch request —
-	// submit, poll, cancel (default 15s). This is what turns a peer that
-	// accepts TCP and then stalls into a fallback instead of a worker
-	// goroutine parked forever.
+	// ShardHTTPTimeout bounds every node-to-node shard dispatch request
+	// (default 15s), so a peer that accepts TCP and then stalls costs a
+	// fallback, not a worker goroutine parked forever. It also cuts a
+	// shard's event stream, which reopens, and a shard the peer has not
+	// started within it is withdrawn and run locally.
 	ShardHTTPTimeout time.Duration
 	// MaxTerminalJobs bounds the retained terminal jobs (default 512,
 	// negative = unbounded); the oldest are evicted first. Queued and
@@ -149,6 +150,9 @@ type Server struct {
 	// ready flips once journal replay and restore have completed; until
 	// then /readyz answers 503 not_ready (liveness /healthz is unaffected).
 	ready atomic.Bool
+	// inflight counts jobs executing on the worker pool, the load that
+	// placement and probes read; the serve_jobs_inflight gauge mirrors it.
+	inflight atomic.Int64
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -948,7 +952,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"jobs":        total,
 		"queue_depth": s.queue.depth(),
 		"queue_cap":   s.queue.capacity(),
-		"inflight":    int(s.met.inflight.Value()),
+		"inflight":    int(s.inflight.Load()),
 		"workers":     s.cfg.Workers,
 	})
 }

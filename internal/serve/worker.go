@@ -57,23 +57,31 @@ func (s *Server) runJob(j *Job) {
 	s.storeErr(s.cfg.Store.JobRunning(j.ID, time.Now()))
 	_, submitted := j.snapshot()
 	s.met.waitSecs.Observe(time.Since(submitted).Seconds())
+	s.inflight.Add(1)
 	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
+	defer func() {
+		s.inflight.Add(-1)
+		s.met.inflight.Add(-1)
+	}()
 	started := time.Now()
 
 	opts := jobspec.Options{
-		OnProgress:    j.addProgress,
-		ProgressEvery: s.cfg.ProgressEvery,
 		// Resume carries the chunk checkpoints a dead process journaled for
 		// this job (nil for fresh submissions): the campaign folds them in
 		// and re-runs only the chunks past the last one.
 		Resume: j.resume,
+	}
+	// A fleet-internal shard's dispatcher reads only its start and end,
+	// and journals each of its chunks once itself.
+	if !j.internal {
+		opts.OnProgress = j.addProgress
+		opts.ProgressEvery = s.cfg.ProgressEvery
 		// Journal every completed campaign chunk: the durable unit of
 		// resume. A crash from here on loses at most the chunk in flight.
-		OnCheckpoint: func(cp jobspec.Checkpoint) {
+		opts.OnCheckpoint = func(cp jobspec.Checkpoint) {
 			s.storeErr(s.cfg.Store.JobCheckpoint(j.ID, cp.Seq, cp.Data, time.Now()))
 			s.met.checkpoints.Inc()
-		},
+		}
 	}
 	opts.RunShard = func(ctx context.Context, shard int, sub *jobspec.Spec) (*jobspec.Result, error) {
 		return s.runShard(ctx, j, shard, sub)
