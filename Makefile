@@ -17,7 +17,10 @@ vet:
 	$(GO) vet ./...
 
 # Every package must open with a doc comment mapping it to its paper
-# section/equation; see cmd/doccheck.
+# section/equation, and every exported identifier under internal/ must
+# have a non-test caller somewhere in the tree (bench/e2e included), or a
+# `paper: §N` / `test seam` tag in its doc comment plus a test that uses
+# it; see cmd/doccheck.
 doccheck:
 	$(GO) run ./cmd/doccheck .
 
@@ -111,8 +114,8 @@ race-fleet:
 	$(GO) test -race -count=1 -run 'TestFleet|FuzzFleet|TestShardDispatch|TestShardPeerFallbackLocal|TestSingleNode' ./internal/serve/
 
 # A few seconds of coverage-guided fuzzing per target: the fleet config
-# parser, journal replay and spec decoding on arbitrary bytes, and the
-# sparse LU on MNA-shaped systems decoded from them (analysis bit-identical
+# parser, journal replay, spec decoding and netlist parsing on arbitrary
+# input, and the sparse LU on MNA-shaped systems decoded from bytes (analysis bit-identical
 # to the map-based reference, solve against dense). Minimizing each new
 # corpus entry is capped at 1s, or the fsync-bound journal target would
 # spend the whole budget minimizing. New failing inputs land in the
@@ -122,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/jobspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzSparseLU$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/linalg/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzNetlistParse$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2 ./internal/netlist/
 
 # Harness-rot check for cmd/loadgen: one short open-loop stage against
 # an in-process server, asserting the BENCH_9 driver still runs end to

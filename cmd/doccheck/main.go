@@ -16,6 +16,24 @@
 // per violation and exits non-zero if any are found, making it a cheap
 // go-vet-style gate for `make ci`.
 //
+// The same walk checks reachability when the directory holds a go.mod:
+// every exported package-level identifier and method declared under
+// internal/ must be referenced from non-test code somewhere in the tree —
+// cmd/, examples/, the root package and nested modules such as bench/e2e
+// all count. References are resolved with go/types (each package is
+// type-checked once; the standard library comes from the compiler's export
+// data), not matched by name. A method also counts as reached when its
+// receiver type implements an interface that declares it (fmt.Stringer,
+// error, json.Marshaler, the repository's own interfaces, and the
+// Unwrap/Is/As methods the errors package finds by assertion). An identifier
+// with no such reference passes only if its doc comment carries one of two
+// tags and some _test.go file references it:
+//
+//   - `paper: §N` when a test asserts the paper claim it reproduces;
+//   - `test seam` when another package's tests use it.
+//
+// Anything else is dead API and is reported.
+//
 // -exported names package directories (comma-separated) whose exported
 // type declarations must each carry their own doc comment — the report
 // and campaign schemas are consumed through godoc, so an undocumented
@@ -44,7 +62,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,58 +133,29 @@ func main() {
 	}
 }
 
-// check walks root and returns one violation line per documented-package
-// failure.
+// check walks root and returns one violation line per package without a
+// doc comment and, when root holds a go.mod, per unreached exported
+// identifier under internal/ (see reach.go).
 func check(root string) ([]string, error) {
-	// dir -> package name (any non-test file's) and whether a doc was seen.
-	type pkgState struct {
-		name   string
-		hasDoc bool
-	}
-	pkgs := map[string]*pkgState{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		// PackageClauseOnly keeps the parse cheap; ParseComments retains
-		// the doc comment attached to the clause.
-		f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly|parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Dir(path)
-		st := pkgs[dir]
-		if st == nil {
-			st = &pkgState{name: f.Name.Name}
-			pkgs[dir] = st
-		}
-		if f.Doc != nil && len(strings.TrimSpace(f.Doc.Text())) > 0 {
-			st.hasDoc = true
-		}
-		return nil
-	})
-	if err != nil {
+	r := newReach()
+	if err := r.load(root); err != nil {
 		return nil, err
 	}
 	var bad []string
-	for dir, st := range pkgs {
-		if !st.hasDoc {
-			bad = append(bad, fmt.Sprintf("%s: package %s has no package doc comment", dir, st.name))
+	for _, pkg := range r.pkgs {
+		documented := false
+		for _, f := range pkg.files {
+			documented = documented || strings.TrimSpace(f.Doc.Text()) != ""
+		}
+		if len(pkg.files) > 0 && !documented {
+			bad = append(bad, fmt.Sprintf("%s: package %s has no package doc comment", pkg.dir, pkg.files[0].Name.Name))
 		}
 	}
-	return bad, nil
+	if r.module == "" {
+		return bad, nil // no go.mod: no import paths to resolve
+	}
+	unreached, err := r.unreached(root)
+	return append(bad, unreached...), err
 }
 
 // checkExported parses one package directory (non-recursive) and returns

@@ -24,17 +24,6 @@ type Monitor struct {
 	Measure func(c *circuit.Circuit) (float64, error)
 }
 
-// OPVoltageMonitor returns a monitor reading a DC node voltage.
-func OPVoltageMonitor(name, node string) Monitor {
-	return Monitor{Name: name, Measure: func(c *circuit.Circuit) (float64, error) {
-		sol, err := c.OperatingPoint()
-		if err != nil {
-			return 0, err
-		}
-		return sol.Voltage(node), nil
-	}}
-}
-
 // ACGainMonitor returns a monitor reading |V(node)| from a small-signal AC
 // analysis at freq (the stimulus source must have ACMag set).
 func ACGainMonitor(name, node string, freq float64) Monitor {
@@ -87,11 +76,6 @@ func NewKnob(name string, levels []float64, apply func(float64)) *Knob {
 
 // VSourceKnob builds a knob that retunes a DC voltage source.
 func VSourceKnob(name string, src *circuit.VSource, levels []float64) *Knob {
-	return NewKnob(name, levels, func(v float64) { src.W = circuit.DC(v) })
-}
-
-// ISourceKnob builds a knob that retunes a DC current source.
-func ISourceKnob(name string, src *circuit.ISource, levels []float64) *Knob {
 	return NewKnob(name, levels, func(v float64) { src.W = circuit.DC(v) })
 }
 

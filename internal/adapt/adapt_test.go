@@ -11,6 +11,17 @@ import (
 	"repro/internal/variation"
 )
 
+// OPVoltageMonitor returns a monitor reading a DC node voltage.
+func OPVoltageMonitor(name, node string) Monitor {
+	return Monitor{Name: name, Measure: func(c *circuit.Circuit) (float64, error) {
+		sol, err := c.OperatingPoint()
+		if err != nil {
+			return 0, err
+		}
+		return sol.Voltage(node), nil
+	}}
+}
+
 // ampSystem builds a common-source amplifier with a gate-bias knob and a
 // gain monitor — the canonical knobs-and-monitors demonstrator.
 type ampSystem struct {

@@ -41,6 +41,9 @@ func (m *MissionResult) TimeToFailure() float64 {
 }
 
 // SurvivedCheckpoints counts in-spec checkpoints.
+//
+// paper: §5.2 — TestAdaptiveOutlivesStatic asserts that the adaptive
+// design stays in spec at more checkpoints than the static one (Fig. 6).
 func (m *MissionResult) SurvivedCheckpoints() int {
 	n := 0
 	for _, p := range m.Points {

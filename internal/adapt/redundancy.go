@@ -14,6 +14,8 @@ import (
 // StandbyLifetime returns the system lifetime of cold-standby redundancy
 // with the given number of spares and a perfect failure switch: each unit
 // wears only while active, so lifetimes add.
+//
+// paper: §5 — TestStandbyLifetime asserts the additive standby lifetime.
 func StandbyLifetime(unitTTF float64, spares int) float64 {
 	if spares < 0 {
 		panic(fmt.Sprintf("adapt: negative spare count %d", spares))
@@ -25,6 +27,9 @@ func StandbyLifetime(unitTTF float64, spares int) float64 {
 // redundancy needs to reach targetTTF — the area multiplier of the
 // redundancy approach. It returns a huge count capped at math.MaxInt32 for
 // effectively unreachable targets and 1 when the unit already suffices.
+//
+// paper: §5 — TestRedundancyVsAdaptationStory asserts that matching the
+// adaptive design's lifetime by redundancy costs an absurd area.
 func StandbyUnitsFor(unitTTF, targetTTF float64) int {
 	if unitTTF <= 0 {
 		panic(fmt.Sprintf("adapt: non-positive unit TTF %g", unitTTF))
@@ -47,6 +52,8 @@ func StandbyUnitsFor(unitTTF, targetTTF float64) int {
 // Note the classic wear-out result — with identically aging units TMR can
 // die *earlier* than a single unit once failures cluster, while costing 3×
 // the area.
+//
+// paper: §5 — TestTMRLifetime asserts the second-failure lifetime.
 func TMRLifetime(unitTTFs []float64) float64 {
 	if len(unitTTFs) != 3 {
 		panic(fmt.Sprintf("adapt: TMR needs exactly 3 units, got %d", len(unitTTFs)))

@@ -7,6 +7,15 @@ import (
 	"repro/internal/mathx"
 )
 
+// ConsumedLife returns the normalised fraction of the sampled breakdown
+// life already consumed (can exceed 1 after breakdown).
+func (st *TDDBState) ConsumedLife() float64 {
+	if st.critAge == 0 {
+		return 0
+	}
+	return st.consumed / st.critAge
+}
+
 func TestHCIPowerLawExponent(t *testing.T) {
 	m := DefaultHCI()
 	ts := mathx.Logspace(10, 1e8, 15)

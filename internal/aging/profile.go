@@ -21,6 +21,9 @@ type MissionPhase struct {
 // AgeProfile walks the circuit through a multi-phase mission, re-solving
 // the operating point and re-extracting stress at every checkpoint. The
 // returned trajectory carries absolute mission time.
+//
+// paper: §3.3 — TestAgeProfileHotPhaseAgesMore and TestAgeProfileDutyPerPhase
+// assert the temperature and duty-cycle dependence of the degradation.
 func (a *CircuitAger) AgeProfile(phases []MissionPhase) ([]Checkpoint, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("aging: empty mission profile")

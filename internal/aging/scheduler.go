@@ -325,41 +325,6 @@ func LinCheckpoints(tEnd float64, n int) []float64 {
 	return out
 }
 
-// LifetimeTo returns the time at which metric(t) first crosses limit,
-// interpolating in log-time between trajectory points. times and values
-// must be parallel, with times[0] allowed to be 0 (skipped for the log
-// interpolation). It returns +Inf when the limit is never crossed. The
-// metric is assumed monotone in the crossing region; rising reports
-// whether the metric crosses the limit from below.
-func LifetimeTo(times, values []float64, limit float64, rising bool) float64 {
-	if len(times) != len(values) {
-		panic("aging: LifetimeTo length mismatch")
-	}
-	crossed := func(v float64) bool {
-		if rising {
-			return v >= limit
-		}
-		return v <= limit
-	}
-	for i, v := range values {
-		if !crossed(v) {
-			continue
-		}
-		if i == 0 || times[i-1] <= 0 {
-			return times[i]
-		}
-		// Log-time linear interpolation between i-1 and i.
-		t0, t1 := math.Log(times[i-1]), math.Log(times[i])
-		v0, v1 := values[i-1], values[i]
-		if v1 == v0 {
-			return times[i]
-		}
-		f := (limit - v0) / (v1 - v0)
-		return math.Exp(t0 + f*(t1-t0))
-	}
-	return math.Inf(1)
-}
-
 // SortedAgerNames returns the device names with agers, sorted, for
 // deterministic reporting.
 func (a *CircuitAger) SortedAgerNames() []string {

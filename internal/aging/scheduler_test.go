@@ -186,29 +186,6 @@ func TestDutyOverride(t *testing.T) {
 	}
 }
 
-func TestLifetimeTo(t *testing.T) {
-	times := []float64{0, 1e2, 1e4, 1e6, 1e8}
-	values := []float64{0, 0.01, 0.02, 0.04, 0.08}
-	lt := LifetimeTo(times, values, 0.03, true)
-	if lt <= 1e4 || lt >= 1e6 {
-		t.Errorf("lifetime %g should be between the bracketing checkpoints", lt)
-	}
-	// Exact hit on a checkpoint.
-	if got := LifetimeTo(times, values, 0.08, true); !mathx.ApproxEqual(got, 1e8, 1e-9, 0) {
-		t.Errorf("exact hit = %g", got)
-	}
-	// Never crossed.
-	if !math.IsInf(LifetimeTo(times, values, 1.0, true), 1) {
-		t.Error("uncrossed limit must be +Inf")
-	}
-	// Falling metric.
-	falling := []float64{1, 0.9, 0.5, 0.2, 0.1}
-	lt2 := LifetimeTo(times, falling, 0.3, false)
-	if lt2 <= 1e4 || lt2 >= 1e8 {
-		t.Errorf("falling lifetime %g out of range", lt2)
-	}
-}
-
 func TestLinCheckpoints(t *testing.T) {
 	cps := LinCheckpoints(100, 4)
 	want := []float64{25, 50, 75, 100}

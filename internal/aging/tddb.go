@@ -112,12 +112,6 @@ func (m *TDDBModel) Eta(eox, tempK, area, toxNM float64) float64 {
 		math.Pow(m.ARef/area, 1/beta)
 }
 
-// TBDDistribution returns the Weibull distribution of time-to-breakdown at
-// fixed stress, for direct statistical analysis (Weibull plots etc.).
-func (m *TDDBModel) TBDDistribution(eox, tempK, area, toxNM float64) mathx.Weibull {
-	return mathx.NewWeibull(m.WeibullSlope(toxNM), m.Eta(eox, tempK, area, toxNM))
-}
-
 // ModesFor returns the breakdown mode sequence for an oxide thickness:
 // thick oxide → {HBD}; 2.5–5 nm → {SBD, HBD}; < 2.5 nm → {SBD, PBD, HBD}.
 func ModesFor(toxNM float64) []BDMode {
@@ -248,13 +242,4 @@ func (st *TDDBState) MobilityFactor() float64 {
 	default:
 		return 1
 	}
-}
-
-// ConsumedLife returns the normalised fraction of the sampled breakdown
-// life already consumed (can exceed 1 after breakdown).
-func (st *TDDBState) ConsumedLife() float64 {
-	if st.critAge == 0 {
-		return 0
-	}
-	return st.consumed / st.critAge
 }

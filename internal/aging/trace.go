@@ -32,6 +32,9 @@ type TracePoint struct {
 // while relaxed, with the permanent component ratcheting upward.
 // samplesPerPhase sets the time resolution inside each phase (log-spaced
 // within relaxation phases, where the action spans decades).
+//
+// paper: §3.3 — TestNBTITraceSawtooth asserts growth under stress, partial
+// relaxation and a ratcheting permanent component.
 func NBTITrace(m *NBTIModel, eox, tempK float64, schedule []Phase, samplesPerPhase int) ([]TracePoint, error) {
 	if len(schedule) == 0 {
 		return nil, fmt.Errorf("aging: empty schedule")
@@ -89,6 +92,9 @@ func NBTITrace(m *NBTIModel, eox, tempK float64, schedule []Phase, samplesPerPha
 
 // PeriodicSchedule builds an n-cycle square schedule with the given period
 // and stress duty factor — the AC-stress pattern of §3.3.
+//
+// paper: §3.3 — TestPeriodicTraceBelowDC asserts that AC stress shifts VT
+// less than DC stress.
 func PeriodicSchedule(period, duty float64, cycles int) ([]Phase, error) {
 	if period <= 0 || duty <= 0 || duty >= 1 || cycles < 1 {
 		return nil, fmt.Errorf("aging: bad periodic schedule (period=%g duty=%g cycles=%d)", period, duty, cycles)

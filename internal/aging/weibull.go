@@ -26,6 +26,9 @@ type WeibullFit struct {
 // approximation F_i ≈ (i−0.3)/(n+0.4)). All samples are failures; use
 // FitWeibullCensored when some units survived the test. It requires at
 // least three strictly positive times.
+//
+// paper: §3.1 — TestFitWeibullOnTDDBStateMachine asserts that sampled
+// time-to-breakdown is Weibull with the model's slope.
 func FitWeibull(times []float64) (*WeibullFit, error) {
 	failed := make([]bool, len(times))
 	for i := range failed {
@@ -92,6 +95,9 @@ func FitWeibullCensored(times []float64, failed []bool) (*WeibullFit, error) {
 // conditions with the exponential field model and Arrhenius temperature
 // acceleration (the same laws TDDBModel uses), returning the use-condition
 // time at the given cumulative failure target (e.g. 0.0001 for 100 ppm).
+//
+// paper: §3.1 — TestProjectedLifetime asserts that relaxing field and
+// temperature from stress to use conditions buys decades of TDDB life.
 func (m *TDDBModel) ProjectedLifetime(fit *WeibullFit,
 	stressEox, stressTempK, useEox, useTempK, failureTarget float64) (float64, error) {
 	if failureTarget <= 0 || failureTarget >= 1 {

@@ -214,12 +214,6 @@ func unwrapTo(ph float64) float64 {
 	return ph
 }
 
-// PairDevices returns the matched input pair, the first target for
-// mismatch studies.
-func (o *OTA) PairDevices() (*device.Mosfet, *device.Mosfet) {
-	return o.M1.Dev, o.M2.Dev
-}
-
 // AllDevices lists every transistor in the amplifier.
 func (o *OTA) AllDevices() []*circuit.MOSFET {
 	return []*circuit.MOSFET{o.M1, o.M2, o.M3, o.M4, o.MTail, o.MDrv, o.MSrc, o.MBias}

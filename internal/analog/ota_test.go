@@ -89,8 +89,7 @@ func TestOTAOffsetFollowsPairMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, _ := o.PairDevices()
-	d1.Mismatch = device.Mismatch{DeltaVT0: 5e-3, BetaFactor: 1}
+	o.M1.Dev.Mismatch = device.Mismatch{DeltaVT0: 5e-3, BetaFactor: 1}
 	shifted, err := o.InputOffset()
 	if err != nil {
 		t.Fatal(err)

@@ -94,6 +94,9 @@ func NewDAC(cfg DACConfig, rng *mathx.RNG) (*DAC, error) {
 // the configured SigmaUnit and the √weight law. This is the hook for
 // stratified (Latin-hypercube) sampling, which needs control over the
 // underlying normals.
+//
+// test seam: BenchmarkAblationSampling in the root package draws its
+// DACs by Latin-hypercube sampling through it.
 func NewDACFromErrors(cfg DACConfig, unaryZ, binZ []float64) (*DAC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -133,6 +136,9 @@ func (d *DAC) Sequence() []int { return append([]int(nil), d.seq...) }
 
 // SetSequence installs an explicit switching sequence (must be a
 // permutation of the unary indices).
+//
+// test seam: BenchmarkAblationSSPA in the root package installs the
+// ablated switching sequences through it.
 func (d *DAC) SetSequence(seq []int) error {
 	if len(seq) != len(d.seq) {
 		return fmt.Errorf("calib: sequence length %d, want %d", len(seq), len(d.seq))
@@ -148,30 +154,8 @@ func (d *DAC) SetSequence(seq []int) error {
 	return nil
 }
 
-// Output returns the analog output for an input code, in LSB units,
-// including all source errors.
-func (d *DAC) Output(code int) float64 {
-	if code < 0 || code >= d.Config.Codes() {
-		panic(fmt.Sprintf("calib: code %d out of range", code))
-	}
-	binMask := (1 << d.Config.BinaryBits) - 1
-	unaryCount := code >> d.Config.BinaryBits
-	binCode := code & binMask
-
-	out := 0.0
-	unaryWeight := float64(int(1) << d.Config.BinaryBits)
-	for k := 0; k < unaryCount; k++ {
-		out += unaryWeight + d.unaryErr[d.seq[k]]
-	}
-	for b := 0; b < d.Config.BinaryBits; b++ {
-		if binCode&(1<<b) != 0 {
-			out += float64(int(1)<<b) + d.binErr[b]
-		}
-	}
-	return out
-}
-
-// TransferCurve returns Output(code) for every code.
+// TransferCurve returns the analog output, in LSB units and including all
+// source errors, for every input code.
 func (d *DAC) TransferCurve() []float64 {
 	// Incremental evaluation: O(codes) instead of O(codes × sources).
 	n := d.Config.Codes()

@@ -1,12 +1,36 @@
 package calib
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mathx"
 )
+
+// Output is the direct per-code evaluation that the incremental
+// TransferCurve must reproduce.
+func (d *DAC) Output(code int) float64 {
+	if code < 0 || code >= d.Config.Codes() {
+		panic(fmt.Sprintf("calib: code %d out of range", code))
+	}
+	binMask := (1 << d.Config.BinaryBits) - 1
+	unaryCount := code >> d.Config.BinaryBits
+	binCode := code & binMask
+
+	out := 0.0
+	unaryWeight := float64(int(1) << d.Config.BinaryBits)
+	for k := 0; k < unaryCount; k++ {
+		out += unaryWeight + d.unaryErr[d.seq[k]]
+	}
+	for b := 0; b < d.Config.BinaryBits; b++ {
+		if binCode&(1<<b) != 0 {
+			out += float64(int(1)<<b) + d.binErr[b]
+		}
+	}
+	return out
+}
 
 func perfectDAC(t *testing.T, unary, binary int) *DAC {
 	t.Helper()

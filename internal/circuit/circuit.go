@@ -71,6 +71,10 @@ func (b MatrixBackend) String() string {
 // SetMatrixBackend selects how the MNA system is represented and factored.
 // Changing the backend drops the cached solve context (including the
 // warm-start state); the next solve rebuilds it.
+//
+// test seam: the circuit, core and root-package sparse tests and
+// benchmarks pin the backend through it; production solves run on the
+// automatic choice.
 func (c *Circuit) SetMatrixBackend(b MatrixBackend) {
 	if c.backend == b {
 		return
@@ -80,7 +84,10 @@ func (c *Circuit) SetMatrixBackend(b MatrixBackend) {
 }
 
 // UsingSparse reports whether the most recently built solve context runs
-// on the sparse backend — observability for tests and benchmarks.
+// on the sparse backend.
+//
+// test seam: the circuit, core and jobspec tests assert the backend
+// choice through it.
 func (c *Circuit) UsingSparse() bool {
 	return c.slv != nil && c.slv.useSparse
 }
@@ -118,9 +125,6 @@ func (c *Circuit) Node(name string) int {
 func (c *Circuit) NodeNames() []string {
 	return append([]string(nil), c.nodeNames...)
 }
-
-// NumNodes returns the number of non-ground nodes.
-func (c *Circuit) NumNodes() int { return len(c.nodeNames) }
 
 // NumUnknowns returns the size of the MNA system (nodes + branch currents).
 func (c *Circuit) NumUnknowns() int { return len(c.nodeNames) + c.branches }
@@ -258,15 +262,6 @@ func (c *Circuit) nodeName(i int) string {
 	return c.nodeNames[i]
 }
 
-// Element returns the raw element with the given name, or nil. Used by
-// higher layers (aging, adaptation) to reach MOSFET handles.
-func (c *Circuit) Element(name string) interface{} {
-	if e, ok := c.byName[name]; ok {
-		return e
-	}
-	return nil
-}
-
 // MOSFETByName returns the MOSFET element with the given name.
 func (c *Circuit) MOSFETByName(name string) (*MOSFET, error) {
 	e, ok := c.byName[name]
@@ -343,17 +338,4 @@ func (c *Circuit) VSourceByName(name string) (*VSource, error) {
 		return nil, fmt.Errorf("circuit: element %q is %T, not a VSource", name, e)
 	}
 	return v, nil
-}
-
-// ISourceByName returns the current source with the given name.
-func (c *Circuit) ISourceByName(name string) (*ISource, error) {
-	e, ok := c.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("circuit: no element %q", name)
-	}
-	i, ok := e.(*ISource)
-	if !ok {
-		return nil, fmt.Errorf("circuit: element %q is %T, not an ISource", name, e)
-	}
-	return i, nil
 }

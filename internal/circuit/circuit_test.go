@@ -348,9 +348,6 @@ func TestWaveformsUnknownNodePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wf.HasNode("a") || wf.HasNode("b") {
-		t.Error("HasNode wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -400,9 +397,6 @@ func TestElementAccessors(t *testing.T) {
 	}
 	if _, err := c.VSourceByName("I1"); err == nil {
 		t.Error("wrong type accepted")
-	}
-	if _, err := c.ISourceByName("I1"); err != nil {
-		t.Error(err)
 	}
 	if _, err := c.MOSFETByName("M1"); err != nil {
 		t.Error(err)

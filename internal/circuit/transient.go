@@ -38,12 +38,6 @@ func (w *Waveforms) Node(name string) []float64 {
 	return s
 }
 
-// HasNode reports whether samples exist for the named node.
-func (w *Waveforms) HasNode(name string) bool {
-	_, ok := w.nodes[name]
-	return ok
-}
-
 // Nodes lists recorded node names (unordered).
 func (w *Waveforms) Nodes() []string {
 	out := make([]string, 0, len(w.nodes))

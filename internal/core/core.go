@@ -159,22 +159,6 @@ func (r *Result) MedianTTF() float64 {
 	return r.FailureTimes[len(r.FailureTimes)/2]
 }
 
-// YieldAt returns the yield estimate nearest to time t, or a zero
-// YieldEstimate when the result holds no checkpoints (every trial failed
-// or was cancelled).
-func (r *Result) YieldAt(t float64) variation.YieldEstimate {
-	if len(r.Yield) == 0 {
-		return variation.YieldEstimate{}
-	}
-	best, dist := 0, math.Inf(1)
-	for i, tt := range r.Times {
-		if d := math.Abs(tt - t); d < dist {
-			best, dist = i, d
-		}
-	}
-	return r.Yield[best]
-}
-
 // trialOut is the private outcome of one reliability trial.
 type trialOut struct {
 	ok     bool

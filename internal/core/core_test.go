@@ -11,6 +11,22 @@ import (
 	"repro/internal/variation"
 )
 
+// YieldAt returns the yield estimate nearest to time t, or a zero
+// YieldEstimate when the result holds no checkpoints (every trial failed
+// or was cancelled).
+func (r *Result) YieldAt(t float64) variation.YieldEstimate {
+	if len(r.Yield) == 0 {
+		return variation.YieldEstimate{}
+	}
+	best, dist := 0, math.Inf(1)
+	for i, tt := range r.Times {
+		if d := math.Abs(tt - t); d < dist {
+			best, dist = i, d
+		}
+	}
+	return r.Yield[best]
+}
+
 const year = 365.25 * 24 * 3600
 
 // ampSim builds a Simulator around a PMOS common-source stage: the bias

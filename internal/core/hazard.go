@@ -25,6 +25,9 @@ type HazardCurve struct {
 // EstimateHazard bins failure times (as produced by Result.FailureTimes,
 // +Inf marking survivors) into the given increasing edges. Failures before
 // the first edge reduce the at-risk population but are not binned.
+//
+// paper: §3 — TestHazardRisingForWeibullWearOut asserts that wear-out
+// (Weibull β > 1) failure times give a rising hazard.
 func EstimateHazard(failureTimes []float64, edges []float64) (*HazardCurve, error) {
 	if len(edges) < 2 {
 		return nil, fmt.Errorf("core: hazard needs at least 2 bin edges")
@@ -70,6 +73,9 @@ func EstimateHazard(failureTimes []float64, edges []float64) (*HazardCurve, erro
 // thresholdPerSecond — a simple operational definition of where the
 // bathtub's wear-out wall begins. It returns +Inf when the hazard never
 // reaches the threshold.
+//
+// paper: §3 — TestHazardRisingForWeibullWearOut asserts that the onset of
+// the wear-out wall lies inside the simulated range.
 func (h *HazardCurve) WearOutOnset(thresholdPerSecond float64) float64 {
 	for i, r := range h.Rate {
 		if !math.IsNaN(r) && r >= thresholdPerSecond {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/aging"
 	"repro/internal/circuit"
+	"repro/internal/em"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/variation"
@@ -51,14 +52,16 @@ func SetMetrics(reg *obs.Registry) {
 }
 
 // EnableMetrics wires the whole reliability stack — linalg, circuit,
-// variation, aging and core itself — into one registry in a single call
-// (nil disables everything). The emc and em packages sit beside this
-// stack rather than under it, so callers that use them wire
-// emc.SetMetrics / em.SetMetrics separately.
+// variation, aging, the electromigration checker that every signoff's
+// wear-out node runs, and core itself — into one registry in a single call
+// (nil disables everything). The emc package sits beside this stack
+// rather than under it, so callers that use it wire emc.SetMetrics
+// separately.
 func EnableMetrics(reg *obs.Registry) {
 	linalg.SetMetrics(reg)
 	circuit.SetMetrics(reg)
 	variation.SetMetrics(reg)
 	aging.SetMetrics(reg)
+	em.SetMetrics(reg)
 	SetMetrics(reg)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/em"
 	"repro/internal/obs"
 )
 
@@ -113,5 +114,23 @@ func TestMetricsDisabledLeavesTelemetryBare(t *testing.T) {
 	}
 	if res.Telemetry.Completed != 8 {
 		t.Errorf("Completed = %d, want 8", res.Telemetry.Completed)
+	}
+}
+
+// TestEnableMetricsWiresEM checks that EnableMetrics reaches the EM
+// checker that every signoff's wear-out node runs: one Check moves
+// em_wires_checked_total by the number of wires it assessed.
+func TestEnableMetricsWiresEM(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+
+	wires := []*em.Wire{
+		{Name: "a", Width: 0.2e-6, Thickness: 0.2e-6, Length: 100e-6, Current: 1e-4},
+		{Name: "b", Width: 0.2e-6, Thickness: 0.2e-6, Length: 100e-6, Current: 1e-3},
+	}
+	em.DefaultBlack().Check(wires, 10*year, 378)
+	if n, ok := reg.Snapshot().Counter("em_wires_checked_total"); !ok || n != int64(len(wires)) {
+		t.Errorf("em_wires_checked_total = %d (registered %v), want %d", n, ok, len(wires))
 	}
 }

@@ -23,6 +23,9 @@ type Sensitivity struct {
 // positive value, e.g. 1 mV) one at a time and returns the centred
 // finite-difference sensitivity of the metric, sorted by descending
 // magnitude. The circuit's damage state is restored afterwards.
+//
+// paper: §6 — TestVTSensitivitiesIdentifyCriticalDevice asserts that the
+// analysis singles out the device that dominates the metric.
 func VTSensitivities(c *circuit.Circuit, metric func(*circuit.Circuit) (float64, error), deltaVT float64) ([]Sensitivity, error) {
 	if deltaVT <= 0 {
 		return nil, fmt.Errorf("core: perturbation must be positive, got %g", deltaVT)

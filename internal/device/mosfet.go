@@ -128,17 +128,6 @@ func FreshDamage() Damage {
 	return Damage{MobilityFactor: 1, LambdaFactor: 1}
 }
 
-// Add returns the composition of two damage states: VT shifts add, mobility
-// and lambda factors multiply, gate-leak conductances add.
-func (d Damage) Add(other Damage) Damage {
-	return Damage{
-		DeltaVT:        d.DeltaVT + other.DeltaVT,
-		MobilityFactor: d.MobilityFactor * other.MobilityFactor,
-		LambdaFactor:   d.LambdaFactor * other.LambdaFactor,
-		GateLeak:       d.GateLeak + other.GateLeak,
-	}
-}
-
 // OperatingPoint is the result of evaluating the large-signal model at one
 // bias point.
 type OperatingPoint struct {

@@ -143,25 +143,6 @@ func TestDamageReducesCurrent(t *testing.T) {
 	}
 }
 
-func TestDamageAddComposition(t *testing.T) {
-	a := Damage{DeltaVT: 0.02, MobilityFactor: 0.95, LambdaFactor: 1.1, GateLeak: 1e-6}
-	b := Damage{DeltaVT: 0.03, MobilityFactor: 0.90, LambdaFactor: 1.2, GateLeak: 2e-6}
-	c := a.Add(b)
-	if !mathx.ApproxEqual(c.DeltaVT, 0.05, 1e-12, 0) {
-		t.Error("DeltaVT should add")
-	}
-	if !mathx.ApproxEqual(c.MobilityFactor, 0.855, 1e-12, 0) {
-		t.Error("MobilityFactor should multiply")
-	}
-	if !mathx.ApproxEqual(c.GateLeak, 3e-6, 1e-12, 0) {
-		t.Error("GateLeak should add")
-	}
-	fresh := FreshDamage()
-	if d := fresh.Add(a); d != a {
-		t.Error("adding to fresh damage should be identity")
-	}
-}
-
 func TestMismatchShiftsCurrent(t *testing.T) {
 	m1 := testNMOS()
 	m2 := testNMOS()

@@ -41,6 +41,9 @@ type Technology struct {
 func (t *Technology) Tox() float64 { return t.ToxNM * 1e-9 }
 
 // AVTmVum returns AVT in the conventional mV·µm units used in Fig. 1.
+//
+// paper: §2 — TestTechAVTConsistentWithTrend asserts that every node's
+// AVT sits on the Fig. 1 trend against oxide thickness.
 func (t *Technology) AVTmVum() float64 { return t.AVT * 1e3 * 1e6 }
 
 // TuinhoutBenchmarkAVT returns the AVT (in mV·µm) predicted by Tuinhout's

@@ -96,12 +96,6 @@ func (ro *RingOscillator) estimateDelay() float64 {
 	return ctot * ro.Tech.VDD / (2 * idsat)
 }
 
-// EstimatedFrequency returns the analytic frequency estimate
-// 1/(2·stages·tp); MeasureFrequency supersedes it with a simulation.
-func (ro *RingOscillator) EstimatedFrequency() float64 {
-	return 1 / (2 * float64(ro.Stages) * ro.estimateDelay())
-}
-
 // MeasureFrequency runs a transient long enough for several oscillation
 // periods and extracts the frequency from the spacing of rising
 // mid-supply crossings on stage 0. The devices' present damage state is in

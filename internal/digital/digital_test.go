@@ -35,8 +35,9 @@ func TestRingOscillates(t *testing.T) {
 	if f < 1e8 || f > 1e11 {
 		t.Errorf("ring frequency %g Hz implausible for 90 nm", f)
 	}
-	// The analytic estimate should be in the right ballpark (same decade).
-	est := ro.EstimatedFrequency()
+	// The analytic estimate 1/(2·stages·tp) that seeds the measurement
+	// window should be in the right ballpark (same decade).
+	est := 1 / (2 * float64(ro.Stages) * ro.estimateDelay())
 	ratio := f / est
 	if ratio < 0.1 || ratio > 10 {
 		t.Errorf("measured %g vs estimate %g: ratio %g out of band", f, est, ratio)

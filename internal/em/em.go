@@ -237,12 +237,18 @@ func SeriesMTTF(mttfs []float64) float64 {
 	return 1 / sum
 }
 
+// Resistivity is the effective resistivity of damascene copper
+// interconnect in Ω·m: bulk 1.7e-8 Ω·m plus ~30 % for barrier and
+// scattering.
+const Resistivity = 2.2e-8
+
 // WireResistance returns the electrical resistance of a wire segment from
-// its geometry: R = ρ·L/(W·T), using the effective resistivity of damascene
-// copper interconnect (bulk 1.7e-8 Ω·m plus ~30 % for barrier and
-// scattering). Parasitic-aware flows use it to generate the resistors that
-// carry wire currents in the electrical netlist.
+// its geometry: R = ρ·L/(W·T) with ρ = Resistivity. Parasitic-aware flows
+// use it to generate the resistors that carry wire currents in the
+// electrical netlist.
+//
+// test seam: the jobspec wear-out tests check through it that each wire
+// synthesized from a deck resistor reproduces that resistor's value.
 func WireResistance(w *Wire) float64 {
-	const rhoEff = 2.2e-8 // Ω·m
-	return rhoEff * w.Length / w.Area()
+	return Resistivity * w.Length / w.Area()
 }

@@ -37,6 +37,9 @@ func AssignCurrents(c *circuit.Circuit, sol *circuit.Solution, bindings []Bindin
 
 // CheckCircuit runs the full extract-and-check flow: solve the operating
 // point, assign currents to the bound wires, and produce the EM report.
+//
+// paper: §3.4 — TestCheckCircuitFlow asserts that the simulated trunk
+// current drives its narrow wire past the EM lifetime target.
 func (m *BlackModel) CheckCircuit(c *circuit.Circuit, bindings []Binding, targetLife, tempK float64) (*Report, error) {
 	sol, err := c.OperatingPoint()
 	if err != nil {

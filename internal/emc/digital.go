@@ -67,6 +67,10 @@ func CountTransitions(values []float64, lo, hi float64) int {
 // (vin, vout): VIL and VIH are the unity-gain points (|dVout/dVin| = 1),
 // VOL/VOH the output levels beyond them. The curve must be a falling
 // inverter VTC.
+//
+// paper: §4 — TestNoiseMarginsFromVTC asserts that a simulated inverter
+// VTC leaves positive low and high margins, the static immunity that
+// interference must overcome to cause false switching.
 func NoiseMargins(vin, vout []float64) (nml, nmh float64, err error) {
 	if len(vin) != len(vout) || len(vin) < 5 {
 		return 0, 0, fmt.Errorf("emc: need a sampled VTC of at least 5 points")

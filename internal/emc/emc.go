@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
-	"repro/internal/mathx"
 	"repro/internal/obs"
 )
 
@@ -27,13 +26,6 @@ type Injection struct {
 // Metric reduces a transient waveform set to a scalar (e.g. mean output
 // current). It sees only samples from startIdx on, i.e. after settling.
 type Metric func(wf *circuit.Waveforms, startIdx int) float64
-
-// MeanNode returns a Metric measuring the time-average voltage of a node.
-func MeanNode(name string) Metric {
-	return func(wf *circuit.Waveforms, start int) float64 {
-		return mathx.Mean(wf.Node(name)[start:])
-	}
-}
 
 // MeanResistorCurrent returns a Metric measuring the average current
 // through a resistor connected between nodes a and b (flowing a→b).
@@ -85,14 +77,6 @@ type Result struct {
 	// Shift = Disturbed − Baseline: the EMI-induced DC operating-point
 	// shift the paper identifies as the major analog failure mechanism.
 	Shift float64
-}
-
-// RelativeShift returns Shift/|Baseline| (0 when the baseline is 0).
-func (r Result) RelativeShift() float64 {
-	if r.Baseline == 0 {
-		return 0
-	}
-	return r.Shift / math.Abs(r.Baseline)
 }
 
 // MeasureRectification injects EMI in series with the named voltage source

@@ -506,6 +506,30 @@ func failurePareto(mo *MCOutcome, passCount int) []signoff.ParetoEntry {
 	return out
 }
 
+// resistorWires stands one interconnect segment in for every resistor of
+// the deck. The geometry convention is fixed — width 4×Lmin, thickness
+// 2×Lmin (a typical intermediate-metal aspect) and a length that
+// reproduces the element's resistance in damascene copper (the inverse of
+// em.WireResistance) — so the same deck always maps to the same wires.
+func resistorWires(deck *netlist.Deck) ([]*em.Wire, []em.Binding, error) {
+	var wires []*em.Wire
+	var bindings []em.Binding
+	for _, name := range deck.Circuit.ResistorNames() {
+		_, _, ohms, err := deck.Circuit.ResistorInfo(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		width, thick := 4*deck.Tech.Lmin, 2*deck.Tech.Lmin
+		wire := &em.Wire{
+			Name: name, Width: width, Thickness: thick,
+			Length: ohms * width * thick / em.Resistivity,
+		}
+		wires = append(wires, wire)
+		bindings = append(bindings, em.Binding{Resistor: name, Wire: wire})
+	}
+	return wires, bindings, nil
+}
+
 // wearOutRollup is the inline wear-out node: Black-equation EM over wire
 // geometries synthesized from the deck's resistors, and TDDB Weibull
 // characteristic lives from the nominal operating-point gate stress,
@@ -520,26 +544,9 @@ func wearOutRollup(deck *netlist.Deck, p *SignoffParams) (*wearOut, error) {
 	w := &wearOut{}
 	var lambdaPerHour float64
 
-	// EM: every resistor stands in for one interconnect segment. The
-	// geometry convention is fixed — width 4×Lmin, thickness 2×Lmin (a
-	// typical intermediate-metal aspect) and a length that reproduces the
-	// element's resistance in damascene copper (the inverse of
-	// em.WireResistance) — so the same deck always maps to the same wires.
-	const rhoEff = 2.2e-8 // Ω·m, matches em.WireResistance
-	var wires []*em.Wire
-	var bindings []em.Binding
-	for _, name := range deck.Circuit.ResistorNames() {
-		_, _, ohms, err := deck.Circuit.ResistorInfo(name)
-		if err != nil {
-			return nil, err
-		}
-		width, thick := 4*deck.Tech.Lmin, 2*deck.Tech.Lmin
-		wire := &em.Wire{
-			Name: name, Width: width, Thickness: thick,
-			Length: ohms * width * thick / rhoEff,
-		}
-		wires = append(wires, wire)
-		bindings = append(bindings, em.Binding{Resistor: name, Wire: wire})
+	wires, bindings, err := resistorWires(deck)
+	if err != nil {
+		return nil, err
 	}
 	if len(wires) > 0 {
 		if err := em.AssignCurrents(deck.Circuit, sol, bindings); err != nil {

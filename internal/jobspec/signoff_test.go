@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/em"
+	"repro/internal/netlist"
 	"repro/internal/report/signoff"
 )
 
@@ -222,6 +225,40 @@ func TestExecuteSignoffAssemblesReport(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Error("signoff result does not round-trip JSON byte-identically")
+	}
+}
+
+// TestResistorWiresReproduceResistance checks the wear-out node's wire
+// convention: each resistor becomes a copper segment whose resistance, by
+// em.WireResistance, is the resistor's own value.
+func TestResistorWiresReproduceResistance(t *testing.T) {
+	deck, err := netlist.Parse(`
+.tech 180nm
+VDD vdd 0 DC 1.8
+RREF vdd g 30k
+M1 g g 0 0 NMOS W=2u L=0.18u
+RL vdd d 10k
+M2 d g 0 0 NMOS W=2u L=0.18u
+.end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires, bindings, err := resistorWires(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"RREF": 30e3, "RL": 10e3}
+	if len(wires) != len(want) || len(bindings) != len(want) {
+		t.Fatalf("%d wires, %d bindings for %d resistors", len(wires), len(bindings), len(want))
+	}
+	for i, w := range wires {
+		if bindings[i].Resistor != w.Name || bindings[i].Wire != w {
+			t.Errorf("binding %d = %+v, want resistor %s bound to its wire", i, bindings[i], w.Name)
+		}
+		if got := em.WireResistance(w); math.Abs(got-want[w.Name]) > 1e-9*want[w.Name] {
+			t.Errorf("wire %s: %g Ω, want %g Ω", w.Name, got, want[w.Name])
+		}
 	}
 }
 

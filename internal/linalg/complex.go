@@ -22,12 +22,6 @@ func NewCMatrix(rows, cols int) *CMatrix {
 	return &CMatrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates v into element (i, j).
 func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
 
@@ -36,17 +30,6 @@ func (m *CMatrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// CSolve solves the complex system A·x = b with partial-pivoting Gaussian
-// elimination. a and b are not modified.
-func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
-	ac := &CMatrix{Rows: a.Rows, Cols: a.Cols, Data: append([]complex128(nil), a.Data...)}
-	x := append([]complex128(nil), b...)
-	if err := CSolveInPlace(ac, x); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // CSolveInPlace solves A·x = b without allocating: a is overwritten with

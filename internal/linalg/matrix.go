@@ -38,9 +38,6 @@ func NewMatrix(rows, cols int) *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates v into element (i, j); this is the "stamp" operation of
 // nodal analysis.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
@@ -52,14 +49,10 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // MulVec returns m·x. It panics on dimension mismatch.
+//
+// test seam: the sparse tests check their matrix-vector product against
+// it.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
@@ -78,6 +71,9 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 
 // MulVecInto computes y = m·x into caller-provided y without allocating.
 // y and x must not alias. It panics on dimension mismatch.
+//
+// test seam: the sparse package's TestDenseMulVecIntoMatchesMulVec pins
+// it to MulVec with zero allocations.
 func (m *Matrix) MulVecInto(y, x []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVecInto dimension mismatch y=%d x=%d vs %dx%d", len(y), len(x), m.Rows, m.Cols))
@@ -112,7 +108,6 @@ type LU struct {
 	n     int
 	lu    []float64
 	pivot []int
-	signs int // sign of the permutation, for Det
 }
 
 // Factor computes the LU factorisation of square matrix a. The input is not
@@ -136,7 +131,6 @@ func (f *LU) FactorInto(a *Matrix) error {
 	}
 	n := a.Rows
 	f.n = n
-	f.signs = 1
 	if cap(f.lu) < n*n {
 		f.lu = make([]float64, n*n)
 		f.pivot = make([]int, n)
@@ -168,7 +162,6 @@ func (f *LU) FactorInto(a *Matrix) error {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			f.pivot[k], f.pivot[p] = f.pivot[p], f.pivot[k]
-			f.signs = -f.signs
 		}
 		pivVal := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -224,38 +217,17 @@ func (f *LU) SolveInto(x, b []float64) {
 	}
 }
 
-// Det returns the determinant from the factorisation.
-func (f *LU) Det() float64 {
-	d := float64(f.signs)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
 // Solve factors a and solves A·x = b in one call. Use Factor + LU.Solve to
 // reuse a factorisation across right-hand sides.
+//
+// test seam: the dense reference solution the sparse LU tests and
+// FuzzSparseLU compare against.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)
 	if err != nil {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// NormInf returns the infinity norm (maximum absolute row sum).
-func (m *Matrix) NormInf() float64 {
-	best := 0.0
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for j := 0; j < m.Cols; j++ {
-			s += math.Abs(m.At(i, j))
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
 }
 
 // VecNormInf returns max |x_i| of a vector, 0 for an empty one.
@@ -267,16 +239,6 @@ func VecNormInf(x []float64) float64 {
 		}
 	}
 	return best
-}
-
-// VecSub returns a - b element-wise. It panics on length mismatch.
-func VecSub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: VecSub length mismatch")
-	}
-	out := make([]float64, len(a))
-	VecSubInto(out, a, b)
-	return out
 }
 
 // VecSubInto computes dst = a - b element-wise without allocating. dst may

@@ -8,6 +8,26 @@ import (
 	"repro/internal/mathx"
 )
 
+// Set assigns element (i, j); production code only stamps with Add.
+func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+
+// At returns element (i, j) of a complex matrix.
+func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
+
+// Set assigns element (i, j) of a complex matrix.
+func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
+
+// CSolve solves the complex system A·x = b through CSolveInPlace on
+// copies, so a and b are not modified.
+func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
+	ac := &CMatrix{Rows: a.Rows, Cols: a.Cols, Data: append([]complex128(nil), a.Data...)}
+	x := append([]complex128(nil), b...)
+	if err := CSolveInPlace(ac, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func TestSolve2x2(t *testing.T) {
 	a := NewMatrix(2, 2)
 	a.Set(0, 0, 2)
@@ -73,35 +93,6 @@ func TestFactorReuse(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := NewMatrix(3, 3)
-	vals := [][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}
-	for i := range vals {
-		for j := range vals[i] {
-			a.Set(i, j, vals[i][j])
-		}
-	}
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.ApproxEqual(f.Det(), 24, 1e-12, 0) {
-		t.Errorf("det = %g, want 24", f.Det())
-	}
-	// Permutation sign: swapping two rows flips the determinant sign.
-	a.Set(0, 0, 0)
-	a.Set(0, 1, 2)
-	a.Set(1, 1, 0)
-	a.Set(1, 0, 3)
-	f2, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.ApproxEqual(f2.Det(), -24, 1e-12, 0) {
-		t.Errorf("det = %g, want -24", f2.Det())
-	}
-}
-
 func TestSolvePropertyRandomSystems(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := mathx.NewRNG(seed)
@@ -144,29 +135,11 @@ func TestMulVecMismatchPanics(t *testing.T) {
 }
 
 func TestNormInf(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, -5)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 2)
-	if a.NormInf() != 6 {
-		t.Errorf("NormInf = %g, want 6", a.NormInf())
-	}
 	if VecNormInf([]float64{1, -9, 3}) != 9 {
 		t.Error("VecNormInf broken")
 	}
 	if VecNormInf(nil) != 0 {
 		t.Error("VecNormInf(nil) should be 0")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	c := a.Clone()
-	c.Set(0, 0, 99)
-	if a.At(0, 0) != 1 {
-		t.Error("Clone shares storage with original")
 	}
 }
 
@@ -243,8 +216,9 @@ func TestCSolvePropertyRandom(t *testing.T) {
 }
 
 func TestVecSub(t *testing.T) {
-	got := VecSub([]float64{3, 2}, []float64{1, 5})
+	got := make([]float64, 2)
+	VecSubInto(got, []float64{3, 2}, []float64{1, 5})
 	if got[0] != 2 || got[1] != -3 {
-		t.Errorf("VecSub = %v", got)
+		t.Errorf("VecSubInto = %v", got)
 	}
 }

@@ -82,15 +82,6 @@ func (f *LU) pivotTol() float64 {
 	return defaultPivotTol
 }
 
-// Fill returns the number of stored factor entries (L below the diagonal,
-// U above, plus the n pivots) after an analysis; 0 before one.
-func (f *LU) Fill() int {
-	if !f.analyzed {
-		return 0
-	}
-	return len(f.lRow) + len(f.uRow) + f.n
-}
-
 // FactorInto factorises a. The first call (or a call after the pattern
 // changed, or after the recorded pivots went numerically stale) runs the
 // full Markowitz analysis; steady-state calls are allocation-free numeric
@@ -147,13 +138,6 @@ func (f *LU) SolveInto(x, b []float64) {
 			}
 		}
 	}
-}
-
-// Solve returns x with A·x = b, allocating the result.
-func (f *LU) Solve(b []float64) []float64 {
-	x := make([]float64, f.n)
-	f.SolveInto(x, b)
-	return x
 }
 
 // refactor recomputes the numeric factors over the recorded structure via

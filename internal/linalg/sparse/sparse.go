@@ -85,14 +85,6 @@ func (m *Matrix) Add(i, j int, v float64) {
 	m.Vals[s] += v
 }
 
-// At returns the value at (i, j); positions outside the pattern read 0.
-func (m *Matrix) At(i, j int) float64 {
-	if s := m.slot(i, j); s >= 0 {
-		return m.Vals[s]
-	}
-	return 0
-}
-
 // MulVecInto computes y = M·x without allocating. y and x must have length
 // N and must not alias.
 func (m *Matrix) MulVecInto(y, x []float64) {

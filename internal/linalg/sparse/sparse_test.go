@@ -9,6 +9,21 @@ import (
 	"repro/internal/linalg"
 )
 
+// At returns the value at (i, j); positions outside the pattern read 0.
+func (m *Matrix) At(i, j int) float64 {
+	if s := m.slot(i, j); s >= 0 {
+		return m.Vals[s]
+	}
+	return 0
+}
+
+// Solve returns x with A·x = b, allocating the result.
+func (f *LU) Solve(b []float64) []float64 {
+	x := make([]float64, f.n)
+	f.SolveInto(x, b)
+	return x
+}
+
 // buildBoth stamps the same entries into a dense matrix and a sparse
 // builder so tests can compare the two backends on identical systems.
 type stampFn func(add func(i, j int, v float64))

@@ -50,25 +50,6 @@ func (w *Workspace) Reset(n int) {
 	}
 }
 
-// Factor computes the LU factorisation of the current contents of A,
-// reusing the workspace's internal factor storage. A itself is preserved.
-// With metrics enabled the call is staged in the workspace's meter; see
-// FlushMetrics.
-func (w *Workspace) Factor() error {
-	w.meter.Begin()
-	err := w.lu.FactorInto(w.A)
-	w.meter.Factored()
-	return err
-}
-
-// Solve writes the solution of A·x = B into X using the factorisation from
-// the last Factor call. It must follow a successful Factor.
-func (w *Workspace) Solve() {
-	w.meter.Begin()
-	w.lu.SolveInto(w.X, w.B)
-	w.meter.Solved()
-}
-
 // FactorSolve factors A and solves A·X = B in one allocation-free call.
 // Metered, the end of the factorisation is the start of the solve: three
 // clock reads time both.

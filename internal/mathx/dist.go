@@ -22,88 +22,6 @@ type Distribution interface {
 	Quantile(p float64) float64
 }
 
-// Normal is a Gaussian distribution with mean Mu and standard deviation
-// Sigma.
-type Normal struct {
-	Mu    float64
-	Sigma float64
-}
-
-// NewNormal returns a Normal distribution. It panics if sigma < 0.
-func NewNormal(mu, sigma float64) Normal {
-	if sigma < 0 {
-		panic(fmt.Sprintf("mathx: negative sigma %g", sigma))
-	}
-	return Normal{Mu: mu, Sigma: sigma}
-}
-
-// Sample draws a normal variate.
-func (n Normal) Sample(rng *RNG) float64 { return n.Mu + n.Sigma*rng.Norm() }
-
-// Mean returns mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// Variance returns sigma^2.
-func (n Normal) Variance() float64 { return n.Sigma * n.Sigma }
-
-// CDF returns the normal CDF at x.
-func (n Normal) CDF(x float64) float64 {
-	if n.Sigma == 0 {
-		if x < n.Mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
-// Quantile returns the inverse normal CDF at p.
-func (n Normal) Quantile(p float64) float64 {
-	return n.Mu + n.Sigma*NormQuantile(p)
-}
-
-// LogNormal is a distribution whose logarithm is Normal(Mu, Sigma).
-type LogNormal struct {
-	Mu    float64 // mean of log(X)
-	Sigma float64 // std-dev of log(X)
-}
-
-// NewLogNormal returns a LogNormal distribution with the given log-space
-// parameters. It panics if sigma < 0.
-func NewLogNormal(mu, sigma float64) LogNormal {
-	if sigma < 0 {
-		panic(fmt.Sprintf("mathx: negative sigma %g", sigma))
-	}
-	return LogNormal{Mu: mu, Sigma: sigma}
-}
-
-// Sample draws a lognormal variate.
-func (l LogNormal) Sample(rng *RNG) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.Norm())
-}
-
-// Mean returns exp(mu + sigma^2/2).
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Variance returns (exp(sigma^2)-1) * exp(2mu + sigma^2).
-func (l LogNormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
-// CDF returns the lognormal CDF at x (0 for x <= 0).
-func (l LogNormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return Normal{Mu: l.Mu, Sigma: l.Sigma}.CDF(math.Log(x))
-}
-
-// Quantile returns the inverse CDF at p.
-func (l LogNormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*NormQuantile(p))
-}
-
 // Weibull is the two-parameter Weibull distribution used throughout oxide
 // breakdown statistics: CDF(x) = 1 - exp(-(x/Eta)^Beta). Beta is the shape
 // (the "Weibull slope" of TDDB literature) and Eta the scale (the 63.2 %
@@ -162,43 +80,6 @@ func (w Weibull) Quantile(p float64) float64 {
 func Weibit(f float64) float64 {
 	return math.Log(-math.Log(1 - f))
 }
-
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// NewUniform returns a Uniform distribution. It panics if hi < lo.
-func NewUniform(lo, hi float64) Uniform {
-	if hi < lo {
-		panic(fmt.Sprintf("mathx: uniform with hi %g < lo %g", hi, lo))
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
-// Sample draws a uniform variate.
-func (u Uniform) Sample(rng *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*rng.Float64() }
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// Variance returns (hi-lo)^2 / 12.
-func (u Uniform) Variance() float64 { d := u.Hi - u.Lo; return d * d / 12 }
-
-// CDF returns the uniform CDF at x.
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x <= u.Lo:
-		return 0
-	case x >= u.Hi:
-		return 1
-	default:
-		return (x - u.Lo) / (u.Hi - u.Lo)
-	}
-}
-
-// Quantile returns lo + p*(hi-lo).
-func (u Uniform) Quantile(p float64) float64 { return u.Lo + p*(u.Hi-u.Lo) }
 
 // NormQuantile returns the standard normal inverse CDF at p using the
 // Acklam rational approximation refined by one Halley step; absolute error

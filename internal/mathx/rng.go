@@ -157,6 +157,9 @@ func (r *RNG) Norm() float64 {
 }
 
 // Exp returns an exponential variate with mean 1.
+//
+// test seam: core's TestHazardFlatForExponential draws its constant-hazard
+// failure times with it.
 func (r *RNG) Exp() float64 {
 	return -math.Log(r.Float64Open())
 }

@@ -12,6 +12,9 @@ var ErrNoConvergence = errors.New("mathx: no convergence")
 
 // Bisect finds a root of f on [a, b] by bisection. f(a) and f(b) must have
 // opposite signs. tol is the absolute interval tolerance.
+//
+// test seam: device's TestZeroTemperatureCoefficientBiasExists locates the
+// zero-temperature-coefficient bias with it.
 func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 	fa, fb := f(a), f(b)
 	if fa == 0 {
@@ -36,126 +39,6 @@ func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return 0, ErrNoConvergence
-}
-
-// Brent finds a root of f on [a, b] with Brent's method (inverse quadratic
-// interpolation guarded by bisection). f(a) and f(b) must bracket a root.
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("mathx: Brent requires a sign change on [%g, %g]", a, b)
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) < tol {
-			return b, nil
-		}
-		var s float64
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant step.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = (a + b) / 2
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if math.Signbit(fa) != math.Signbit(fs) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return 0, ErrNoConvergence
-}
-
-// Newton1D finds a root of f starting at x0 using Newton's method with a
-// numeric derivative and an absolute step tolerance tol.
-func Newton1D(f func(float64) float64, x0, tol float64) (float64, error) {
-	x := x0
-	for i := 0; i < 100; i++ {
-		fx := f(x)
-		if math.Abs(fx) < tol {
-			return x, nil
-		}
-		h := 1e-7 * (math.Abs(x) + 1)
-		dfx := (f(x+h) - f(x-h)) / (2 * h)
-		if dfx == 0 {
-			return 0, errors.New("mathx: Newton1D hit zero derivative")
-		}
-		step := fx / dfx
-		x -= step
-		if math.Abs(step) < tol {
-			return x, nil
-		}
-	}
-	return 0, ErrNoConvergence
-}
-
-// Interp1D performs piecewise-linear interpolation of (xs, ys) at x,
-// clamping outside the domain. xs must be strictly increasing; it panics
-// otherwise or on mismatched lengths.
-func Interp1D(xs, ys []float64, x float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		panic("mathx: Interp1D needs equal-length non-empty inputs")
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			panic("mathx: Interp1D x not strictly increasing")
-		}
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	if x >= xs[len(xs)-1] {
-		return ys[len(ys)-1]
-	}
-	// Binary search for the bracketing interval.
-	lo, hi := 0, len(xs)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if xs[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t := (x - xs[lo]) / (xs[hi] - xs[lo])
-	return ys[lo] + t*(ys[hi]-ys[lo])
 }
 
 // Logspace returns n points geometrically spaced from lo to hi inclusive.
@@ -188,19 +71,10 @@ func Linspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// Clamp returns x limited to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // ApproxEqual reports whether a and b agree within relative tolerance rel
 // or absolute tolerance abs (whichever is looser).
+//
+// test seam: the tolerance comparison of most packages' numerical tests.
 func ApproxEqual(a, b, rel, abs float64) bool {
 	d := math.Abs(a - b)
 	if d <= abs {

@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestBisectFindsRoot(t *testing.T) {
@@ -23,76 +22,6 @@ func TestBisectRejectsNoSignChange(t *testing.T) {
 	}
 }
 
-func TestBrentFindsRoot(t *testing.T) {
-	f := func(x float64) float64 { return math.Cos(x) - x }
-	root, err := Brent(f, 0, 1, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f(root)) > 1e-12 {
-		t.Errorf("f(root) = %g, not ~0", f(root))
-	}
-}
-
-func TestBrentEndpointRoot(t *testing.T) {
-	f := func(x float64) float64 { return x - 2 }
-	root, err := Brent(f, 2, 5, 1e-12)
-	if err != nil || root != 2 {
-		t.Errorf("root = %g, err = %v, want exact 2", root, err)
-	}
-}
-
-func TestBrentPropertyRandomCubics(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := NewRNG(seed)
-		// Root placed inside the bracket by construction.
-		x0 := -1 + 2*r.Float64()
-		f := func(x float64) float64 { return (x - x0) * (x*x + 1) }
-		root, err := Brent(f, -2, 2, 1e-13)
-		return err == nil && math.Abs(root-x0) < 1e-9
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewton1D(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(x) - 3 }
-	root, err := Newton1D(f, 1, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Log(3)) > 1e-9 {
-		t.Errorf("root = %g, want ln(3)", root)
-	}
-}
-
-func TestInterp1D(t *testing.T) {
-	xs := []float64{0, 1, 2, 4}
-	ys := []float64{0, 10, 20, 0}
-	cases := []struct{ x, want float64 }{
-		{-1, 0},  // clamp left
-		{0, 0},   // exact node
-		{0.5, 5}, // interior
-		{3, 10},  // interior on last segment
-		{5, 0},   // clamp right
-		{2, 20},  // exact node
-	}
-	for _, c := range cases {
-		if got := Interp1D(xs, ys, c.x); !ApproxEqual(got, c.want, 1e-12, 1e-12) {
-			t.Errorf("Interp1D(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-}
-
-func TestInterp1DPanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unsorted x")
-		}
-	}()
-	Interp1D([]float64{0, 2, 1}, []float64{0, 0, 0}, 0.5)
-}
-
 func TestLogspaceLinspace(t *testing.T) {
 	ls := Logspace(1, 1000, 4)
 	want := []float64{1, 10, 100, 1000}
@@ -106,12 +35,6 @@ func TestLogspaceLinspace(t *testing.T) {
 		if lin[i] != w {
 			t.Errorf("Linspace[%d] = %g, want %g", i, lin[i], w)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp broken")
 	}
 }
 

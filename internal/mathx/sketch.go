@@ -40,26 +40,12 @@ type Sketch struct {
 	buf         []float64
 }
 
-// NewSketch returns a sketch compressing to ~compression centroids;
-// compression <= 0 selects DefaultSketchCompression.
-func NewSketch(compression float64) *Sketch {
-	s := &Sketch{}
-	if compression > 0 {
-		s.compression = compression
-	}
-	return s
-}
-
 func (s *Sketch) delta() float64 {
 	if s.compression > 0 {
 		return s.compression
 	}
 	return DefaultSketchCompression
 }
-
-// Count returns the number of samples the sketch summarises, including
-// any still buffered.
-func (s *Sketch) Count() int64 { return int64(s.count) + int64(len(s.buf)) }
 
 // Add folds one sample into the sketch. NaN samples are rejected with a
 // panic: an undefined metric must be accounted by the caller's NaN

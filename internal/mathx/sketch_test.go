@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// Count returns the number of samples the sketch summarises, including
+// any still buffered.
+func (s *Sketch) Count() int64 { return int64(s.count) + int64(len(s.buf)) }
+
 // rankError returns |rank(est) - p| under the empirical CDF of sorted xs:
 // the fraction of samples the estimate's position is off by.
 func rankError(sorted []float64, est, p float64) float64 {
@@ -54,7 +58,7 @@ func TestSketchMergeErrorBound(t *testing.T) {
 	per := len(xs) / shards
 	var merged Sketch
 	for s := 0; s < shards; s++ {
-		sub := NewSketch(0)
+		sub := &Sketch{}
 		for _, x := range xs[s*per : (s+1)*per] {
 			sub.Add(x)
 		}
@@ -93,7 +97,7 @@ func TestSketchDeterministic(t *testing.T) {
 	mergeBuild := func() *Sketch {
 		var m Sketch
 		for c := 0; c < 10; c++ {
-			sub := NewSketch(0)
+			sub := &Sketch{}
 			for _, x := range xs[c*500 : (c+1)*500] {
 				sub.Add(x)
 			}

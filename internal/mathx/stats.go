@@ -93,31 +93,10 @@ func QuantileSorted(s []float64, p float64) float64 {
 }
 
 // Median returns the 0.5 quantile of xs.
+//
+// test seam: aging's TestTDDBSampledTBDMatchesWeibull compares sampled and
+// analytic median breakdown times with it.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-// It panics if the slices differ in length or have fewer than two points,
-// and returns NaN if either input is constant.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("mathx: Correlation length mismatch")
-	}
-	if len(xs) < 2 {
-		panic("mathx: Correlation needs at least two points")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
 
 // LinFit fits y = a + b*x by least squares and returns the intercept a,
 // slope b and coefficient of determination r2. It panics on mismatched or
@@ -172,7 +151,6 @@ type Histogram struct {
 	Counts []int
 	// Under and Over count samples outside [Lo, Hi).
 	Under, Over int
-	total       int
 }
 
 // NewHistogram returns a histogram with bins equal-width bins over
@@ -189,7 +167,6 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case x < h.Lo:
 		h.Under++
@@ -203,10 +180,6 @@ func (h *Histogram) Add(x float64) {
 		h.Counts[i]++
 	}
 }
-
-// Total returns the number of samples recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the centre of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
@@ -226,10 +199,10 @@ type Running struct {
 // Add records one sample.
 func (r *Running) Add(x float64) { r.m.Add(x) }
 
-// N returns the sample count.
-func (r *Running) N() int { return int(r.m.Count) }
-
 // Mean returns the running mean (NaN when empty).
+//
+// test seam: the sram, variation, circuit and jobspec tests read sample
+// means through it.
 func (r *Running) Mean() float64 { return r.m.MeanValue() }
 
 // Variance returns the unbiased running variance (NaN with fewer than two
@@ -239,34 +212,14 @@ func (r *Running) Variance() float64 { return r.m.Variance() }
 // StdDev returns the running standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Min returns the smallest sample seen (NaN when empty).
-func (r *Running) Min() float64 {
-	if r.m.Count == 0 {
-		return math.NaN()
-	}
-	return r.m.Min
-}
-
-// Max returns the largest sample seen (NaN when empty).
-func (r *Running) Max() float64 {
-	if r.m.Count == 0 {
-		return math.NaN()
-	}
-	return r.m.Max
-}
-
-// Moments returns a copy of the underlying mergeable accumulator.
-func (r *Running) Moments() Moments { return r.m }
-
-// Merge folds other into r, as if all of other's samples had been added to
-// r. This combines per-worker statistics from parallel Monte-Carlo runs.
-func (r *Running) Merge(other *Running) { r.m.Merge(other.m) }
-
 // KSStatistic returns the one-sample Kolmogorov-Smirnov statistic D: the
 // largest distance between the empirical CDF of xs and the distribution's
 // CDF. It panics on an empty sample. Combined with KSCritical it is the
 // goodness-of-fit check the reliability analyses use to validate Weibull
 // and normal assumptions on simulated data.
+//
+// test seam: aging's TestTDDBSampledTBDMatchesWeibull checks sampled
+// breakdown times against the analytic Weibull with it.
 func KSStatistic(xs []float64, d Distribution) float64 {
 	if len(xs) == 0 {
 		panic("mathx: KSStatistic of empty sample")
@@ -293,6 +246,9 @@ func KSStatistic(xs []float64, d Distribution) float64 {
 // KSCritical returns the approximate critical value of D at significance
 // alpha for a sample of size n (asymptotic formula c(α)/√n, valid for
 // n ≳ 35). Supported alphas: 0.10, 0.05, 0.01.
+//
+// test seam: the acceptance threshold of aging's
+// TestTDDBSampledTBDMatchesWeibull.
 func KSCritical(n int, alpha float64) float64 {
 	if n <= 0 {
 		panic("mathx: KSCritical needs n > 0")

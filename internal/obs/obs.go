@@ -67,14 +67,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the metric name ("" on nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is an atomic float64 instrument for last-observed values (queue
 // depths, knob settings, progress fractions). Nil gauges are no-ops.
 type Gauge struct {
@@ -110,14 +102,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Name returns the metric name ("" on nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Registry owns a namespace of instruments. Get-or-create accessors are

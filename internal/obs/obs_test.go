@@ -10,6 +10,52 @@ import (
 	"time"
 )
 
+// Count returns the total number of observations (0 on nil).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	var n int64
+	for s := range h.stripes {
+		n += h.stripes[s].count.Load()
+	}
+	return n
+}
+
+// Sum returns the sum of all observations (0 on nil).
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	sum := 0.0
+	for s := range h.stripes {
+		sum += math.Float64frombits(h.stripes[s].sumBits.Load())
+	}
+	return sum
+}
+
+// Quantile estimates the p-quantile of everything observed so far with
+// bucketQuantile, the estimate snapshots report; NaN on nil.
+func (h *Histogram) Quantile(p float64) float64 {
+	if h == nil {
+		return math.NaN()
+	}
+	buckets, count, _, min, max := h.merged()
+	return bucketQuantile(p, h.bounds, buckets, count, min, max)
+}
+
+// Quantile answers quantile queries from the snapshot's buckets, matching
+// the live Histogram.Quantile estimate at snapshot time.
+func (h *HistogramSnapshot) Quantile(p float64) float64 {
+	return bucketQuantile(p, h.Bounds, h.Buckets, h.Count, h.Min, h.Max)
+}
+
+// SinkFunc adapts a function to the Sink interface.
+type SinkFunc func(s *Snapshot)
+
+// Consume calls f(s).
+func (f SinkFunc) Consume(s *Snapshot) { f(s) }
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "1", "test counter")

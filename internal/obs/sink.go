@@ -15,12 +15,6 @@ type Sink interface {
 	Consume(s *Snapshot)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(s *Snapshot)
-
-// Consume calls f(s).
-func (f SinkFunc) Consume(s *Snapshot) { f(s) }
-
 // Publisher snapshots a registry on a fixed interval and hands the
 // snapshot to every sink — the engine behind the progress logger and any
 // push-style exporter. Start it with NewPublisher, stop it with Stop

@@ -40,12 +40,6 @@ type HistogramSnapshot struct {
 	Buckets []int64   `json:"buckets"`
 }
 
-// Quantile answers quantile queries from the snapshot's buckets, matching
-// the live Histogram.Quantile estimate at snapshot time.
-func (h *HistogramSnapshot) Quantile(p float64) float64 {
-	return bucketQuantile(p, h.Bounds, h.Buckets, h.Count, h.Min, h.Max)
-}
-
 // Snapshot is a point-in-time export of a whole registry, ordered by
 // metric name. It marshals directly to JSON — core.Result.Telemetry
 // embeds one so a reliability run's answer carries its own execution

@@ -51,6 +51,9 @@ func (t *Table) AddRowf(values ...interface{}) {
 }
 
 // NumRows returns the number of data rows.
+//
+// test seam: core's TestFullStackNetlistToYield checks that the yield
+// table holds one row per checkpoint.
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
@@ -176,6 +179,9 @@ func TextHist(h *mathx.Histogram, width int) string {
 // Benard median-rank Weibit ln(−ln(1−F)) against ln(t), the coordinates in
 // which a Weibull distribution is a straight line with slope β. times need
 // not be sorted.
+//
+// test seam: core's TestWeibullPlotRendering renders a breakdown-time plot
+// through it.
 func WeibullPlot(title string, times []float64) string {
 	s := append([]float64(nil), times...)
 	for i := 1; i < len(s); i++ { // insertion sort; plots are small

@@ -450,6 +450,9 @@ func ReadJournal(dir string) ([]RecoveredJob, error) {
 }
 
 // Jobs returns the number of live (non-evicted) jobs in the journal.
+//
+// test seam: serve's TestRetentionBoundsTerminalJobs checks through it
+// that the journal keeps the same jobs as memory.
 func (s *Store) Jobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -65,20 +65,6 @@ func (r *MCResult) StdDev() float64 {
 	return mathx.StdDev(r.Values)
 }
 
-// Quantile returns the p-quantile of the collected values, or NaN when no
-// trial succeeded — consistent with Mean/StdDev rather than panicking.
-// Each call sorts a copy of Values. Without per-trial values the sketch
-// in Stats answers with bounded rank error.
-func (r *MCResult) Quantile(p float64) float64 {
-	if len(r.Values) == 0 {
-		if r.Stats != nil {
-			return r.Stats.Quantile(p)
-		}
-		return math.NaN()
-	}
-	return mathx.Quantile(r.Values, p)
-}
-
 // Completed returns the number of trials that actually ran to a verdict.
 func (r *MCResult) Completed() int {
 	if r.Stats != nil {

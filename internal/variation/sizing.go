@@ -14,6 +14,9 @@ import (
 // evaluated at separation d; when the area term alone cannot meet the spec
 // because the gradient term already exceeds it, an error is returned —
 // the layout, not the sizing, must change.
+//
+// paper: §2 — TestMinAreaMonteCarloConfirms asserts that pairs drawn at the
+// computed area meet the offset spec at the target yield.
 func MinAreaForOffset(tech *device.Technology, offsetSpec, yield, d float64) (float64, error) {
 	if offsetSpec <= 0 {
 		return 0, fmt.Errorf("variation: non-positive offset spec %g", offsetSpec)
@@ -38,6 +41,9 @@ func MinAreaForOffset(tech *device.Technology, offsetSpec, yield, d float64) (fl
 // returns the σ of the relative current error for a pair of geometry
 // (w, l) at overdrive vov, combining the VT and β terms of Eq. 1 (they add
 // in quadrature, being independent).
+//
+// paper: §2 — TestMirrorAccuracyTrends asserts that mirror accuracy
+// improves with device area and overdrive.
 func MirrorAccuracy(tech *device.Technology, w, l, vov float64) float64 {
 	if vov <= 0 {
 		panic(fmt.Sprintf("variation: non-positive overdrive %g", vov))
@@ -51,6 +57,9 @@ func MirrorAccuracy(tech *device.Technology, w, l, vov float64) float64 {
 // SizeMirrorForAccuracy returns the gate area (m²) a current mirror needs
 // for a relative current accuracy of sigmaRel at overdrive vov. Both the
 // VT and β Pelgrom terms scale as 1/√(WL), so the area follows directly.
+//
+// paper: §2 — TestSizeMirrorForAccuracyRoundTrip asserts that a mirror of
+// the returned area meets the accuracy target.
 func SizeMirrorForAccuracy(tech *device.Technology, sigmaRel, vov float64) (float64, error) {
 	if sigmaRel <= 0 {
 		return 0, fmt.Errorf("variation: non-positive accuracy target %g", sigmaRel)
@@ -67,6 +76,9 @@ func SizeMirrorForAccuracy(tech *device.Technology, sigmaRel, vov float64) (floa
 // SampleMismatchWithLER draws a device's local variation including the
 // line-edge-roughness contribution of §2, which adds in quadrature to the
 // Pelgrom area term and dominates for narrow devices in scaled nodes.
+//
+// paper: §2 — TestSampleMismatchWithLERWiderSigma asserts that line-edge
+// roughness widens the ΔVT spread by the quadrature sum.
 func SampleMismatchWithLER(tech *device.Technology, w, l float64, rng *mathx.RNG) device.Mismatch {
 	sigmaPelgrom := tech.SigmaVT(w, l, 0) / math.Sqrt2
 	sigmaLER := LERSigmaVT(tech, w) / math.Sqrt2
