@@ -20,17 +20,19 @@ vet:
 # section/equation, and every exported identifier under internal/ must
 # have a non-test caller somewhere in the tree (bench/e2e included), or a
 # `paper: §N` / `test seam` tag in its doc comment plus a test that uses
-# it; see cmd/doccheck.
+# it; see cmd/doccheck. The same run holds the documentation gates:
+# exported report types must carry doc comments, docs/REPORT_SCHEMA.md
+# must match the report structs' json tags in both directions, and
+# docs/API.md must match the serve package's mux routes, error-code
+# taxonomy and error envelope in both directions. One run, so the
+# type-checked walk happens once per `make ci`.
 doccheck:
-	$(GO) run ./cmd/doccheck .
-
-# The documentation gates: exported report types must carry doc
-# comments, docs/REPORT_SCHEMA.md must match the report structs' json
-# tags in both directions, docs/API.md must match the serve package's
-# mux routes, error-code taxonomy and error envelope in both directions,
-# and every runnable godoc example must still build and pass.
-docs:
 	$(GO) run ./cmd/doccheck -exported internal/report,internal/report/signoff -schema docs/REPORT_SCHEMA.md=internal/report/signoff -api docs/API.md=internal/serve .
+
+# The documentation gates (through doccheck, which make runs once even
+# when ci names both targets), and every runnable godoc example must
+# still build and pass.
+docs: doccheck
 	$(GO) test -run 'Example' ./...
 
 build:
@@ -43,10 +45,11 @@ race:
 	$(GO) test -race ./...
 
 # Fault-isolation and cancellation paths under the race detector with a
-# higher iteration count: panicking trials, mid-run cancellation and
-# partial-result accounting in variation, core and aging.
+# higher iteration count: panicking trials, the failure taxonomy's
+# classification, mid-run cancellation and partial-result accounting in
+# variation, core and aging.
 race-fault:
-	$(GO) test -race -count=2 -run 'Panic|Cancel|Fault|Deadline|Telemetry' ./internal/variation/ ./internal/core/ ./internal/aging/
+	$(GO) test -race -count=2 -run 'Panic|Cancel|Classif|Deadline|Telemetry' ./internal/variation/ ./internal/core/ ./internal/aging/
 
 # The job-server lifecycle under the race detector: submit/poll/stream,
 # exact queue backpressure, mid-job cancellation with partial-result

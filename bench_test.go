@@ -193,13 +193,19 @@ func BenchmarkAblationMCSamples(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var ciWidth float64
 			for i := 0; i < b.N; i++ {
-				res, err := variation.MonteCarloCtx(context.Background(), n, 7, func(rng *mathx.RNG, _ int) (float64, error) {
-					return variation.SamplePairDeltaVT(tech, 1e-6, 65e-9, 0, rng), nil
-				})
+				camp := variation.Campaign{
+					Trials: n,
+					Seed:   7,
+					Spec:   &variation.Spec{Lo: -0.01, Hi: 0.01},
+					Trial: func(rng *mathx.RNG, _ int) (float64, error) {
+						return variation.SamplePairDeltaVT(tech, 1e-6, 65e-9, 0, rng), nil
+					},
+				}
+				res, err := camp.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
-				y := variation.EstimateYield(res.Values, variation.Spec{Lo: -0.01, Hi: 0.01})
+				y := res.Stats.Yield()
 				ciWidth = y.Hi95 - y.Lo95
 			}
 			b.ReportMetric(ciWidth*100, "%CI_width")

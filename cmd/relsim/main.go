@@ -23,8 +23,9 @@
 //
 // The age analysis applies NBTI+HCI+TDDB with DC stress extracted from the
 // operating point; mc runs Monte-Carlo mismatch on all MOSFETs and reports
-// the node-voltage distribution and yield against [-lo, -hi] (each worker
-// parses the deck once and keeps that die for the whole run); corners
+// the node-voltage mean, σ and sketch quantiles and the yield against
+// [-lo, -hi], the same stdout for any -shards (each worker parses the deck
+// once and keeps that die for the whole run); corners
 // sweeps the five classic global corners (TT/SS/FF/SF/FS) and, when -lo or
 // -hi is given, judges each corner against the spec window and names the
 // worst-margin corner.
@@ -108,7 +109,7 @@
 //	curl localhost:9090/metrics.json   # JSON snapshot
 //	curl localhost:9090/debug/vars     # expvar
 //
-// Analysis results (tables, CSV, histograms) go to stdout; every banner,
+// Analysis results (tables, CSV) go to stdout; every banner,
 // progress line and accounting diagnostic goes to stderr, so piped output
 // stays machine-readable.
 package main

@@ -2,17 +2,17 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
 
 	"repro/internal/jobspec"
-	"repro/internal/mathx"
 	"repro/internal/report"
 )
 
-// render prints a jobspec.Result the way relsim always has: tables, CSV
-// and histograms to stdout; warnings and failure accounting to stderr.
+// render prints a jobspec.Result the way relsim always has: tables and
+// CSV to stdout; warnings and failure accounting to stderr.
 // The renderer consumes only the structured Result, so the server's JSON
 // clients and the CLI see the same numbers.
 func render(spec *jobspec.Spec, res *jobspec.Result) {
@@ -24,7 +24,9 @@ func render(spec *jobspec.Spec, res *jobspec.Result) {
 	case jobspec.KindAge:
 		renderAge(res)
 	case jobspec.KindMC:
-		renderMC(spec, res)
+		if err := renderMC(os.Stdout, os.Stderr, spec, res); err != nil {
+			log.Fatal(err)
+		}
 	case jobspec.KindCorners:
 		renderCorners(res.Corners)
 	case jobspec.KindCentering:
@@ -79,78 +81,58 @@ func renderAge(res *jobspec.Result) {
 	fmt.Println(dt)
 }
 
-func renderMC(spec *jobspec.Spec, res *jobspec.Result) {
+// renderMC reports a Monte-Carlo campaign from its mergeable statistics:
+// exact mean and σ from the moments, quantiles from the sketch, and the
+// yield. They are the same whatever the shard split or resume point, so
+// out receives the same text for every split. Warnings, the failure
+// accounting and the shard/resume provenance go to diag.
+func renderMC(out, diag io.Writer, spec *jobspec.Spec, res *jobspec.Result) error {
 	mc := res.MC
 	if res.Partial {
-		log.Printf("warning: %s — reporting partial results", res.Warning)
+		fmt.Fprintf(diag, "relsim: warning: %s — reporting partial results\n", res.Warning)
 	}
-	printMCAccounting(mc)
-	if len(mc.Values) == 0 {
-		// Sharded and resumed campaigns ship mergeable statistics instead
-		// of per-trial values; report from those.
-		if mc.Stats != nil && mc.Stats.Moments.Count > 0 {
-			renderMCStats(spec, mc)
-			return
-		}
-		log.Fatal("mc: no trial produced a value")
-	}
-	fmt.Printf("V(%s) over %d dies: mean %s, σ %s\n", mc.Node, mc.Completed(),
-		report.SI(mathx.Mean(mc.Values), "V"), report.SI(mathx.StdDev(mc.Values), "V"))
-	loQ, hiQ := mathx.MinMax(mc.Values)
-	h := mathx.NewHistogram(loQ, hiQ+1e-12, 15)
-	for _, v := range mc.Values {
-		h.Add(v)
-	}
-	fmt.Print(report.TextHist(h, 40))
-	if w := spec.MC.Window(); w.HasSpec() {
-		fmt.Printf("yield for %g <= V(%s) <= %g: %s\n", w.SpecLo(), mc.Node, w.SpecHi(), mc.Yield)
-	}
-}
-
-// renderMCStats reports a campaign summarised by mergeable statistics
-// (sharded or resumed runs keep no per-trial values): exact moments,
-// sketch quantiles in place of the histogram, and the merged yield.
-func renderMCStats(spec *jobspec.Spec, mc *jobspec.MCOutcome) {
+	printMCAccounting(diag, mc)
 	st := mc.Stats
-	how := "sharded"
-	if mc.Resumed > 0 {
-		how = fmt.Sprintf("resumed from %d checkpointed chunk(s)", mc.Resumed)
-	} else if mc.Shards > 1 {
-		how = fmt.Sprintf("scatter-gathered over %d shards", mc.Shards)
+	if st.Moments.Count == 0 {
+		return fmt.Errorf("mc: no trial produced a value")
 	}
-	fmt.Printf("V(%s) over %d dies (%s): mean %s, σ %s\n", mc.Node, mc.Completed(), how,
+	fmt.Fprintf(out, "V(%s) over %d dies: mean %s, σ %s\n", mc.Node, mc.Completed(),
 		report.SI(st.Mean(), "V"), report.SI(st.StdDev(), "V"))
-	t := report.NewTable("distribution (merged sketch)", "quantile", "V("+mc.Node+")")
+	t := report.NewTable("distribution (quantile sketch)", "quantile", "V("+mc.Node+")")
 	for _, p := range []float64{0.01, 0.10, 0.50, 0.90, 0.99} {
 		t.AddRow(fmt.Sprintf("p%02.0f", p*100), report.SI(st.Quantile(p), "V"))
 	}
-	fmt.Println(t)
-	fmt.Fprintln(os.Stderr, "per-trial values not retained; no histogram (quantiles carry the sketch's bounded rank error)")
+	fmt.Fprintln(out, t)
 	if w := spec.MC.Window(); w.HasSpec() {
-		fmt.Printf("yield for %g <= V(%s) <= %g: %s\n", w.SpecLo(), mc.Node, w.SpecHi(), mc.Yield)
+		fmt.Fprintf(out, "yield for %g <= V(%s) <= %g: %s\n", w.SpecLo(), mc.Node, w.SpecHi(), mc.Yield)
 	}
+	return nil
 }
 
 // printMCAccounting reports the run's structured failure accounting —
 // how many dies measured, failed (by kind), returned NaN or were never
-// run — so partial and degraded runs are legible to operators. It writes
-// to stderr: the accounting is diagnostics, and stdout may be a pipe
-// carrying the measurement results.
-func printMCAccounting(mc *jobspec.MCOutcome) {
-	ok := len(mc.Values)
-	if mc.Stats != nil {
-		ok = int(mc.Stats.Moments.Count)
-	}
-	fmt.Fprintf(os.Stderr, "trials: %d requested, %d completed in %s (%d ok, %d failed, %d NaN, %d cancelled)\n",
+// run — and how the run was split, so partial, degraded and resumed
+// runs are legible to operators. It writes to diag (stderr): the
+// accounting is diagnostics, and stdout may be a pipe carrying the
+// measurement results.
+func printMCAccounting(diag io.Writer, mc *jobspec.MCOutcome) {
+	fmt.Fprintf(diag, "trials: %d requested, %d completed in %s (%d ok, %d failed, %d NaN, %d cancelled)\n",
 		mc.Requested, mc.Completed(), time.Duration(mc.Elapsed).Round(time.Millisecond),
-		ok, mc.Failures, mc.NaNs, mc.Cancelled)
+		mc.Stats.Moments.Count, mc.Failures, mc.NaNs, mc.Cancelled)
+	if mc.Shards > 1 {
+		fmt.Fprintf(diag, "  scatter-gathered over %d shards\n", mc.Shards)
+	}
+	if mc.Resumed > 0 {
+		fmt.Fprintf(diag, "  resumed from %d checkpointed chunk(s)\n", mc.Resumed)
+	}
 	if mc.Failures > 0 {
 		for kind, count := range mc.FailuresByKind {
-			fmt.Fprintf(os.Stderr, "  %s failures: %d\n", kind, count)
+			fmt.Fprintf(diag, "  %s failures: %d\n", kind, count)
 		}
 		// Show the first structured error as a debugging sample.
-		fmt.Fprintf(os.Stderr, "  first failure: %s\n", mc.FirstFailure)
+		fmt.Fprintf(diag, "  first failure: %s\n", mc.FirstFailure)
 	}
+	fmt.Fprintln(diag, "  quantiles carry the sketch's bounded rank error")
 }
 
 func renderCorners(c *jobspec.CornersResult) {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	"repro/internal/aging"
@@ -39,8 +40,12 @@ func main() {
 	fmt.Printf("two-stage OTA at %s: gain %.1f dB, GBW %s, PM %.0f°, CMRR %.0f dB\n\n",
 		cfg.Tech.Name, s.DCGainDB, report.SI(s.GBW, "Hz"), s.PhaseMarginDeg, s.CMRRDB)
 
-	// Offset distribution over fabricated instances.
-	res, err := variation.MonteCarloCtx(context.Background(), 200, 11, func(rng *mathx.RNG, _ int) (float64, error) {
+	// Offset distribution over fabricated instances. The campaign keeps
+	// only mergeable statistics, so the trial records each die's offset
+	// for the histogram (NaN marks a die that produced none).
+	offsets := make([]float64, 200)
+	camp := variation.Campaign{Trials: len(offsets), Seed: 11, Trial: func(rng *mathx.RNG, i int) (float64, error) {
+		offsets[i] = math.NaN()
 		oo, err := analog.NewOTA(cfg)
 		if err != nil {
 			return 0, err
@@ -48,23 +53,34 @@ func main() {
 		for _, m := range oo.AllDevices() {
 			m.Dev.Mismatch = variation.SampleMismatch(cfg.Tech, m.Dev.Params.W, m.Dev.Params.L, rng)
 		}
-		return oo.InputOffset()
-	})
+		v, err := oo.InputOffset()
+		if err == nil {
+			offsets[i] = v
+		}
+		return v, err
+	}}
+	res, err := camp.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	if res.Failures > 0 {
-		fmt.Printf("failure accounting: %d/%d dies failed %v\n", res.Failures, res.N, res.ErrorsByKind())
+		fmt.Printf("failure accounting: %d/%d dies failed %v\n", res.Failures, res.N, res.Stats.ByKind)
+	}
+	var values []float64
+	for _, v := range offsets {
+		if !math.IsNaN(v) {
+			values = append(values, v)
+		}
 	}
 	fmt.Printf("input offset over %d dies (%s): σ = %s\n",
-		len(res.Values), res.Elapsed.Round(time.Millisecond), report.SI(res.StdDev(), "V"))
-	lo, hi := mathx.MinMax(res.Values)
+		len(values), res.Elapsed.Round(time.Millisecond), report.SI(res.StdDev(), "V"))
+	lo, hi := mathx.MinMax(values)
 	h := mathx.NewHistogram(lo, hi+1e-12, 12)
-	for _, v := range res.Values {
+	for _, v := range values {
 		h.Add(v)
 	}
 	fmt.Print(report.TextHist(h, 40))
-	y := variation.EstimateYield(res.Values, variation.Spec{Name: "vos", Lo: -5e-3, Hi: 5e-3})
+	y := variation.EstimateYield(values, variation.Spec{Name: "vos", Lo: -5e-3, Hi: 5e-3})
 	fmt.Printf("offset yield |Vos| < 5 mV: %s\n\n", y)
 
 	// Gain over a 10-year 400 K mission: the aging scheduler extracts the

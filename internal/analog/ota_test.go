@@ -104,7 +104,7 @@ func TestOTAOffsetMonteCarlo(t *testing.T) {
 	// MC offset σ should be close to √2 × single-device σVT of the pair
 	// (load mismatch adds on top).
 	cfg := DefaultOTA()
-	res, err := variation.MonteCarloCtx(context.Background(), 60, 9, func(rng *mathx.RNG, _ int) (float64, error) {
+	camp := variation.Campaign{Trials: 60, Seed: 9, Trial: func(rng *mathx.RNG, _ int) (float64, error) {
 		o, err := NewOTA(cfg)
 		if err != nil {
 			return 0, err
@@ -113,7 +113,8 @@ func TestOTAOffsetMonteCarlo(t *testing.T) {
 			m.Dev.Mismatch = variation.SampleMismatch(cfg.Tech, m.Dev.Params.W, m.Dev.Params.L, rng)
 		}
 		return o.InputOffset()
-	})
+	}}
+	res, err := camp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

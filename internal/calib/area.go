@@ -17,20 +17,27 @@ func INLYield(cfg DACConfig, limit float64, calibrated bool, nMC int, seed uint6
 	if nMC <= 0 {
 		return variation.YieldEstimate{}, fmt.Errorf("calib: nMC must be positive")
 	}
-	res, err := variation.MonteCarloCtx(context.Background(), nMC, seed, func(rng *mathx.RNG, _ int) (float64, error) {
-		d, err := NewDAC(cfg, rng)
-		if err != nil {
-			return 0, err
-		}
-		if calibrated {
-			d.CalibrateSSPA(0, rng)
-		}
-		return d.MaxINL(), nil
-	})
+	camp := variation.Campaign{
+		Trials: nMC,
+		Seed:   seed,
+		Spec:   &variation.Spec{Name: "INL", Lo: 0, Hi: limit},
+		Trial: func(rng *mathx.RNG, _ int) (float64, error) {
+			d, err := NewDAC(cfg, rng)
+			if err != nil {
+				return 0, err
+			}
+			if calibrated {
+				d.CalibrateSSPA(0, rng)
+			}
+			return d.MaxINL(), nil
+		},
+	}
+	res, err := camp.Run(context.Background())
 	if err != nil {
 		return variation.YieldEstimate{}, err
 	}
-	return variation.EstimateYield(res.Values, variation.Spec{Name: "INL", Lo: 0, Hi: limit}), nil
+	// Failed and NaN instances are missing data here, out of both counts.
+	return variation.YieldFromCounts(res.Stats.Pass, int(res.Stats.Moments.Count)), nil
 }
 
 // RequiredSigmaUnit returns the largest unit-source sigma that still meets

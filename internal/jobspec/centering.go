@@ -58,7 +58,6 @@ func executeCentering(ctx context.Context, text string, deck *netlist.Deck, spec
 	meter := newMeter("iteration", p.MaxIters, opts)
 	ctr := &variation.Centering{
 		Devices:  devices,
-		Spec:     vspec,
 		Step:     p.Step,
 		MaxScale: p.MaxScale,
 		MaxIters: p.MaxIters,

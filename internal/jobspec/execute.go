@@ -391,13 +391,12 @@ func emitCheckpoint(opts Options, st variation.ChunkStat) {
 }
 
 // mcOutcome assembles the MCOutcome from a campaign result. The failure
-// taxonomy and yield come from the mergeable Stats, so they are
-// available identically whether or not per-trial values were kept.
+// taxonomy and yield come from the mergeable Stats, so the outcome reads
+// the same whatever the shard split or resume point.
 func mcOutcome(p *MCParams, mc *variation.MCResult, chunks []variation.ChunkStat) *MCOutcome {
 	out := &MCOutcome{
 		Node:      p.Node,
 		Requested: mc.N,
-		Values:    mc.Values,
 		Failures:  mc.Failures,
 		NaNs:      mc.NaNs,
 		Cancelled: mc.Cancelled,
@@ -406,17 +405,16 @@ func mcOutcome(p *MCParams, mc *variation.MCResult, chunks []variation.ChunkStat
 		Chunks:    chunks,
 		Resumed:   mc.Resumed,
 	}
-	if st := mc.Stats; st != nil {
-		if st.Failures > 0 {
-			out.FailuresByKind = st.ByKind
-			out.FirstFailure = st.First
-		}
-		// NaN dies are measured rejects, so a campaign where every die
-		// measured NaN still has a (zero) yield.
-		if p.Window().HasSpec() && int(st.Moments.Count)+st.NaNs > 0 {
-			y := st.Yield()
-			out.Yield = &y
-		}
+	st := mc.Stats
+	if st.Failures > 0 {
+		out.FailuresByKind = st.ByKind
+		out.FirstFailure = st.First
+	}
+	// NaN dies are measured rejects, so a campaign where every die
+	// measured NaN still has a (zero) yield.
+	if p.Window().HasSpec() && int(st.Moments.Count)+st.NaNs > 0 {
+		y := st.Yield()
+		out.Yield = &y
 	}
 	return out
 }
@@ -487,6 +485,10 @@ func voltageTrial(pool *variation.DiePool, tech *device.Technology, corner *vari
 	}
 }
 
+// mcTrial builds executeMC's trial; a variable so tests can read the
+// per-trial values a campaign folds into its Stats.
+var mcTrial = voltageTrial
+
 // executeMC runs a Monte-Carlo mismatch campaign on the deck, or on the
 // trial sub-range a shard sub-job names, resuming from checkpoints in
 // opts.Resume; a campaign with Shards > 1 scatter-gathers instead. Every
@@ -544,7 +546,7 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 		}
 		pinned = &co
 	}
-	trial := voltageTrial(pool, deck.Tech, pinned, p.Node)
+	trial := mcTrial(pool, deck.Tech, pinned, p.Node)
 	var chunks []variation.ChunkStat
 	camp := &variation.Campaign{
 		Trials: p.Trials,
@@ -553,9 +555,6 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 		From:   from,
 		To:     to,
 		Resume: resume,
-		// Per-trial values feed the CLI histogram; a trial-range sub-job
-		// or a resumed campaign reports from mergeable Stats alone.
-		KeepValues: p.Range == nil && len(resume) == 0,
 		Trial: func(rng *mathx.RNG, i int) (float64, error) {
 			defer meter.tick()
 			return trial(rng, i)

@@ -239,9 +239,9 @@ func TestExecuteMCProgressOrdering(t *testing.T) {
 	if mc.Requested != trials {
 		t.Errorf("requested = %d", mc.Requested)
 	}
-	if got := len(mc.Values) + mc.Failures + mc.NaNs + mc.Cancelled; got != trials {
+	if got := int(mc.Stats.Moments.Count) + mc.Failures + mc.NaNs + mc.Cancelled; got != trials {
 		t.Errorf("accounting: %d values + %d failed + %d NaN + %d cancelled != %d",
-			len(mc.Values), mc.Failures, mc.NaNs, mc.Cancelled, trials)
+			mc.Stats.Moments.Count, mc.Failures, mc.NaNs, mc.Cancelled, trials)
 	}
 	if mc.Yield == nil {
 		t.Error("spec bounds set but no yield estimate")
@@ -282,9 +282,9 @@ func TestExecuteMCCancelledIsExactlyAccounted(t *testing.T) {
 	if mc.Cancelled == 0 {
 		t.Error("no trials recorded as cancelled")
 	}
-	if got := len(mc.Values) + mc.Failures + mc.NaNs + mc.Cancelled; got != trials {
+	if got := int(mc.Stats.Moments.Count) + mc.Failures + mc.NaNs + mc.Cancelled; got != trials {
 		t.Errorf("accounting: %d + %d + %d + %d != %d",
-			len(mc.Values), mc.Failures, mc.NaNs, mc.Cancelled, trials)
+			mc.Stats.Moments.Count, mc.Failures, mc.NaNs, mc.Cancelled, trials)
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/device"
+	"repro/internal/mathx"
 	"repro/internal/netlist"
+	"repro/internal/variation"
 )
 
 // TestMCBatchDefaultsAndValidation pins the retirement of mc.batch:
@@ -82,22 +85,67 @@ func valuesDigest(v []float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// statsDigest is the SHA-256 of an MC outcome's Stats JSON.
+func statsDigest(t *testing.T, mc *MCOutcome) string {
+	t.Helper()
+	b, err := json.Marshal(mc.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+// executeValues executes s with executeMC's trial wrapped to record every
+// trial's value, and returns the result with the successful values in
+// trial order: the per-trial values the campaign folded into its Stats.
+func executeValues(t *testing.T, s *Spec) (*Result, []float64) {
+	t.Helper()
+	vals := make([]float64, s.MC.Trials)
+	ok := make([]bool, s.MC.Trials)
+	saved := mcTrial
+	defer func() { mcTrial = saved }()
+	mcTrial = func(pool *variation.DiePool, tech *device.Technology, corner *variation.Corner, node string) variation.Trial {
+		trial := saved(pool, tech, corner, node)
+		return func(rng *mathx.RNG, i int) (float64, error) {
+			v, err := trial(rng, i)
+			if err == nil && !math.IsNaN(v) {
+				vals[i], ok[i] = v, true
+			}
+			return v, err
+		}
+	}
+	res, err := Execute(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []float64
+	for i, v := range vals {
+		if ok[i] {
+			out = append(out, v)
+		}
+	}
+	return res, out
+}
+
 // TestMCBatchBitIdenticalExecution pins every per-trial value of two MC
 // campaigns to digests recorded when each trial parsed a fresh deck, so
 // keeping one die per worker for the whole job moves no value, on any
-// worker count. The 128-stage ladder runs the sparse LU, whose pivot
-// order is chosen at a die's first factorisation and survives the reset
-// between trials.
+// worker count, and pins the Stats JSON the result carries. The
+// 128-stage ladder runs the sparse LU, whose pivot order is chosen at a
+// die's first factorisation and survives the reset between trials.
 func TestMCBatchBitIdenticalExecution(t *testing.T) {
 	cases := []struct {
 		name, deck, node string
 		seed             uint64
-		want             string
+		want, wantStats  string
 	}{
 		{"inverter", inverterDeck, "out", 9,
-			"fc99c8cf14a3db9af7f368c2368d3f29a598cb03268ee704f840200e171a51c6"},
+			"fc99c8cf14a3db9af7f368c2368d3f29a598cb03268ee704f840200e171a51c6",
+			"ff95dc5b71c82a2bae96710ca35768370769e8f9e92bb0c6321d28975bc7a65b"},
 		{"ladder128", ladderDeck(128), "n0127", 5,
-			"9317045a98ff36dd6238139d54519e3efbbe4108cd0f8054ebf7183e4c49a270"},
+			"9317045a98ff36dd6238139d54519e3efbbe4108cd0f8054ebf7183e4c49a270",
+			"4742d7339155d1ef4aacff97eb3b4072aee817b9cecf7c8ef1fca4cc3cc2d859"},
 	}
 	ladder, err := netlist.Parse(cases[1].deck)
 	if err != nil {
@@ -113,15 +161,15 @@ func TestMCBatchBitIdenticalExecution(t *testing.T) {
 			s := &Spec{Analysis: KindMC, Netlist: tc.deck, Seed: tc.seed,
 				MC: &MCParams{Trials: 300, Node: tc.node}}
 			s.ApplyDefaults()
-			res, err := Execute(context.Background(), s)
-			if err != nil {
-				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
-			}
-			if n := len(res.MC.Values); n != 300 {
+			res, vals := executeValues(t, s)
+			if n := len(vals); n != 300 {
 				t.Fatalf("%s GOMAXPROCS=%d: %d values, want 300", tc.name, procs, n)
 			}
-			if got := valuesDigest(res.MC.Values); got != tc.want {
+			if got := valuesDigest(vals); got != tc.want {
 				t.Errorf("%s GOMAXPROCS=%d: values digest %s, want %s", tc.name, procs, got, tc.want)
+			}
+			if got := statsDigest(t, res.MC); got != tc.wantStats {
+				t.Errorf("%s GOMAXPROCS=%d: stats digest %s, want %s", tc.name, procs, got, tc.wantStats)
 			}
 		}
 	}
@@ -146,11 +194,8 @@ func TestMCParsesDeckOncePerDie(t *testing.T) {
 		s := &Spec{Analysis: KindMC, Netlist: inverterDeck, Seed: 9,
 			MC: &MCParams{Trials: 300, Node: "out"}}
 		s.ApplyDefaults()
-		res, err := Execute(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := valuesDigest(res.MC.Values); got != "fc99c8cf14a3db9af7f368c2368d3f29a598cb03268ee704f840200e171a51c6" {
+		_, vals := executeValues(t, s)
+		if got := valuesDigest(vals); got != "fc99c8cf14a3db9af7f368c2368d3f29a598cb03268ee704f840200e171a51c6" {
 			t.Errorf("GOMAXPROCS=%d: values digest %s moved", procs, got)
 		}
 		n := parses.Load()

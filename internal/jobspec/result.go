@@ -95,24 +95,21 @@ type DeviceDamage struct {
 }
 
 // MCOutcome is a Monte-Carlo mismatch distribution with its exact
-// failure accounting: Requested == len(Values) + Failures + NaNs +
-// Cancelled always holds, including on partial (cancelled) runs.
+// failure accounting: Requested == Stats.Moments.Count + Failures + NaNs
+// + Cancelled always holds, including on partial (cancelled) runs. It
+// carries no per-trial values, so it has one shape whatever the shard
+// split or resume point.
 type MCOutcome struct {
 	Node      string `json:"node"`
 	Requested int    `json:"requested"`
-	// Values holds every successful trial's metric in trial order. Sharded
-	// and resumed campaigns do not ship per-trial values — they report
-	// from Stats instead, and Values is absent.
-	Values    []float64 `json:"values,omitempty"`
-	Failures  int       `json:"failures"`
-	NaNs      int       `json:"nans"`
-	Cancelled int       `json:"cancelled"`
+	Failures  int    `json:"failures"`
+	NaNs      int    `json:"nans"`
+	Cancelled int    `json:"cancelled"`
 	// Elapsed is the Monte-Carlo engine's own wall time (excludes deck
 	// parsing and the nominal warm-start solve).
 	Elapsed Duration `json:"elapsed"`
-	// Stats is the mergeable statistical summary (exact moments and
-	// counts, bounded-error quantile sketch). It is the authoritative
-	// accounting when Values is absent.
+	// Stats is the mergeable statistical summary: exact moments and
+	// counts, and a bounded-error quantile sketch.
 	Stats *variation.MCStats `json:"stats,omitempty"`
 	// Chunks carries the per-chunk summaries of a trial-range sub-job so
 	// the dispatching parent can scatter-gather and checkpoint them.
@@ -135,12 +132,7 @@ type MCOutcome struct {
 }
 
 // Completed returns the number of trials that ran to a verdict.
-func (m *MCOutcome) Completed() int {
-	if m.Stats != nil {
-		return m.Stats.Completed()
-	}
-	return len(m.Values) + m.NaNs + m.Failures
-}
+func (m *MCOutcome) Completed() int { return m.Stats.Completed() }
 
 // CornersResult is a global-corner sweep of one node voltage with
 // worst-case identification, and — when the spec carried limits — a

@@ -75,7 +75,7 @@ func TestValidateShardAndRange(t *testing.T) {
 }
 
 // A trial-range sub-job must report its chunks (the scatter-gather
-// currency) and no per-trial values.
+// currency).
 func TestExecuteRangeSubJob(t *testing.T) {
 	const trials = 96
 	cs := variation.ChunkSize(trials)
@@ -88,9 +88,6 @@ func TestExecuteRangeSubJob(t *testing.T) {
 	mc := res.MC
 	if mc == nil {
 		t.Fatal("no mc outcome")
-	}
-	if len(mc.Values) != 0 {
-		t.Errorf("sub-job shipped %d per-trial values", len(mc.Values))
 	}
 	if mc.Requested != 2*cs || mc.Completed() != 2*cs {
 		t.Errorf("requested %d completed %d, want %d", mc.Requested, mc.Completed(), 2*cs)
@@ -110,14 +107,10 @@ func TestExecuteRangeSubJob(t *testing.T) {
 // within the sketch's documented rank-error bound.
 func TestExecuteShardedMatchesSingleShard(t *testing.T) {
 	const trials = 96
-	ref, err := Execute(context.Background(), mcShardSpec(trials, 0))
-	if err != nil {
-		t.Fatal(err)
+	ref, sorted := executeValues(t, mcShardSpec(trials, 0))
+	if len(sorted) == 0 {
+		t.Fatal("reference run produced no values")
 	}
-	if got := len(ref.MC.Values); got == 0 {
-		t.Fatal("reference run kept no values")
-	}
-	sorted := append([]float64(nil), ref.MC.Values...)
 	sort.Float64s(sorted)
 
 	for _, k := range []int{1, 4, 16} {
@@ -128,9 +121,6 @@ func TestExecuteShardedMatchesSingleShard(t *testing.T) {
 		mc := res.MC
 		if mc.Stats == nil {
 			t.Fatalf("k=%d: no stats", k)
-		}
-		if k > 1 && len(mc.Values) != 0 {
-			t.Errorf("k=%d: sharded run shipped per-trial values", k)
 		}
 		if mc.Completed() != ref.MC.Completed() || mc.Cancelled != 0 {
 			t.Errorf("k=%d: completed %d cancelled %d, want %d/0",
@@ -191,9 +181,6 @@ func TestExecuteCheckpointResume(t *testing.T) {
 		}
 		if mc.Stats.Moments != full.MC.Stats.Moments {
 			t.Fatalf("m=%d: moments %+v != %+v (not bit-identical)", m, mc.Stats.Moments, full.MC.Stats.Moments)
-		}
-		if len(mc.Values) != 0 {
-			t.Errorf("m=%d: resumed run shipped per-trial values", m)
 		}
 	}
 
@@ -299,5 +286,54 @@ func TestExecuteShardedRunShardHook(t *testing.T) {
 	}
 	if res.MC.Stats.Moments != res2.MC.Stats.Moments {
 		t.Errorf("resumed sharded moments differ: %+v != %+v", res2.MC.Stats.Moments, res.MC.Stats.Moments)
+	}
+}
+
+// maskedMC is r's JSON without what says how the run went rather than
+// what it found: the wall times, the shard fan-out and the resumed
+// chunk count.
+func maskedMC(t *testing.T, r *Result) string {
+	t.Helper()
+	c, mc := *r, *r.MC
+	c.Elapsed, mc.Elapsed, mc.Shards, mc.Resumed = 0, 0, 0, 0
+	c.MC = &mc
+	b, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// An MC result has one shape: apart from wall times, shards and resumed,
+// its JSON is byte-identical unsharded, at 1 and 4 shards, and resumed
+// from checkpointed chunks.
+func TestMCResultSameAnySplit(t *testing.T) {
+	const trials = 96
+	var ckpts []json.RawMessage
+	ref, err := ExecuteOpts(context.Background(), mcShardSpec(trials, 0), Options{
+		OnCheckpoint: func(cp Checkpoint) { ckpts = append(ckpts, cp.Data) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maskedMC(t, ref)
+	for _, k := range []int{1, 4} {
+		res, err := Execute(context.Background(), mcShardSpec(trials, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := maskedMC(t, res); got != want {
+			t.Errorf("%d shards:\n%s\nunsharded:\n%s", k, got, want)
+		}
+	}
+	res, err := ExecuteOpts(context.Background(), mcShardSpec(trials, 0), Options{Resume: ckpts[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MC.Resumed != 2 {
+		t.Fatalf("resumed %d chunks, want 2", res.MC.Resumed)
+	}
+	if got := maskedMC(t, res); got != want {
+		t.Errorf("resumed:\n%s\nuninterrupted:\n%s", got, want)
 	}
 }

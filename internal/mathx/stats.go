@@ -18,24 +18,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased (n-1) sample variance of xs, or NaN for
-// fewer than two samples. It uses a two-pass algorithm for stability.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the minimum and maximum of xs. It panics on an empty slice.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {

@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// Variance returns the unbiased (n-1) sample variance of xs, or NaN for
+// fewer than two samples. It uses a two-pass algorithm for stability.
+func Variance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return math.NaN()
+	}
+	m := Mean(xs)
+	s := 0.0
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return s / float64(len(xs)-1)
+}
+
 // Correlation returns the Pearson correlation coefficient of xs and ys.
 // It panics if the slices differ in length or have fewer than two points,
 // and returns NaN if either input is constant.

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/jobspec"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // copyTree snapshots a data directory file by file — the disk image a
@@ -155,5 +156,88 @@ func TestKillAndResumeCampaign(t *testing.T) {
 	if got.MC.Stats.Moments != want.MC.Stats.Moments {
 		t.Errorf("resumed moments\n%+v\ndiffer from the uninterrupted run's\n%+v",
 			got.MC.Stats.Moments, want.MC.Stats.Moments)
+	}
+}
+
+// maskRunFields re-encodes an MC result without what says how the run
+// went: the wall times, the shard fan-out and the resumed chunk count.
+func maskRunFields(t *testing.T, raw []byte) string {
+	t.Helper()
+	var r jobspec.Result
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.MC == nil {
+		t.Fatalf("result carries no mc outcome: %s", raw)
+	}
+	r.Elapsed, r.MC.Elapsed, r.MC.Shards, r.MC.Resumed = 0, 0, 0, 0
+	b, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestResumedResultMatchesUninterrupted restarts a server over the disk
+// image of one killed after journaling two of a campaign's four chunks:
+// the result it serves is byte-identical to an uninterrupted run's,
+// apart from wall times, shards and resumed.
+func TestResumedResultMatchesUninterrupted(t *testing.T) {
+	const trials = 96 // chunk size 24 → a 4-chunk campaign grid
+	spec := mcSpec(trials)
+	spec.Seed = 21
+	spec.ApplyDefaults()
+	var ckpts []jobspec.Checkpoint
+	ref, err := jobspec.ExecuteOpts(context.Background(), spec, jobspec.Options{
+		OnCheckpoint: func(cp jobspec.Checkpoint) { ckpts = append(ckpts, cp) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maskRunFields(t, refJSON)
+
+	dir := t.TempDir()
+	st := mustStore(t, dir, nil)
+	now := time.Now()
+	if err := st.JobSubmitted("job-000001", spec, spec.CanonicalHash(), store.SubmitMeta{}, now); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.JobRunning("job-000001", now); err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range ckpts[:2] {
+		if err := st.JobCheckpoint("job-000001", cp.Seq, cp.Data, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	st2 := mustStore(t, dir, nil)
+	t.Cleanup(func() { st2.Close() })
+	s := NewServer(Config{QueueDepth: 2, Workers: 1, Store: st2})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		ts.Close()
+	})
+	fin := waitTerminal(t, ts, "job-000001")
+	if fin.State != StateDone {
+		t.Fatalf("resumed campaign = %s (error %q), want done", fin.State, fin.Error)
+	}
+	if got := maskRunFields(t, fin.Result); got != want {
+		t.Errorf("resumed result\n%s\ndiffers from the uninterrupted one\n%s", got, want)
+	}
+	var got jobspec.Result
+	if err := json.Unmarshal(fin.Result, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.MC.Resumed != 2 {
+		t.Errorf("resumed %d chunks, want 2", got.MC.Resumed)
 	}
 }

@@ -501,9 +501,9 @@ func TestCancelRunningJobPersistsPartial(t *testing.T) {
 	if mc.Cancelled == 0 {
 		t.Error("no trials accounted as cancelled")
 	}
-	if got := len(mc.Values) + mc.Failures + mc.NaNs + mc.Cancelled; got != mc.Requested {
+	if got := int(mc.Stats.Moments.Count) + mc.Failures + mc.NaNs + mc.Cancelled; got != mc.Requested {
 		t.Errorf("accounting: %d values + %d failed + %d NaN + %d cancelled != %d requested",
-			len(mc.Values), mc.Failures, mc.NaNs, mc.Cancelled, mc.Requested)
+			mc.Stats.Moments.Count, mc.Failures, mc.NaNs, mc.Cancelled, mc.Requested)
 	}
 }
 

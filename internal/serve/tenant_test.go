@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"repro/internal/jobspec"
+	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/variation"
 )
 
 // twoTenants is the canonical 3:1 pair used across these tests.
@@ -149,7 +151,7 @@ func TestFairShareWeightedTrials(t *testing.T) {
 			return nil, ctx.Err()
 		}
 		return &jobspec.Result{Kind: spec.Analysis, MC: &jobspec.MCOutcome{
-			Node: "out", Requested: 5, Values: []float64{1, 2, 3, 4, 5},
+			Node: "out", Requested: 5, Stats: &variation.MCStats{Moments: mathx.Moments{Count: 5}},
 		}}, nil
 	}
 	reg := obs.NewRegistry()
@@ -305,7 +307,7 @@ func TestBatchDedupAndCache(t *testing.T) {
 	defer st.Close()
 	exec := func(ctx context.Context, spec *jobspec.Spec, _ jobspec.Options) (*jobspec.Result, error) {
 		return &jobspec.Result{Kind: spec.Analysis, MC: &jobspec.MCOutcome{
-			Node: "out", Requested: spec.MC.Trials, Values: []float64{1},
+			Node: "out", Requested: spec.MC.Trials, Stats: &variation.MCStats{Moments: mathx.Moments{Count: 1}},
 		}}, nil
 	}
 	s, ts := newTestServer(t, Config{Workers: 2, Registry: reg, Store: st, Execute: exec})

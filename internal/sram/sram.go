@@ -252,18 +252,25 @@ func StabilityYield(cfg CellConfig, limit float64, nCells, points int, seed uint
 	if nCells <= 0 {
 		return variation.YieldEstimate{}, fmt.Errorf("sram: need at least one cell")
 	}
-	res, err := variation.MonteCarloCtx(context.Background(), nCells, seed, func(rng *mathx.RNG, _ int) (float64, error) {
-		cell, err := NewCell(cfg)
-		if err != nil {
-			return 0, err
-		}
-		cell.ApplyMismatch(rng)
-		return cell.ReadSNM(points)
-	})
+	camp := variation.Campaign{
+		Trials: nCells,
+		Seed:   seed,
+		Spec:   &variation.Spec{Name: "readSNM", Lo: limit, Hi: math.Inf(1)},
+		Trial: func(rng *mathx.RNG, _ int) (float64, error) {
+			cell, err := NewCell(cfg)
+			if err != nil {
+				return 0, err
+			}
+			cell.ApplyMismatch(rng)
+			return cell.ReadSNM(points)
+		},
+	}
+	res, err := camp.Run(context.Background())
 	if err != nil {
 		return variation.YieldEstimate{}, err
 	}
-	return variation.EstimateYield(res.Values, variation.Spec{Name: "readSNM", Lo: limit, Hi: math.Inf(1)}), nil
+	// Failed and NaN cells are missing data here, out of both counts.
+	return variation.YieldFromCounts(res.Stats.Pass, int(res.Stats.Moments.Count)), nil
 }
 
 // ApplyNBTIAsymmetry installs an NBTI threshold shift on pull-up 1 only —

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -295,15 +296,18 @@ func TestStoreOrphanResultGC(t *testing.T) {
 	}
 }
 
+// legacyMCSnapshot is an MC result snapshot as the store held it before
+// MC results reported from their mergeable stats alone: it still carries
+// every trial's "values".
+const legacyMCSnapshot = `{"kind":"mc","seed":3,"elapsed":"1.52ms","mc":{"node":"out","requested":4,"values":[0.05709659105278933,0.07316629788298887,0.07106311260179356,0.07265919492020576],"failures":0,"nans":0,"cancelled":0,"elapsed":"1.31ms","stats":{"moments":{"n":4,"mean":0.06849629911444438,"m2":0.00017568046535763342,"min":0.05709659105278933,"max":0.07316629788298887},"sketch":{"count":4,"min":0.05709659105278933,"max":0.07316629788298887,"centroids":[{"m":0.05709659105278933,"c":1},{"m":0.07106311260179356,"c":1},{"m":0.07265919492020576,"c":1},{"m":0.07316629788298887,"c":1}]},"pass":4},"yield":{"Pass":4,"Total":4,"Yield":1,"Lo95":0.5101091635454027,"Hi95":1}}}`
+
 func TestStoreResultSnapshotDecodable(t *testing.T) {
-	// The snapshot path must round-trip a real jobspec.Result untouched.
+	// A snapshot stored before MC results dropped per-trial values must
+	// replay byte for byte, and its cached bytes must still decode into a
+	// jobspec.Result, as the signoff sub-job cache read does.
 	dir := t.TempDir()
 	s := mustOpen(t, dir, nil, Options{})
-	res := &jobspec.Result{Kind: jobspec.KindMC, Seed: 3, MC: &jobspec.MCOutcome{Node: "out", Requested: 2, Values: []float64{0.5, 0.6}}}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := []byte(legacyMCSnapshot)
 	spec := testSpec(3)
 	now := time.Now()
 	if err := s.JobSubmitted("job-000001", spec, spec.CanonicalHash(), SubmitMeta{}, now); err != nil {
@@ -314,12 +318,19 @@ func TestStoreResultSnapshotDecodable(t *testing.T) {
 	}
 	s.Close()
 	s2 := mustOpen(t, dir, nil, Options{})
+	if got := s2.Recovered()[0].Result; !bytes.Equal(got, raw) {
+		t.Fatalf("replayed snapshot changed:\n%s\nwant\n%s", got, raw)
+	}
+	_, cached, ok := s2.CachedResult(spec.CanonicalHash())
+	if !ok || !bytes.Equal(cached, raw) {
+		t.Fatalf("cached snapshot = %s (ok %v), want the stored bytes", cached, ok)
+	}
 	var got jobspec.Result
-	if err := json.Unmarshal(s2.Recovered()[0].Result, &got); err != nil {
+	if err := json.Unmarshal(cached, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Seed != 3 || got.MC == nil || len(got.MC.Values) != 2 {
-		t.Fatalf("round-tripped result = %+v", got)
+	if got.Seed != 3 || got.MC == nil || got.MC.Completed() != 4 || got.MC.Yield == nil || got.MC.Yield.Pass != 4 {
+		t.Fatalf("decoded snapshot = %+v", got)
 	}
 }
 

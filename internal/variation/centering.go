@@ -108,15 +108,14 @@ type Centering struct {
 	// side of a differential pair alone trades its Pelgrom σ for a
 	// systematic offset and loses. No device may appear in two entries.
 	Devices []string
-	// Spec is the pass window of the monitored metric.
-	Spec Spec
 	// Step is the width scale of one move (> 1); MaxScale bounds any
 	// device's cumulative scale to [1/MaxScale, MaxScale].
 	Step, MaxScale float64
 	// MaxIters bounds the number of accepted moves.
 	MaxIters int
 	// Evaluate measures the metric distribution at the given sizing
-	// (device → cumulative width scale). Implementations must be
+	// (device → cumulative width scale), counting spec passes into its
+	// Stats (a Campaign with the pass window as its Spec). It must be
 	// deterministic in the sizing: the optimizer re-evaluates and
 	// compares across iterations.
 	Evaluate func(ctx context.Context, scales map[string]float64) (*MCResult, error)
@@ -209,19 +208,10 @@ func (c *Centering) point(ctx context.Context, iter int, dev string, scale float
 	if err != nil {
 		return CenteringStep{}, err
 	}
-	st := CenteringStep{
+	return CenteringStep{
 		Iteration: iter, Device: dev, Scale: scale,
-		Mean: r.Mean(), Sigma: r.StdDev(),
-	}
-	if r.Stats != nil {
-		st.Yield = r.Stats.Yield()
-	} else {
-		y := EstimateYield(r.Values, c.Spec)
-		// NaN dies are measured rejects: count them in the denominator,
-		// consistent with MCStats.Yield.
-		st.Yield = YieldFromCounts(y.Pass, y.Total+r.NaNs)
-	}
-	return st, nil
+		Mean: r.Mean(), Sigma: r.StdDev(), Yield: r.Stats.Yield(),
+	}, nil
 }
 
 // betterStep orders candidate steps: higher yield wins; ties break on

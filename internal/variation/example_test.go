@@ -23,19 +23,24 @@ func ExampleMinAreaForOffset() {
 	// required area: 6.8 um^2
 }
 
-// ExampleMonteCarloCtx estimates a mismatch yield with a reproducible
+// ExampleCampaign estimates a mismatch yield with a reproducible
 // parallel Monte-Carlo run.
-func ExampleMonteCarloCtx() {
+func ExampleCampaign() {
 	tech := device.MustTech("65nm")
-	res, err := variation.MonteCarloCtx(context.Background(), 2000, 42, func(rng *mathx.RNG, _ int) (float64, error) {
-		return variation.SamplePairDeltaVT(tech, 1e-6, 65e-9, 0, rng), nil
-	})
+	camp := variation.Campaign{
+		Trials: 2000,
+		Seed:   42,
+		Spec:   &variation.Spec{Lo: -0.03, Hi: 0.03},
+		Trial: func(rng *mathx.RNG, _ int) (float64, error) {
+			return variation.SamplePairDeltaVT(tech, 1e-6, 65e-9, 0, rng), nil
+		},
+	}
+	res, err := camp.Run(context.Background())
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	y := variation.EstimateYield(res.Values, variation.Spec{Lo: -0.03, Hi: 0.03})
-	fmt.Printf("pairs within ±30 mV: %s\n", y)
+	fmt.Printf("pairs within ±30 mV: %s\n", res.Stats.Yield())
 	// Output:
 	// pairs within ±30 mV: 92.5% [91.2, 93.5]
 }

@@ -12,46 +12,59 @@ import (
 	"repro/internal/mathx"
 )
 
+// runCampaign runs a full-range campaign of n trials.
+func runCampaign(ctx context.Context, n int, seed uint64, trial Trial) (*MCResult, error) {
+	c := Campaign{Trials: n, Seed: seed, Trial: trial}
+	return c.Run(ctx)
+}
+
 func TestMonteCarloPanicIsolated(t *testing.T) {
-	res, err := MonteCarloCtx(context.Background(), 50, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	trial := func(rng *mathx.RNG, i int) (float64, error) {
 		if i%7 == 0 {
 			panic(fmt.Sprintf("model blew up on trial %d", i))
 		}
 		return float64(i), nil
-	})
+	}
+	res, err := runCampaign(context.Background(), 50, 1, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantPanics := 8 // i = 0, 7, 14, ..., 49
-	if res.Failures != wantPanics || len(res.Errors) != wantPanics {
-		t.Fatalf("failures=%d errors=%d, want %d", res.Failures, len(res.Errors), wantPanics)
+	if res.Failures != wantPanics || res.Stats.ByKind["panic"] != wantPanics {
+		t.Fatalf("failures=%d by kind %v, want %d panics", res.Failures, res.Stats.ByKind, wantPanics)
 	}
-	if len(res.Values) != 50-wantPanics {
-		t.Errorf("values=%d, want %d", len(res.Values), 50-wantPanics)
+	if n := int(res.Stats.Moments.Count); n != 50-wantPanics {
+		t.Errorf("values=%d, want %d", n, 50-wantPanics)
 	}
 	if res.Cancelled != 0 {
 		t.Errorf("no cancellation happened, got Cancelled=%d", res.Cancelled)
 	}
-	for _, te := range res.Errors {
-		if te.Index%7 != 0 {
-			t.Errorf("structured error has wrong trial index %d", te.Index)
+	if want := "trial 0 [trial]: panic: model blew up on trial 0"; res.Stats.First != want {
+		t.Errorf("first failure %q, want %q", res.Stats.First, want)
+	}
+	if res.Elapsed <= 0 {
+		t.Error("run elapsed time not recorded")
+	}
+	// Each panicking trial's slot holds a structured record of it, with
+	// the stack captured at recovery.
+	slots := runChunkTrials(context.Background(), mathx.NewRNG(1), 0, 50, trial, nil)
+	for i, sl := range slots {
+		if (sl.err != nil) != (i%7 == 0) {
+			t.Fatalf("trial %d: error %v", i, sl.err)
 		}
-		if te.Kind() != FailPanic {
-			t.Errorf("panic classified as %v", te.Kind())
+		if sl.err == nil {
+			continue
+		}
+		if sl.err.Index != i || sl.err.Kind() != FailPanic {
+			t.Errorf("trial %d: structured error %v classified as %v", i, sl.err, sl.err.Kind())
 		}
 		var pe *PanicError
-		if !errors.As(te, &pe) {
-			t.Fatalf("cause of %v is not a *PanicError", te)
+		if !errors.As(sl.err, &pe) {
+			t.Fatalf("cause of %v is not a *PanicError", sl.err)
 		}
 		if len(pe.Stack) == 0 {
 			t.Error("recovered panic lost its stack")
 		}
-	}
-	if kinds := res.ErrorsByKind(); kinds[FailPanic] != wantPanics {
-		t.Errorf("ErrorsByKind = %v", kinds)
-	}
-	if res.Elapsed <= 0 {
-		t.Error("run elapsed time not recorded")
 	}
 }
 
@@ -63,7 +76,7 @@ func TestMonteCarloCancellationReturnsPartial(t *testing.T) {
 	// Every dispatched trial blocks until cancellation, so only a handful
 	// (at most the worker count) ever executes and the rest must be
 	// accounted as Cancelled.
-	res, err := MonteCarloCtx(ctx, n, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := runCampaign(ctx, n, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		<-ctx.Done()
 		return 0, ctx.Err()
 	})
@@ -76,24 +89,22 @@ func TestMonteCarloCancellationReturnsPartial(t *testing.T) {
 	if res.Cancelled == 0 {
 		t.Error("no trials accounted as cancelled")
 	}
-	if got := len(res.Values) + res.NaNs + res.Failures + res.Cancelled; got != n {
+	if got := int(res.Stats.Moments.Count) + res.NaNs + res.Failures + res.Cancelled; got != n {
 		t.Errorf("accounting leak: %d values + %d NaNs + %d failures + %d cancelled != %d",
-			len(res.Values), res.NaNs, res.Failures, res.Cancelled, n)
+			res.Stats.Moments.Count, res.NaNs, res.Failures, res.Cancelled, n)
 	}
 	if res.Completed() != n-res.Cancelled {
 		t.Errorf("Completed() = %d, want %d", res.Completed(), n-res.Cancelled)
 	}
-	for _, te := range res.Errors {
-		if te.Kind() != FailCancelled {
-			t.Errorf("trial aborted by ctx classified as %v", te.Kind())
-		}
+	if got := res.Stats.ByKind["cancelled"]; got != res.Failures {
+		t.Errorf("%d of %d trials aborted by ctx classified as cancelled (%v)", got, res.Failures, res.Stats.ByKind)
 	}
 }
 
 func TestMonteCarloDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	res, err := MonteCarloCtx(ctx, 100000, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := runCampaign(ctx, 100000, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		time.Sleep(200 * time.Microsecond)
 		return 1, nil
 	})
@@ -103,7 +114,7 @@ func TestMonteCarloDeadline(t *testing.T) {
 	if res.Cancelled == 0 {
 		t.Error("deadline left no trials cancelled")
 	}
-	if got := len(res.Values) + res.NaNs + res.Failures + res.Cancelled; got != res.N {
+	if got := int(res.Stats.Moments.Count) + res.NaNs + res.Failures + res.Cancelled; got != res.N {
 		t.Errorf("accounting leak: %d != %d", got, res.N)
 	}
 }
@@ -111,13 +122,13 @@ func TestMonteCarloDeadline(t *testing.T) {
 // Regression: a run in which every trial failed must degrade to NaN
 // statistics instead of panicking.
 func TestMCResultEmptyValuesConsistentNaN(t *testing.T) {
-	res, err := MonteCarloCtx(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := runCampaign(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		return 0, errors.New("all dies dead")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Values) != 0 || res.Failures != 10 {
+	if res.Stats.Moments.Count != 0 || res.Failures != 10 {
 		t.Fatalf("unexpected accounting: %+v", res)
 	}
 	if !math.IsNaN(res.Mean()) {
@@ -175,7 +186,7 @@ func TestTrialErrorFormatAndUnwrap(t *testing.T) {
 // Trials returning the solver's convergence sentinel must classify as
 // convergence failures in the structured accounting.
 func TestMonteCarloConvergenceClassification(t *testing.T) {
-	res, err := MonteCarloCtx(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := runCampaign(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		if i < 3 {
 			return 0, fmt.Errorf("op: %w", circuit.ErrNoConvergence)
 		}
@@ -184,8 +195,8 @@ func TestMonteCarloConvergenceClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := res.ErrorsByKind()
-	if kinds[FailConvergence] != 3 {
-		t.Errorf("ErrorsByKind = %v, want 3 convergence failures", kinds)
+	kinds := res.Stats.ByKind
+	if kinds["convergence"] != 3 || len(kinds) != 1 {
+		t.Errorf("ByKind = %v, want 3 convergence failures", kinds)
 	}
 }

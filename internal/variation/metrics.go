@@ -71,7 +71,7 @@ func (m *pkgMetrics) record(res *MCResult) {
 	m.trials.Add(int64(res.Completed()))
 	m.nans.Add(int64(res.NaNs))
 	m.cancelled.Add(int64(res.Cancelled))
-	for _, te := range res.Errors {
-		m.failures[te.Kind()].Inc()
+	for k, c := range m.failures {
+		c.Add(int64(res.Stats.ByKind[FailureKind(k).String()]))
 	}
 }

@@ -1,7 +1,6 @@
 package variation
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -14,13 +13,13 @@ import (
 // an error marks the trial failed (counted, not fatal).
 type Trial func(rng *mathx.RNG, i int) (float64, error)
 
-// MCResult is the outcome of a Monte-Carlo run. Values holds the metric of
-// every successful trial in trial order (failed trials are skipped).
+// MCResult is the outcome of a Monte-Carlo run: the mergeable Stats its
+// Campaign folded, and the run's outcome accounting.
 type MCResult struct {
-	Values []float64
 	// Failures counts trials that ran but returned an error or panicked —
 	// the simulator could not produce a result at all (non-convergence,
-	// bad topology, model panic).
+	// bad topology, model panic). Stats.ByKind and Stats.First classify
+	// them.
 	Failures int
 	// NaNs counts trials that returned NaN without an error — the
 	// simulation ran but the metric was undefined. Distinguishing the two
@@ -28,70 +27,29 @@ type MCResult struct {
 	// errored trial is missing data.
 	NaNs int
 	// Cancelled counts trials that never ran because the run's context
-	// was cancelled. Values/Failures/NaNs then describe a partial run:
-	// Cancelled + NaNs + Failures + len(Values) == N always holds.
+	// was cancelled. The other counters then describe a partial run:
+	// Stats.Moments.Count + NaNs + Failures + Cancelled == N always holds.
 	Cancelled int
-	// Errors holds one structured record per failed trial, in trial
-	// order; len(Errors) == Failures.
-	Errors []*TrialError
 	// Elapsed is the wall time of the run.
 	Elapsed time.Duration
 	// N is the requested trial count.
 	N int
-	// Stats is the mergeable statistical summary of the run, set by the
-	// Campaign engine (and usable standalone via MCStats.Merge). When
-	// Values is empty — sharded or resumed campaigns don't ship per-trial
-	// values — Mean/StdDev/Quantile/Completed answer from Stats instead.
+	// Stats is the mergeable statistical summary of the run; Campaign.Run
+	// always sets it.
 	Stats *MCStats
 	// Resumed counts chunks restored from checkpoints instead of re-run.
 	Resumed int
 }
 
-// Mean returns the sample mean of the collected values (NaN when no trial
-// succeeded). Without per-trial values it answers from the merged Stats.
-func (r *MCResult) Mean() float64 {
-	if len(r.Values) == 0 && r.Stats != nil {
-		return r.Stats.Mean()
-	}
-	return mathx.Mean(r.Values)
-}
+// Mean returns the mean of the successful values (NaN when none).
+func (r *MCResult) Mean() float64 { return r.Stats.Mean() }
 
-// StdDev returns the sample standard deviation (NaN when no trial
-// succeeded). Without per-trial values it answers from the merged Stats.
-func (r *MCResult) StdDev() float64 {
-	if len(r.Values) == 0 && r.Stats != nil {
-		return r.Stats.StdDev()
-	}
-	return mathx.StdDev(r.Values)
-}
+// StdDev returns the sample standard deviation of the successful values
+// (NaN when none).
+func (r *MCResult) StdDev() float64 { return r.Stats.StdDev() }
 
 // Completed returns the number of trials that actually ran to a verdict.
-func (r *MCResult) Completed() int {
-	if r.Stats != nil {
-		return r.Stats.Completed()
-	}
-	return len(r.Values) + r.NaNs + r.Failures
-}
-
-// ErrorsByKind tallies the structured failures by taxonomy kind.
-func (r *MCResult) ErrorsByKind() map[FailureKind]int { return CountByKind(r.Errors) }
-
-// MonteCarloCtx runs n trials with the given seed. Trials execute in
-// parallel but every trial's RNG stream depends only on (seed, index), so
-// results are bit-identical regardless of GOMAXPROCS; n <= 0 is an error.
-// A panicking trial is recovered inside its worker and recorded as a
-// structured *TrialError instead of crashing the process. When ctx is
-// cancelled the workers stop claiming trials, and the partial result is
-// returned with accurate Failures/NaNs/Cancelled counts alongside an error
-// wrapping ErrCancelled. It is a full-range Campaign that keeps per-trial
-// values.
-func MonteCarloCtx(ctx context.Context, n int, seed uint64, trial Trial) (*MCResult, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("variation: MonteCarlo needs n > 0, got %d", n)
-	}
-	c := Campaign{Trials: n, Seed: seed, Trial: trial, KeepValues: true}
-	return c.Run(ctx)
-}
+func (r *MCResult) Completed() int { return r.Stats.Completed() }
 
 // Spec is an interval specification on a metric: the circuit passes when
 // Lo <= value <= Hi. Use ±Inf for one-sided specs.

@@ -193,10 +193,12 @@ type Campaign struct {
 	// chunk grid and the RNG substream of every trial, even when this
 	// executor only runs a sub-range.
 	Trials int
-	// Seed is the campaign seed; trial i draws from NewRNG(Seed).Split(i)
-	// exactly as MonteCarloCtx does, so a campaign reproduces it.
+	// Seed is the campaign seed; trial i draws from NewRNG(Seed).Split(i),
+	// so its value depends only on (Seed, i), never on GOMAXPROCS, the
+	// shard split or the resume point.
 	Seed uint64
-	// Trial evaluates one die (see MonteCarloCtx for the contract).
+	// Trial evaluates one die. Trials run in parallel; a panicking trial
+	// is recovered inside its worker and counted as a failure.
 	Trial Trial
 	// Spec, when non-nil, counts per-trial passes into MCStats.Pass.
 	Spec *Spec
@@ -211,17 +213,12 @@ type Campaign struct {
 	// complete chunk, in ascending chunk order. This is the checkpoint
 	// hook: a chunk emitted here is durable re-work saved on resume.
 	OnChunk func(ChunkStat)
-	// KeepValues also collects per-trial values and structured errors into
-	// the MCResult (single-process runs that render histograms); sharded
-	// and resumed runs leave it false and report from Stats alone.
-	KeepValues bool
 }
 
 // Run executes the campaign's trial range. The returned MCResult carries
-// merged Stats (plus Values/Errors when KeepValues); its counters obey
-// Cancelled + NaNs + Failures + successes == To-From. Cancellation
-// mid-run returns the completed portion with an error wrapping
-// ErrCancelled, exactly like MonteCarloCtx; the partially-run chunk is
+// the merged Stats; its counters obey Cancelled + NaNs + Failures +
+// successes == To-From. Cancellation mid-run returns the completed
+// portion with an error wrapping ErrCancelled; the partially-run chunk is
 // folded into Stats but never emitted through OnChunk, so checkpoints
 // only ever describe complete chunks.
 func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
@@ -259,9 +256,6 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 	root := mathx.NewRNG(c.Seed)
 	m := met.Load()
 	res := &MCResult{N: to - from, Stats: &MCStats{}}
-	if c.KeepValues {
-		res.Values = make([]float64, 0, to-from)
-	}
 	completed := 0
 	firstChunk, lastChunk := from/cs, (to+cs-1)/cs
 	for chunk := firstChunk; chunk < lastChunk; chunk++ {
@@ -283,26 +277,18 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 		// Stats independent of worker scheduling and shard count.
 		st := ChunkStat{Chunk: chunk, From: cf, To: ct}
 		ran := 0
-		for i, sl := range slots {
+		for _, sl := range slots {
 			switch {
 			case sl.ok:
 				st.Stats.addValue(sl.value, c.Spec != nil && c.Spec.Pass(sl.value))
-				if c.KeepValues {
-					res.Values = append(res.Values, sl.value)
-				}
-				ran++
 			case sl.nan:
 				st.Stats.NaNs++
-				ran++
 			case sl.done:
 				st.Stats.addFailure(sl.err)
-				if c.KeepValues {
-					res.Errors = append(res.Errors, sl.err)
-				}
-				ran++
 			default:
-				_ = i // cancelled before dispatch: accounted below
+				continue // cancelled before dispatch: accounted below
 			}
+			ran++
 		}
 		res.Stats.Merge(&st.Stats)
 		completed += ran

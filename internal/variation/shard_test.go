@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -45,38 +46,59 @@ func TestChunkGridCoversTrials(t *testing.T) {
 	}
 }
 
-// A full-range campaign must reproduce MonteCarloCtx bit-for-bit: same
-// per-trial RNG substreams, same values in trial order, same accounting.
+// sequentialFold evaluates trials [0, n) one after another on their
+// Split substreams and folds them chunk by chunk in trial order: the
+// reference a parallel campaign must reproduce. It also returns the
+// successful values in trial order.
+func sequentialFold(n int, seed uint64, trial Trial) (*MCStats, []float64) {
+	root := mathx.NewRNG(seed)
+	st := &MCStats{}
+	var vals []float64
+	for c := 0; c < NumChunks(n); c++ {
+		var chunk MCStats
+		from, to := ChunkRange(n, c)
+		for i := from; i < to; i++ {
+			v, err := trial(root.Split(uint64(i)), i)
+			switch {
+			case err != nil:
+				chunk.addFailure(&TrialError{Index: i, Phase: "trial", Cause: err})
+			case math.IsNaN(v):
+				chunk.NaNs++
+			default:
+				chunk.addValue(v, false)
+				vals = append(vals, v)
+			}
+		}
+		st.Merge(&chunk)
+	}
+	return st, vals
+}
+
+// A full-range campaign must reproduce a sequential run of the same
+// trials bit-for-bit: same per-trial RNG substreams, the same values
+// folded in trial order, the same accounting.
 func TestCampaignMatchesMonteCarlo(t *testing.T) {
 	const n, seed = 600, 7
-	mc, err := MonteCarloCtx(context.Background(), n, seed, gaussTrial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp := &Campaign{Trials: n, Seed: seed, Trial: gaussTrial, KeepValues: true}
+	want, vals := sequentialFold(n, seed, gaussTrial)
+	camp := &Campaign{Trials: n, Seed: seed, Trial: gaussTrial}
 	cr, err := camp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cr.Values) != len(mc.Values) {
-		t.Fatalf("campaign %d values, MonteCarloCtx %d", len(cr.Values), len(mc.Values))
+	if cr.Failures != want.Failures || cr.NaNs != want.NaNs || cr.Completed() != n {
+		t.Fatalf("accounting: campaign (%d,%d,%d) vs sequential (%d,%d,%d)",
+			cr.Failures, cr.NaNs, cr.Completed(), want.Failures, want.NaNs, n)
 	}
-	for i := range cr.Values {
-		if cr.Values[i] != mc.Values[i] {
-			t.Fatalf("value %d: %g != %g", i, cr.Values[i], mc.Values[i])
-		}
-	}
-	if cr.Failures != mc.Failures || cr.NaNs != mc.NaNs || cr.Completed() != mc.Completed() {
-		t.Fatalf("accounting: campaign (%d,%d,%d) vs mc (%d,%d,%d)",
-			cr.Failures, cr.NaNs, cr.Completed(), mc.Failures, mc.NaNs, mc.Completed())
+	if !reflect.DeepEqual(cr.Stats, want) {
+		t.Fatalf("campaign stats %+v, want the trial-order fold %+v", cr.Stats, want)
 	}
 	// Stats must agree with the value set they summarise (Welford vs
 	// two-pass mean differ only in rounding).
-	if got, want := cr.Stats.Mean(), mathx.Mean(cr.Values); math.Abs(got-want) > 1e-12 {
+	if got, want := cr.Stats.Mean(), mathx.Mean(vals); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("stats mean %g != values mean %g", got, want)
 	}
-	if int(cr.Stats.Moments.Count) != len(cr.Values) {
-		t.Fatalf("stats count %d != %d values", cr.Stats.Moments.Count, len(cr.Values))
+	if int(cr.Stats.Moments.Count) != len(vals) {
+		t.Fatalf("stats count %d != %d values", cr.Stats.Moments.Count, len(vals))
 	}
 }
 
@@ -86,12 +108,12 @@ func TestCampaignMatchesMonteCarlo(t *testing.T) {
 func TestCampaignShardMergeBitIdentical(t *testing.T) {
 	const trials, seed = 1024, 11
 	spec := &Spec{Name: "v", Lo: 0.5, Hi: 0.7}
-	full := &Campaign{Trials: trials, Seed: seed, Trial: gaussTrial, Spec: spec, KeepValues: true}
+	full := &Campaign{Trials: trials, Seed: seed, Trial: gaussTrial, Spec: spec}
 	ref, err := full.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := append([]float64(nil), ref.Values...)
+	_, sorted := sequentialFold(trials, seed, gaussTrial)
 	sort.Float64s(sorted)
 
 	nc := NumChunks(trials)

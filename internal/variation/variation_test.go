@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -105,26 +106,33 @@ func TestApplyRandomMismatch(t *testing.T) {
 }
 
 func TestMonteCarloDeterministicAcrossRuns(t *testing.T) {
-	trial := func(rng *mathx.RNG, i int) (float64, error) {
-		return rng.Norm() + float64(i)*1e-9, nil
+	// run returns the per-trial values, recorded by the trial itself, and
+	// the run's Stats.
+	run := func(seed uint64) ([]float64, *MCStats) {
+		vals := make([]float64, 500)
+		res, err := runCampaign(context.Background(), len(vals), seed, func(rng *mathx.RNG, i int) (float64, error) {
+			vals[i] = rng.Norm() + float64(i)*1e-9
+			return vals[i], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals, res.Stats
 	}
-	a, err := MonteCarloCtx(context.Background(), 500, 42, trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MonteCarloCtx(context.Background(), 500, 42, trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Values {
-		if a.Values[i] != b.Values[i] {
+	a, sa := run(42)
+	b, sb := run(42)
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("trial %d differs across runs", i)
 		}
 	}
-	c, _ := MonteCarloCtx(context.Background(), 500, 43, trial)
+	if !reflect.DeepEqual(sa, sb) {
+		t.Fatal("stats differ across runs")
+	}
+	c, _ := run(43)
 	same := 0
-	for i := range a.Values {
-		if a.Values[i] == c.Values[i] {
+	for i := range a {
+		if a[i] == c[i] {
 			same++
 		}
 	}
@@ -134,7 +142,7 @@ func TestMonteCarloDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestMonteCarloCountsFailures(t *testing.T) {
-	res, err := MonteCarloCtx(context.Background(), 100, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := runCampaign(context.Background(), 100, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		if i%10 == 0 {
 			return 0, errors.New("boom")
 		}
@@ -143,8 +151,8 @@ func TestMonteCarloCountsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failures != 10 || len(res.Values) != 90 {
-		t.Errorf("failures = %d, values = %d", res.Failures, len(res.Values))
+	if res.Failures != 10 || res.Stats.Moments.Count != 90 {
+		t.Errorf("failures = %d, values = %d", res.Failures, res.Stats.Moments.Count)
 	}
 	if res.NaNs != 0 {
 		t.Errorf("error trials must not count as NaNs, got %d", res.NaNs)
@@ -152,13 +160,13 @@ func TestMonteCarloCountsFailures(t *testing.T) {
 }
 
 func TestMonteCarloRejectsBadN(t *testing.T) {
-	if _, err := MonteCarloCtx(context.Background(), 0, 1, func(*mathx.RNG, int) (float64, error) { return 0, nil }); err == nil {
+	if _, err := runCampaign(context.Background(), 0, 1, func(*mathx.RNG, int) (float64, error) { return 0, nil }); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
 
 func TestMonteCarloNaNCountedSeparately(t *testing.T) {
-	res, err := MonteCarloCtx(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := runCampaign(context.Background(), 10, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		return math.NaN(), nil
 	})
 	if err != nil {
@@ -167,13 +175,13 @@ func TestMonteCarloNaNCountedSeparately(t *testing.T) {
 	if res.NaNs != 10 || res.Failures != 0 {
 		t.Errorf("NaN results should count as NaNs, got NaNs=%d failures=%d", res.NaNs, res.Failures)
 	}
-	if len(res.Values) != 0 {
-		t.Errorf("NaN results must not enter Values, got %d", len(res.Values))
+	if res.Stats.Moments.Count != 0 {
+		t.Errorf("NaN results must not enter the moments, got %d", res.Stats.Moments.Count)
 	}
 }
 
 func TestMonteCarloMixedNaNAndErrorTrials(t *testing.T) {
-	res, err := MonteCarloCtx(context.Background(), 30, 1, func(rng *mathx.RNG, i int) (float64, error) {
+	res, err := runCampaign(context.Background(), 30, 1, func(rng *mathx.RNG, i int) (float64, error) {
 		switch i % 3 {
 		case 0:
 			return 0, errors.New("solver blew up")
@@ -185,14 +193,14 @@ func TestMonteCarloMixedNaNAndErrorTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failures != 10 || res.NaNs != 10 || len(res.Values) != 10 {
+	if res.Failures != 10 || res.NaNs != 10 || res.Stats.Moments.Count != 10 {
 		t.Errorf("failures=%d NaNs=%d values=%d, want 10/10/10",
-			res.Failures, res.NaNs, len(res.Values))
+			res.Failures, res.NaNs, res.Stats.Moments.Count)
 	}
 }
 
 func TestMonteCarloStatisticsConverge(t *testing.T) {
-	res, err := MonteCarloCtx(context.Background(), 200000, 5, func(rng *mathx.RNG, _ int) (float64, error) {
+	res, err := runCampaign(context.Background(), 200000, 5, func(rng *mathx.RNG, _ int) (float64, error) {
 		return 3 + 2*rng.Norm(), nil
 	})
 	if err != nil {
@@ -204,7 +212,7 @@ func TestMonteCarloStatisticsConverge(t *testing.T) {
 	if !mathx.ApproxEqual(res.StdDev(), 2, 0.02, 0) {
 		t.Errorf("std = %g", res.StdDev())
 	}
-	if med := mathx.Quantile(res.Values, 0.5); !mathx.ApproxEqual(med, 3, 0.02, 0) {
+	if med := res.Stats.Quantile(0.5); !mathx.ApproxEqual(med, 3, 0.02, 0) {
 		t.Errorf("median = %g", med)
 	}
 }
