@@ -152,11 +152,12 @@ bench-solver:
 	$(GO) test -run '^$$' -bench 'FactorSolve' -benchmem ./internal/linalg/
 
 # The sparse-backend crossover and pooled-campaign benchmarks behind
-# BENCH_6.json / the README crossover table, plus the scalar compact-model
-# evaluation cost and one Markowitz analysis of the 256-unknown ladder
-# (BENCH_23.json).
+# BENCH_6.json / the README crossover table (BenchmarkMCService also
+# matches its 254-stage sibling BenchmarkMCServiceSparse), plus the scalar
+# compact-model evaluation cost and one Markowitz analysis of the
+# 256-unknown ladder (BENCH_23.json).
 bench-sparse:
-	$(GO) test -run '^$$' -bench 'BenchmarkLadderOP|BenchmarkMCCampaign|BenchmarkMCService' -benchtime=2s .
+	$(GO) test -run '^$$' -bench 'BenchmarkLadderOP|BenchmarkMCCampaign|BenchmarkMCService' -benchmem -benchtime=2s .
 	$(GO) test -run '^$$' -bench 'BenchmarkEval' -benchmem -benchtime=2s ./internal/device/
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseAnalyze' -benchmem -benchtime=2s ./internal/linalg/sparse/
 

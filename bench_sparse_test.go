@@ -10,13 +10,16 @@ package repro
 //  2. What does a Monte-Carlo campaign cost per trial when every worker
 //     keeps one die for the whole run? (BenchmarkMCCampaign through
 //     core.Simulator and BenchmarkMCService through jobspec, on the
-//     Fig. 3 current reference.)
+//     Fig. 3 current reference; BenchmarkMCServiceSparse through jobspec
+//     on the 254-stage ladder.) Each reports allocations: a warm trial
+//     allocates nothing, so what remains is per-die and per-chunk.
 //
 // Run with: make bench-sparse
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -87,11 +90,10 @@ func campaignSim() *core.Simulator {
 		Metrics: []core.Metric{{
 			Name: "vout",
 			Measure: func(c *circuit.Circuit) (float64, error) {
-				sol, err := c.OperatingPoint()
-				if err != nil {
+				if err := c.SolveOP(); err != nil {
 					return 0, err
 				}
-				return sol.Voltage("out"), nil
+				return c.Voltage("out"), nil
 			},
 			Spec: variation.Spec{Name: "vout", Lo: 0, Hi: 10},
 		}},
@@ -105,6 +107,7 @@ func BenchmarkMCCampaign(b *testing.B) {
 	const trials = 1000
 	mission := core.Mission{Duration: 3.156e8, TempK: 350, Checkpoints: 1}
 	s := campaignSim()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := s.RunCtx(context.Background(), trials, mission)
 		if err != nil {
@@ -140,7 +143,42 @@ func BenchmarkMCService(b *testing.B) {
 		Analysis: jobspec.KindMC, Netlist: currentRefDeck, Seed: 7,
 		MC: &jobspec.MCParams{Trials: trials, Node: "out"},
 	}
+	benchMCSpec(b, spec, trials)
+}
+
+// ladderDeck renders buildLadder's chain as a netlist: the mc_sparse
+// end-to-end workload's deck.
+func ladderDeck(stages int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "* %d-stage diode ladder, 180nm\n.tech 180nm\nVSUP rail 0 DC 1.8\n", stages)
+	prev := "rail"
+	for i := 0; i < stages; i++ {
+		n := fmt.Sprintf("n%04d", i)
+		fmt.Fprintf(&sb, "RF%04d rail %s 30k\nM%04d %s %s 0 0 NMOS W=2u L=720n\nRC%04d %s %s 50k\n",
+			i, n, i, n, n, i, prev, n)
+		prev = n
+	}
+	sb.WriteString(".end\n")
+	return sb.String()
+}
+
+// BenchmarkMCServiceSparse is BenchmarkMCService on the 254-stage ladder
+// (256 unknowns, sparse backend) at 400 trials per iteration: the
+// mc_sparse end-to-end workload's job without the server around it.
+func BenchmarkMCServiceSparse(b *testing.B) {
+	const trials, stages = 400, 254
+	spec := &jobspec.Spec{
+		Analysis: jobspec.KindMC, Netlist: ladderDeck(stages), Seed: 7,
+		MC: &jobspec.MCParams{Trials: trials, Node: fmt.Sprintf("n%04d", stages-1)},
+	}
 	spec.ApplyDefaults()
+	benchMCSpec(b, spec, trials)
+}
+
+// benchMCSpec executes an MC spec b.N times, reporting allocations and
+// trials per second.
+func benchMCSpec(b *testing.B, spec *jobspec.Spec, trials int) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := jobspec.Execute(context.Background(), spec)
 		if err != nil {

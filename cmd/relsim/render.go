@@ -5,6 +5,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/jobspec"
@@ -126,8 +127,13 @@ func printMCAccounting(diag io.Writer, mc *jobspec.MCOutcome) {
 		fmt.Fprintf(diag, "  resumed from %d checkpointed chunk(s)\n", mc.Resumed)
 	}
 	if mc.Failures > 0 {
-		for kind, count := range mc.FailuresByKind {
-			fmt.Fprintf(diag, "  %s failures: %d\n", kind, count)
+		kinds := make([]string, 0, len(mc.FailuresByKind))
+		for kind := range mc.FailuresByKind {
+			kinds = append(kinds, kind)
+		}
+		sort.Strings(kinds)
+		for _, kind := range kinds {
+			fmt.Fprintf(diag, "  %s failures: %d\n", kind, mc.FailuresByKind[kind])
 		}
 		// Show the first structured error as a debugging sample.
 		fmt.Fprintf(diag, "  first failure: %s\n", mc.FirstFailure)

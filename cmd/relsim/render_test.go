@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/jobspec"
+	"repro/internal/variation"
 )
 
 // mcSpec is the spec `relsim -analysis mc -trials 400 -node out -lo 0.5
@@ -85,5 +86,32 @@ func TestRenderMCSameAnySplit(t *testing.T) {
 	}
 	if !strings.Contains(diag, "resumed from 3 checkpointed chunk(s)") {
 		t.Errorf("resumed stderr does not name the resume:\n%s", diag)
+	}
+}
+
+// TestMCAccountingKindOrder renders the failure accounting of a run with
+// two failure kinds many times: stderr is the same text every time, with
+// the kinds in sorted order, though the tally is a map.
+func TestMCAccountingKindOrder(t *testing.T) {
+	stats := &variation.MCStats{Failures: 5, ByKind: map[string]int{"panic": 2, "convergence": 3}}
+	stats.Moments.Add(1)
+	mc := &jobspec.MCOutcome{
+		Node: "out", Requested: 6, Failures: 5, Stats: stats,
+		FailuresByKind: stats.ByKind, FirstFailure: "trial 0 [trial]: panic: boom",
+	}
+	var first bytes.Buffer
+	printMCAccounting(&first, mc)
+	want := first.String()
+	conv := strings.Index(want, "  convergence failures: 3\n")
+	pan := strings.Index(want, "  panic failures: 2\n")
+	if conv < 0 || pan < 0 || conv > pan {
+		t.Fatalf("failure kinds missing or out of order:\n%s", want)
+	}
+	for i := 0; i < 50; i++ {
+		var d bytes.Buffer
+		printMCAccounting(&d, mc)
+		if d.String() != want {
+			t.Fatalf("render %d differs:\n%s\nfirst render:\n%s", i, d.String(), want)
+		}
 	}
 }

@@ -81,11 +81,10 @@ func main() {
 		Metrics: []core.Metric{{
 			Name: "vout",
 			Measure: func(c *circuit.Circuit) (float64, error) {
-				s, err := c.OperatingPoint()
-				if err != nil {
+				if err := c.SolveOP(); err != nil {
 					return 0, err
 				}
-				return s.Voltage("d"), nil
+				return c.Voltage("d"), nil
 			},
 			Spec: variation.Spec{Name: "vout", Lo: 0.8 * vnom, Hi: 1.2 * vnom},
 		}},

@@ -110,7 +110,7 @@ func RunMission(ager *aging.CircuitAger, ctrl *Controller, checkpoints []float64
 		}
 		// Solve the OP at the applied configuration so stress extraction
 		// sees the true bias, then age the interval.
-		if _, err := ager.Circuit.OperatingPoint(); err == nil {
+		if err := ager.Circuit.SolveOP(); err == nil {
 			stress := aging.ExtractStressOP(ager.Circuit, ager.TempK)
 			for _, name := range ager.SortedAgerNames() {
 				s := stress[name]

@@ -20,7 +20,9 @@ var ErrNoConvergence = errors.New("circuit: operating point did not converge")
 var ErrSingular = errors.New("circuit: singular MNA matrix")
 
 // Solution holds a converged DC solution: node voltages plus branch
-// currents.
+// currents. It owns a copy of the solver's iterate, so it stays valid
+// across later solves; a caller that only reads node voltages right after
+// a solve can skip the copy with SolveOP and Circuit.Voltage.
 type Solution struct {
 	circ *Circuit
 	X    []float64
@@ -30,14 +32,32 @@ type Solution struct {
 // panics on unknown node names — asking for a node that does not exist is
 // a programming error in the caller.
 func (s *Solution) Voltage(node string) float64 {
+	return s.circ.voltageIn(s.X, node)
+}
+
+// Voltage returns the named node's voltage (0 for ground) at the circuit's
+// most recent converged DC solution — the values OperatingPoint copies into
+// its Solution — read in place, without allocating. After SetInitialGuess
+// and before the next solve it reads the seeded guess. It panics on unknown
+// node names and when the circuit holds neither, as after
+// ResetSolverState.
+func (c *Circuit) Voltage(node string) float64 {
+	if c.slv == nil || !c.slv.haveLast {
+		panic("circuit: Voltage read before a converged operating point")
+	}
+	return c.voltageIn(c.slv.lastX, node)
+}
+
+// voltageIn reads node's voltage out of the MNA vector x.
+func (c *Circuit) voltageIn(x []float64, node string) float64 {
 	if node == "0" || node == "gnd" || node == "GND" {
 		return 0
 	}
-	i, ok := s.circ.nodeIndex[node]
+	i, ok := c.nodeIndex[node]
 	if !ok {
 		panic(fmt.Sprintf("circuit: unknown node %q", node))
 	}
-	return s.X[i]
+	return x[i]
 }
 
 // BranchCurrent returns the current through the named voltage source or
@@ -65,18 +85,29 @@ func defaultOPConfig() opConfig {
 	return opConfig{maxIter: 300, tolV: 1e-9, damping: 0.5}
 }
 
-// OperatingPoint solves the nonlinear DC system. It tries Newton from the
-// circuit's last converged solution (when one exists), then plain Newton
-// from zero, then gmin stepping, then source stepping; the cold three-stage
-// ladder mirrors production SPICE behaviour and is the unconditional
-// fallback whenever a warm start fails to converge.
+// OperatingPoint solves the nonlinear DC system with SolveOP and returns
+// a copy of the converged solution.
 func (c *Circuit) OperatingPoint() (*Solution, error) {
+	if err := c.SolveOP(); err != nil {
+		return nil, err
+	}
+	return &Solution{circ: c, X: append([]float64(nil), c.slv.lastX...)}, nil
+}
+
+// SolveOP solves the nonlinear DC system and keeps the solution inside the
+// circuit, where Voltage reads it; a warm re-solve allocates nothing. It
+// tries Newton from the circuit's last converged solution (when one
+// exists), then plain Newton from zero, then gmin stepping, then source
+// stepping; the cold three-stage ladder mirrors production SPICE behaviour
+// and is the unconditional fallback whenever a warm start fails to
+// converge.
+func (c *Circuit) SolveOP() error {
 	m := c.meterOn()
 	var t0 int64
 	if m != nil {
 		t0 = obs.Mono()
 	}
-	sol, err := c.operatingPoint()
+	err := c.operatingPoint()
 	if m != nil {
 		c.meter.ops++
 		c.meter.opSec.ObserveNanos(obs.Mono() - t0)
@@ -85,16 +116,16 @@ func (c *Circuit) OperatingPoint() (*Solution, error) {
 		}
 	}
 	c.flushMetrics()
-	return sol, err
+	return err
 }
 
 // operatingPoint runs the warm-start attempt and the cold ladder, staging
 // the per-stage fallback accounting in the circuit's meter.
-func (c *Circuit) operatingPoint() (*Solution, error) {
+func (c *Circuit) operatingPoint() error {
 	c.prepare()
 	n := c.NumUnknowns()
 	if n == 0 {
-		return nil, errors.New("circuit: empty circuit")
+		return errors.New("circuit: empty circuit")
 	}
 	cfg := defaultOPConfig()
 	slv := c.solver()
@@ -108,14 +139,16 @@ func (c *Circuit) operatingPoint() (*Solution, error) {
 		copy(x, slv.lastX)
 		if err := c.newtonDC(x, 0, 1, cfg); err == nil {
 			c.meter.warmHits++
-			return c.finishDC(slv, x), nil
+			c.finishDC(slv, x)
+			return nil
 		}
 	}
 
 	// Stage 1: plain Newton from a zero start.
 	zeroVec(x)
 	if err := c.newtonDC(x, 0, 1, cfg); err == nil {
-		return c.finishDC(slv, x), nil
+		c.finishDC(slv, x)
+		return nil
 	}
 
 	// Stage 2: gmin stepping. Start with a heavy leak to ground and relax
@@ -132,7 +165,8 @@ func (c *Circuit) operatingPoint() (*Solution, error) {
 		}
 	}
 	if ok {
-		return c.finishDC(slv, x), nil
+		c.finishDC(slv, x)
+		return nil
 	}
 
 	// Stage 3: source stepping — ramp all independent sources from 0.
@@ -142,19 +176,18 @@ func (c *Circuit) operatingPoint() (*Solution, error) {
 	zeroVec(x)
 	for _, scale := range []float64{0.02, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0} {
 		if err := c.newtonDC(x, 0, scale, cfg); err != nil {
-			return nil, fmt.Errorf("%w (source stepping failed at scale %g: %v)", ErrNoConvergence, scale, err)
+			return fmt.Errorf("%w (source stepping failed at scale %g: %v)", ErrNoConvergence, scale, err)
 		}
 	}
-	return c.finishDC(slv, x), nil
+	c.finishDC(slv, x)
+	return nil
 }
 
-// finishDC records device bias points, refreshes the warm-start
-// state and returns a Solution backed by its own copy of x (the solver's
-// scratch vector is reused by the next solve).
-func (c *Circuit) finishDC(slv *solver, x []float64) *Solution {
+// finishDC records device bias points and keeps x as the converged
+// solution (the solver's scratch vector is reused by the next solve).
+func (c *Circuit) finishDC(slv *solver, x []float64) {
 	c.captureAll(x)
 	slv.noteConverged(x)
-	return &Solution{circ: c, X: append([]float64(nil), x...)}
 }
 
 // captureAll records the bias points of MOSFET elements at x.

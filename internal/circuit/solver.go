@@ -21,18 +21,22 @@ type nonlinearElement interface {
 // system, the linear-stamp baseline, scratch vectors and the warm-start
 // state. It is allocated lazily on the first solve and reused by every
 // subsequent operating-point, sweep and transient call, so steady-state
-// Newton iterations perform zero heap allocations. Like the Circuit it
-// belongs to, it is not safe for concurrent use; independent Circuits own
-// independent solvers.
+// Newton iterations perform zero heap allocations. The two dense n×n
+// matrices (ws.A and a0) exist only while the dense backend runs: a
+// circuit on the sparse backend allocates them when its numeric fallback
+// first trips, and never otherwise. Like the Circuit it belongs to, it is
+// not safe for concurrent use; independent Circuits own independent
+// solvers.
 type solver struct {
-	ws   *linalg.Workspace // iteration system: matrix A, rhs B, update X
-	a0   *linalg.Matrix    // baseline matrix holding the linear stamps
+	ws   *linalg.Workspace // dense iteration system: matrix A, rhs B, update X
+	a0   *linalg.Matrix    // dense baseline matrix holding the linear stamps
 	rhs0 []float64         // baseline right-hand side
 	x    []float64         // operating-point iterate scratch
 	st   stamp             // reusable stamp for newtonDC
 
 	// lastX holds the most recent converged DC solution; OperatingPoint
-	// tries it before falling back to the cold homotopy ladder.
+	// tries it before falling back to the cold homotopy ladder, and
+	// Circuit.Voltage reads it in place.
 	lastX    []float64
 	haveLast bool
 
@@ -50,6 +54,7 @@ type solver struct {
 	spMat        *sparse.Matrix
 	spA0         []float64
 	spIter       []float64
+	spB, spX     []float64 // iteration rhs and Newton update
 	spLU         sparse.LU
 	spMeter      *linalg.LUMeter // stages the sparse LU metrics
 	res          []float64       // residual-guard scratch
@@ -67,9 +72,8 @@ func (c *Circuit) solver() *solver {
 		c.slv = s
 	}
 	rebuilt := false
-	if s.ws == nil || s.ws.N != n {
-		s.ws = linalg.NewWorkspace(n)
-		s.a0 = linalg.NewMatrix(n, n)
+	if s.rhs0 == nil || len(s.rhs0) != n {
+		s.ws, s.a0 = nil, nil
 		s.rhs0 = make([]float64, n)
 		s.x = make([]float64, n)
 		s.lastX = make([]float64, n)
@@ -92,8 +96,20 @@ func (c *Circuit) solver() *solver {
 	}
 	if rebuilt {
 		c.chooseBackend(s, n)
+		if !s.useSparse {
+			s.allocDense(n)
+		}
 	}
 	return s
+}
+
+// allocDense allocates the dense iteration workspace and baseline matrix
+// unless they already exist at this size.
+func (s *solver) allocDense(n int) {
+	if s.ws == nil {
+		s.ws = linalg.NewWorkspace(n)
+		s.a0 = linalg.NewMatrix(n, n)
+	}
 }
 
 // noteConverged records x as the latest converged DC solution for warm
@@ -123,13 +139,13 @@ func (c *Circuit) stampBaseline(slv *solver, st *stamp) {
 // stampIteration replays the linear baseline into the iteration buffers by
 // copy and stamps the nonlinear elements at the present iterate st.X.
 func (c *Circuit) stampIteration(slv *solver, st *stamp) {
-	ws := slv.ws
 	if slv.useSparse {
 		copy(slv.spIter, slv.spA0)
-		copy(ws.B, slv.rhs0)
+		copy(slv.spB, slv.rhs0)
 		slv.spMat.Vals = slv.spIter
-		st.A, st.Rhs = slv.spMat, ws.B
+		st.A, st.Rhs = slv.spMat, slv.spB
 	} else {
+		ws := slv.ws
 		copy(ws.A.Data, slv.a0.Data)
 		copy(ws.B, slv.rhs0)
 		st.A, st.Rhs = ws.A, ws.B

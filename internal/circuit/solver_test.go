@@ -192,3 +192,53 @@ func TestWarmStartFallsBackToColdLadder(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveOPVoltageMatchesOperatingPoint pins the in-place read to the
+// copying one: on twin circuits, Circuit.Voltage after SolveOP returns bit
+// for bit what OperatingPoint's Solution reads, cold and warm, on both
+// backends, and a warm SolveOP plus Voltage allocates nothing. Reading with
+// no converged solution is a programming error and panics.
+func TestSolveOPVoltageMatchesOperatingPoint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *Circuit
+		node  string
+	}{
+		{"dense", func() *Circuit { return mirrorTestbench(t) }, "out"},
+		{"sparse", func() *Circuit { return ladderTestbench(t, 120) }, "n119"},
+	} {
+		copying, inPlace := tc.build(), tc.build()
+		for pass := 0; pass < 2; pass++ { // cold, then warm
+			sol, err := copying.OperatingPoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := inPlace.SolveOP(); err != nil {
+				t.Fatal(err)
+			}
+			for _, node := range []string{tc.node, "0"} {
+				if got, want := inPlace.Voltage(node), sol.Voltage(node); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s pass %d: Voltage(%q) = %v, Solution reads %v", tc.name, pass, node, got, want)
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := inPlace.SolveOP(); err != nil {
+				t.Fatal(err)
+			}
+			_ = inPlace.Voltage(tc.node)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm SolveOP+Voltage allocates %.1f times, want 0", tc.name, allocs)
+		}
+		inPlace.ResetSolverState()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Voltage after ResetSolverState did not panic", tc.name)
+				}
+			}()
+			inPlace.Voltage(tc.node)
+		}()
+	}
+}

@@ -47,6 +47,8 @@ func (c *Circuit) chooseBackend(s *solver, n int) {
 	s.spMat = pat
 	s.spA0 = make([]float64, nnz)
 	s.spIter = make([]float64, nnz)
+	s.spB = make([]float64, n)
+	s.spX = make([]float64, n)
 	s.res = make([]float64, n)
 	s.spLU = sparse.LU{}
 	if s.spMeter == nil {
@@ -82,7 +84,6 @@ func (c *Circuit) discoverPattern(n int) *sparse.Matrix {
 // sparse path failing — only ErrSingular when the matrix is truly
 // defective.
 func (c *Circuit) factorAndSolve(slv *solver, st *stamp) ([]float64, error) {
-	ws := slv.ws
 	if slv.useSparse {
 		forced := sparseFailHook != nil && sparseFailHook()
 		lm := slv.spMeter
@@ -90,31 +91,34 @@ func (c *Circuit) factorAndSolve(slv *solver, st *stamp) ([]float64, error) {
 		err := slv.spLU.FactorInto(slv.spMat)
 		lm.Factored()
 		if err == nil {
-			slv.spLU.SolveInto(ws.X, ws.B)
+			slv.spLU.SolveInto(slv.spX, slv.spB)
 			lm.Solved()
-			slv.spMat.MulVecInto(slv.res, ws.X)
+			slv.spMat.MulVecInto(slv.res, slv.spX)
 			axInf := linalg.VecNormInf(slv.res)
-			linalg.VecSubInto(slv.res, slv.res, ws.B)
-			scale := 1 + axInf + linalg.VecNormInf(ws.B)
+			linalg.VecSubInto(slv.res, slv.res, slv.spB)
+			scale := 1 + axInf + linalg.VecNormInf(slv.spB)
 			c.meter.sparseSolves++
 			if !forced && linalg.VecNormInf(slv.res) <= sparseResidualTol*scale {
-				return ws.X, nil
+				return slv.spX, nil
 			}
 		}
 		c.fallbackToDense(slv, st)
 	}
+	ws := slv.ws
 	if err := ws.FactorSolve(); err != nil {
 		return nil, err
 	}
 	return ws.X, nil
 }
 
-// fallbackToDense abandons the sparse backend for this solve context and
-// restamps the current iteration into the dense buffers so the caller can
-// retry the factor/solve densely without disturbing the Newton state.
+// fallbackToDense abandons the sparse backend for this solve context,
+// allocates the dense buffers it never needed until now, and restamps the
+// current iteration into them so the caller can retry the factor/solve
+// densely without disturbing the Newton state.
 func (c *Circuit) fallbackToDense(slv *solver, st *stamp) {
 	slv.useSparse = false
 	slv.sparseFailed = true
+	slv.allocDense(len(slv.rhs0))
 	if m := c.meter.inst; m != nil {
 		m.sparseFallbacks.Inc()
 	}

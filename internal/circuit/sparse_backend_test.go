@@ -146,3 +146,53 @@ func TestSparseNewtonZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state sparse newtonDC allocates %.1f times per solve, want 0", allocs)
 	}
 }
+
+// TestSparseHoldsNoDenseBuffers pins the memory side of the backend
+// choice: a circuit on the sparse LU never allocates the dense iteration
+// matrix or baseline (two n×n buffers) until a numeric fallback trips,
+// and the fallback then allocates them and still solves correctly.
+func TestSparseHoldsNoDenseBuffers(t *testing.T) {
+	const stages = 120
+	ref := ladderTestbench(t, stages)
+	ref.SetMatrixBackend(BackendDense)
+	want, err := ref.OperatingPoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.slv.ws == nil || ref.slv.a0 == nil {
+		t.Fatal("dense-backend circuit has no dense buffers")
+	}
+
+	c := ladderTestbench(t, stages)
+	for i := 0; i < 3; i++ {
+		if err := c.SolveOP(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.UsingSparse() {
+		t.Fatal("ladder did not auto-select the sparse backend")
+	}
+	if c.slv.ws != nil || c.slv.a0 != nil {
+		t.Fatal("sparse-backend circuit holds dense n×n buffers before any fallback")
+	}
+
+	sparseFailHook = func() bool { return true }
+	defer func() { sparseFailHook = nil }()
+	c.ResetSolverState()
+	sol, err := c.OperatingPoint()
+	if err != nil {
+		t.Fatalf("OperatingPoint with forced sparse failure: %v", err)
+	}
+	if c.UsingSparse() {
+		t.Fatal("solver still reports sparse after a forced numeric failure")
+	}
+	n := c.NumUnknowns()
+	if ws := c.slv.ws; ws == nil || ws.A.Rows != n || c.slv.a0 == nil || c.slv.a0.Rows != n {
+		t.Fatal("fallback did not allocate the dense buffers at the system size")
+	}
+	for i := range want.X {
+		if d := math.Abs(sol.X[i] - want.X[i]); d > 1e-6 {
+			t.Fatalf("unknown %d after fallback: %.12g, dense reference %.12g", i, sol.X[i], want.X[i])
+		}
+	}
+}

@@ -384,7 +384,7 @@ func (s *Simulator) runTrialOn(c *circuit.Circuit, index int, rng *mathx.RNG, ti
 	prev := 0.0
 	for k := 1; k < len(times); k++ {
 		phase = "age"
-		if _, err := c.OperatingPoint(); err != nil {
+		if err := c.SolveOP(); err != nil {
 			// Hard failure: everything from here on is out of spec.
 			for j := k; j < len(times); j++ {
 				out.inSpec[j] = false

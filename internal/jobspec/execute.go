@@ -476,12 +476,12 @@ func voltageTrial(pool *variation.DiePool, tech *device.Technology, corner *vari
 		} else {
 			variation.ApplyRandomMismatch(die.Circuit, tech, variation.NominalCorner(), rng)
 		}
-		sol, err := die.Circuit.OperatingPoint()
-		if err != nil {
+		if err := die.Circuit.SolveOP(); err != nil {
 			return 0, err
 		}
+		v := die.Circuit.Voltage(node)
 		pool.Put(die)
-		return sol.Voltage(node), nil
+		return v, nil
 	}
 }
 

@@ -207,3 +207,73 @@ func TestMCParsesDeckOncePerDie(t *testing.T) {
 		}
 	}
 }
+
+// fig3Deck is the paper's Fig. 3 current reference (the mc_dense
+// benchmark deck): a 4-unknown system on the dense LU.
+const fig3Deck = `
+* fig. 3 current reference, 180nm
+.tech 180nm
+VSUP rail 0 DC 1.8
+RREF rail gate 30k
+M1 gate gate 0 0 NMOS W=2u L=720n
+M2 out gate 0 0 NMOS W=2u L=720n
+RLOAD rail out 10k
+CFILT gate 0 20p
+.end
+`
+
+// TestWarmTrialZeroAllocs pins the whole warm Monte-Carlo trial, as
+// executeMC runs it, to zero heap allocations: the in-place RNG split,
+// DiePool.Get, mismatch sampling (free and corner-pinned), the operating
+// point, the voltage read and Put. The Fig. 3 deck covers the dense LU and
+// a 128-stage ladder the sparse one.
+func TestWarmTrialZeroAllocs(t *testing.T) {
+	ss, ok := variation.CornerByName("SS", 0.03, 0.05)
+	if !ok {
+		t.Fatal("no SS corner")
+	}
+	for _, tc := range []struct {
+		name, deck, node string
+		sparse           bool
+		corner           *variation.Corner
+	}{
+		{"fig3", fig3Deck, "out", false, nil},
+		{"fig3-ss", fig3Deck, "out", false, &ss},
+		{"ladder128", ladderDeck(128), "n0127", true, nil},
+	} {
+		deck, err := netlist.Parse(tc.deck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := &variation.DiePool{Build: parsedFirst(deck, deckBuilder(tc.deck, nil))}
+		die, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := die.Circuit.OperatingPoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if die.Circuit.UsingSparse() != tc.sparse {
+			t.Fatalf("%s: sparse backend %v, want %v", tc.name, die.Circuit.UsingSparse(), tc.sparse)
+		}
+		pool.Guess = sol.X
+		pool.Put(die)
+
+		trial := voltageTrial(pool, deck.Tech, tc.corner, tc.node)
+		root := mathx.NewRNG(11)
+		var rng mathx.RNG
+		g := 0
+		run := func() {
+			root.SplitInto(&rng, uint64(g))
+			if _, err := trial(&rng, g); err != nil {
+				t.Fatalf("%s: trial %d: %v", tc.name, g, err)
+			}
+			g++
+		}
+		run() // warm: the die's first mismatch solve
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("%s: a warm trial allocates %.1f times, want 0", tc.name, allocs)
+		}
+	}
+}

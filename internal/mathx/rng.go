@@ -50,26 +50,35 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// NewRNGStream returns a generator on an explicit stream; generators with
-// different stream values produce uncorrelated sequences even for the same
-// seed. Both seed and stream are mixed through SplitMix64 before use —
-// without the mix the PCG increment of stream i and the state of seed s
-// differ from stream i+1 / seed s+1 by small constants, and such nearly-
-// identical (state, inc) pairs yield visibly correlated output prefixes.
-func NewRNGStream(seed, stream uint64) *RNG {
-	r := &RNG{inc: (SplitMix64(stream) << 1) | 1}
+// seedStream resets r to the start of an explicit stream on seed;
+// generators on different streams produce uncorrelated sequences even for
+// the same seed. Both seed and stream are mixed through SplitMix64 before
+// use — without the mix the PCG increment of stream i and the state of
+// seed s differ from stream i+1 / seed s+1 by small constants, and such
+// nearly-identical (state, inc) pairs yield visibly correlated output
+// prefixes.
+func (r *RNG) seedStream(seed, stream uint64) {
+	*r = RNG{inc: (SplitMix64(stream) << 1) | 1}
 	r.state = SplitMix64(seed) + r.inc
 	r.Uint64()
-	return r
 }
 
 // Split derives the i-th child stream from r without disturbing r's own
 // sequence position. Children are independent of each other and of the
-// parent; NewRNGStream's SplitMix64 mix decorrelates adjacent child
+// parent; seedStream's SplitMix64 mix decorrelates adjacent child
 // indices, which is what makes per-trial substreams indexed by the global
 // trial number safe for variance estimation.
 func (r *RNG) Split(i uint64) *RNG {
-	return NewRNGStream(r.state^0x9e3779b97f4a7c15, i)
+	child := &RNG{}
+	r.SplitInto(child, i)
+	return child
+}
+
+// SplitInto overwrites dst with r's i-th child stream, the one Split(i)
+// returns, without allocating: a Monte-Carlo worker reuses one RNG for
+// every trial it runs.
+func (r *RNG) SplitInto(dst *RNG, i uint64) {
+	dst.seedStream(r.state^0x9e3779b97f4a7c15, i)
 }
 
 // Uint64 returns the next raw 64-bit value, combining two PCG-XSH-RR

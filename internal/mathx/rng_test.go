@@ -136,6 +136,51 @@ func TestRNGSplitDeterministic(t *testing.T) {
 	}
 }
 
+// TestRNGSplitIntoMatchesSplit is the property behind per-worker RNG reuse:
+// over many parents (seed and sequence position) and child indices,
+// SplitInto on a reused, dirty RNG yields exactly the stream Split returns,
+// including the Norm spare, and leaves the parent where it was.
+func TestRNGSplitIntoMatchesSplit(t *testing.T) {
+	draw := func(r *RNG) [6]uint64 {
+		var out [6]uint64
+		out[0] = r.Uint64()
+		out[1] = math.Float64bits(r.Norm()) // fills the spare...
+		out[2] = math.Float64bits(r.Norm()) // ...and drains it
+		out[3] = math.Float64bits(r.Norm()) // leaves a spare behind
+		out[4] = math.Float64bits(r.Float64())
+		out[5] = uint64(r.Intn(1000))
+		return out
+	}
+	gen := NewRNG(2024)
+	var dst RNG // reused across every case, as a campaign worker reuses it
+	for c := 0; c < 2000; c++ {
+		seed := gen.Uint64()
+		switch c {
+		case 0:
+			seed = 0
+		case 1:
+			seed = math.MaxUint64
+		}
+		parent := NewRNG(seed)
+		for k := gen.Intn(4); k > 0; k-- {
+			parent.Uint64()
+		}
+		i := gen.Uint64()
+		if c%2 == 0 {
+			i = uint64(c / 2) // dense small indices: trial numbering
+		}
+		want := draw(parent.Split(i))
+		before := *parent
+		parent.SplitInto(&dst, i)
+		if *parent != before {
+			t.Fatalf("seed %d index %d: SplitInto moved the parent", seed, i)
+		}
+		if got := draw(&dst); got != want {
+			t.Fatalf("seed %d index %d: SplitInto stream %v, Split stream %v", seed, i, got, want)
+		}
+	}
+}
+
 func TestRNGExpMean(t *testing.T) {
 	r := NewRNG(29)
 	var run Running
@@ -193,12 +238,20 @@ func TestRNGAdjacentSeedsUncorrelated(t *testing.T) {
 	}
 }
 
+// rngStream returns a generator on an explicit stream: the state Split
+// derives its children with.
+func rngStream(seed, stream uint64) *RNG {
+	r := &RNG{}
+	r.seedStream(seed, stream)
+	return r
+}
+
 // Adjacent explicit streams of the same seed must be uncorrelated — the
 // substream pattern of a sharded campaign (one stream per shard).
 func TestRNGAdjacentStreamsUncorrelated(t *testing.T) {
 	const n = 4096
 	for stream := uint64(0); stream < 8; stream++ {
-		c := streamCorr(NewRNGStream(7, stream), NewRNGStream(7, stream+1), n)
+		c := streamCorr(rngStream(7, stream), rngStream(7, stream+1), n)
 		if math.Abs(c) > 5/math.Sqrt(n) {
 			t.Errorf("streams %d/%d: correlation %g", stream, stream+1, c)
 		}

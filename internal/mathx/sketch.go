@@ -1,9 +1,11 @@
 package mathx
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -54,9 +56,28 @@ func (s *Sketch) Add(x float64) {
 	if math.IsNaN(x) {
 		panic("mathx: Sketch.Add(NaN)")
 	}
+	if len(s.buf) == cap(s.buf) {
+		s.Grow(s.flushAt())
+	}
 	s.buf = append(s.buf, x)
-	if float64(len(s.buf)) >= 4*s.delta() {
+	if len(s.buf) >= s.flushAt() {
 		s.flush()
+	}
+}
+
+// flushAt is the sample-buffer length at which Add flushes: 4δ samples.
+func (s *Sketch) flushAt() int { return int(math.Ceil(4 * s.delta())) }
+
+// Grow reserves sample-buffer room for n more Adds, capped at the flush
+// threshold, so a caller that knows its sample count allocates the buffer
+// once at its final size. Without it, the first Add sizes the buffer for a
+// whole flush.
+func (s *Sketch) Grow(n int) {
+	if room := s.flushAt() - len(s.buf); n > room {
+		n = room
+	}
+	if n > 0 {
+		s.buf = slices.Grow(s.buf, n)
 	}
 }
 
@@ -76,6 +97,7 @@ func (s *Sketch) flush() {
 			s.max = s.buf[len(s.buf)-1]
 		}
 	}
+	s.centroids = slices.Grow(s.centroids, len(s.buf))
 	for _, x := range s.buf {
 		s.centroids = append(s.centroids, Centroid{Mean: x, Count: 1})
 	}
@@ -106,8 +128,8 @@ func (s *Sketch) compress() {
 	if len(s.centroids) <= 1 {
 		return
 	}
-	sort.SliceStable(s.centroids, func(i, j int) bool {
-		return s.centroids[i].Mean < s.centroids[j].Mean
+	slices.SortStableFunc(s.centroids, func(a, b Centroid) int {
+		return cmp.Compare(a.Mean, b.Mean)
 	})
 	delta := s.delta()
 	out := s.centroids[:1]

@@ -47,7 +47,8 @@ func TestMonteCarloPanicIsolated(t *testing.T) {
 	}
 	// Each panicking trial's slot holds a structured record of it, with
 	// the stack captured at recovery.
-	slots := runChunkTrials(context.Background(), mathx.NewRNG(1), 0, 50, trial, nil)
+	sc := newTrialScratch(50)
+	slots := runChunkTrials(context.Background(), mathx.NewRNG(1), 0, 50, trial, nil, sc)
 	for i, sl := range slots {
 		if (sl.err != nil) != (i%7 == 0) {
 			t.Fatalf("trial %d: error %v", i, sl.err)
@@ -64,6 +65,20 @@ func TestMonteCarloPanicIsolated(t *testing.T) {
 		}
 		if len(pe.Stack) == 0 {
 			t.Error("recovered panic lost its stack")
+		}
+	}
+	// The scratch is reused chunk after chunk: a chunk cancelled before
+	// any dispatch leaves every slot unrun, never holding the outcome of
+	// the chunk the scratch ran before.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	slots = runChunkTrials(ctx, mathx.NewRNG(1), 50, 100, trial, nil, sc)
+	if len(slots) != 50 {
+		t.Fatalf("cancelled chunk returned %d slots, want 50", len(slots))
+	}
+	for i, sl := range slots {
+		if sl != (trialSlot{}) {
+			t.Fatalf("trial %d of a chunk cancelled before dispatch: slot %+v, want unrun", 50+i, sl)
 		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 
 // Trial is one Monte-Carlo evaluation. It receives a private, reproducible
 // RNG stream and the trial index, and returns the sampled metric. Returning
-// an error marks the trial failed (counted, not fatal).
+// an error marks the trial failed (counted, not fatal). The RNG belongs to
+// the worker running the trial and is re-seeded for its next trial, so a
+// Trial must not keep it past its return.
 type Trial func(rng *mathx.RNG, i int) (float64, error)
 
 // MCResult is the outcome of a Monte-Carlo run: the mergeable Stats its

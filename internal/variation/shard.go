@@ -94,6 +94,36 @@ type MCStats struct {
 	First string `json:"first_failure,omitempty"`
 }
 
+// foldSlots folds a chunk's trial outcomes in trial order and returns how
+// many of them ran; slots cancelled before dispatch are left out. The
+// sketch's buffer is sized for the chunk's values up front.
+func (s *MCStats) foldSlots(slots []trialSlot, spec *Spec) (ran int) {
+	values := 0
+	for _, sl := range slots {
+		if sl.ok {
+			values++
+		}
+	}
+	if values > 0 && s.Sketch == nil {
+		s.Sketch = &mathx.Sketch{}
+		s.Sketch.Grow(values)
+	}
+	for _, sl := range slots {
+		switch {
+		case sl.ok:
+			s.addValue(sl.value, spec != nil && spec.Pass(sl.value))
+		case sl.nan:
+			s.NaNs++
+		case sl.done:
+			s.addFailure(sl.err)
+		default:
+			continue
+		}
+		ran++
+	}
+	return ran
+}
+
 // addValue folds one successful trial value.
 func (s *MCStats) addValue(v float64, pass bool) {
 	s.Moments.Add(v)
@@ -258,6 +288,7 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 	res := &MCResult{N: to - from, Stats: &MCStats{}}
 	completed := 0
 	firstChunk, lastChunk := from/cs, (to+cs-1)/cs
+	scratch := newTrialScratch(cs)
 	for chunk := firstChunk; chunk < lastChunk; chunk++ {
 		if st, ok := resumed[chunk]; ok {
 			res.Stats.Merge(&st.Stats)
@@ -272,24 +303,12 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 			break
 		}
 		cf, ct := ChunkRange(c.Trials, chunk)
-		slots := runChunkTrials(ctx, root, cf, ct, c.Trial, m)
+		slots := runChunkTrials(ctx, root, cf, ct, c.Trial, m, scratch)
 		// Fold in trial order: the sequential fold is what makes the final
-		// Stats independent of worker scheduling and shard count.
+		// Stats independent of worker scheduling and shard count. Trials
+		// cancelled before dispatch are accounted below.
 		st := ChunkStat{Chunk: chunk, From: cf, To: ct}
-		ran := 0
-		for _, sl := range slots {
-			switch {
-			case sl.ok:
-				st.Stats.addValue(sl.value, c.Spec != nil && c.Spec.Pass(sl.value))
-			case sl.nan:
-				st.Stats.NaNs++
-			case sl.done:
-				st.Stats.addFailure(sl.err)
-			default:
-				continue // cancelled before dispatch: accounted below
-			}
-			ran++
-		}
+		ran := st.Stats.foldSlots(slots, c.Spec)
 		res.Stats.Merge(&st.Stats)
 		completed += ran
 		if ran == ct-cf {
@@ -324,17 +343,37 @@ type trialSlot struct {
 	err   *TrialError
 }
 
+// trialScratch is what runChunkTrials runs a chunk in: one slot per trial
+// of a full chunk and one RNG per worker. Campaign.Run allocates it once
+// and reuses it for every chunk, so a warm trial allocates nothing here.
+type trialScratch struct {
+	slots []trialSlot
+	rngs  []mathx.RNG
+}
+
+// newTrialScratch sizes a scratch for chunks of up to chunk trials and
+// GOMAXPROCS workers.
+func newTrialScratch(chunk int) *trialScratch {
+	return &trialScratch{
+		slots: make([]trialSlot, chunk),
+		rngs:  make([]mathx.RNG, runtime.GOMAXPROCS(0)),
+	}
+}
+
 // runChunkTrials executes global trials [from, to) in parallel with panic
-// isolation and per-trial RNG substreams; slot i holds global trial
+// isolation and per-trial RNG substreams; slot i of the returned slice (a
+// view into sc, valid until sc runs the next chunk) holds global trial
 // from+i. Workers claim trial indices from a shared atomic counter — no
 // channel hand-off per trial — and stop claiming once ctx is cancelled,
-// leaving the unclaimed slots unrun. Each worker times its trials into a
+// leaving the unclaimed slots unrun. Each worker re-seeds its own RNG in
+// place for every trial it claims. Each worker times its trials into a
 // private histogram buffer (one clock read per trial boundary) and
 // flushes it when it exits, so the registry is exact when this returns.
-func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Trial, m *pkgMetrics) []trialSlot {
+func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Trial, m *pkgMetrics, sc *trialScratch) []trialSlot {
 	n := to - from
-	slots := make([]trialSlot, n)
-	runOne := func(g int) {
+	slots := sc.slots[:n]
+	clear(slots)
+	runOne := func(g int, rng *mathx.RNG) {
 		defer func() {
 			if r := recover(); r != nil {
 				slots[g-from] = trialSlot{done: true, err: &TrialError{
@@ -343,7 +382,7 @@ func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Tr
 				}}
 			}
 		}()
-		rng := root.Split(uint64(g))
+		root.SplitInto(rng, uint64(g))
 		v, err := trial(rng, g)
 		switch {
 		case err != nil:
@@ -354,7 +393,7 @@ func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Tr
 			slots[g-from] = trialSlot{done: true, value: v, ok: true}
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
+	workers := len(sc.rngs)
 	if workers > n {
 		workers = n
 	}
@@ -363,7 +402,7 @@ func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Tr
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(rng *mathx.RNG) {
 			defer wg.Done()
 			var buf obs.HistBuf
 			var t int64
@@ -377,14 +416,14 @@ func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Tr
 				if g >= to {
 					return
 				}
-				runOne(g)
+				runOne(g, rng)
 				if m != nil {
 					now := obs.Mono()
 					buf.ObserveNanos(now - t)
 					t = now
 				}
 			}
-		}()
+		}(&sc.rngs[w])
 	}
 	wg.Wait()
 	return slots
