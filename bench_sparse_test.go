@@ -62,7 +62,7 @@ func BenchmarkLadderOP(b *testing.B) {
 			if _, err := c.OperatingPoint(); err != nil {
 				b.Fatal(err)
 			}
-			dev := c.MOSFETs()[0].Dev
+			dev := c.MOSFETList()[0].Dev
 			name := fmt.Sprintf("%v/n=%d", backend, c.NumUnknowns())
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()

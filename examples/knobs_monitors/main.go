@@ -7,8 +7,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"repro/internal/adapt"
 	"repro/internal/aging"
@@ -46,30 +48,38 @@ func buildSystem(tech *device.Technology) (*circuit.Circuit, *adapt.Controller, 
 	return c, ctrl, err
 }
 
-func run(tech *device.Technology, adaptive bool, checkpoints []float64) *adapt.MissionResult {
+func mission(tech *device.Technology, adaptive bool, checkpoints []float64) (*adapt.MissionResult, error) {
 	c, ctrl, err := buildSystem(tech)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	// Both designs get one factory trim at t = 0.
 	if _, err := ctrl.Tune(c); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	ager := aging.NewCircuitAger(c,
 		aging.Models{NBTI: aging.DefaultNBTI(), HCI: aging.DefaultHCI()}, 400, 99)
-	res, err := adapt.RunMission(ager, ctrl, checkpoints, adaptive)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res
+	return adapt.RunMission(ager, ctrl, checkpoints, adaptive)
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	tech := device.MustTech("65nm")
 	checkpoints := mathx.Logspace(1e5, 30*year, 12)
 
-	static := run(tech, false, checkpoints)
-	adaptive := run(tech, true, checkpoints)
+	static, err := mission(tech, false, checkpoints)
+	if err != nil {
+		return err
+	}
+	adaptive, err := mission(tech, true, checkpoints)
+	if err != nil {
+		return err
+	}
 
 	t := report.NewTable("amplifier over a 30-year mission at 400 K (gain spec ≥ 5, IDD ≤ 200 µA)",
 		"age", "static gain", "adaptive gain", "adaptive IDD", "knob")
@@ -89,10 +99,11 @@ func main() {
 		}
 		t.AddRow(report.Years(p.Time), sg, ag, idd, knob)
 	}
-	fmt.Println(t)
-	fmt.Printf("time to spec violation: static %s, adaptive %s\n",
+	fmt.Fprintln(w, t)
+	fmt.Fprintf(w, "time to spec violation: static %s, adaptive %s\n",
 		report.Years(static.TimeToFailure()), report.Years(adaptive.TimeToFailure()))
-	fmt.Println("\nThe knob trace shows the controller progressively strengthening the")
-	fmt.Println("gate bias as NBTI raises |VT| — correct operation is maintained at a")
-	fmt.Println("modest supply-current cost, exactly the trade-off §5.2 describes.")
+	fmt.Fprintln(w, "\nThe knob trace shows the controller progressively strengthening the")
+	fmt.Fprintln(w, "gate bias as NBTI raises |VT| — correct operation is maintained at a")
+	fmt.Fprintln(w, "modest supply-current cost, exactly the trade-off §5.2 describes.")
+	return nil
 }

@@ -7,8 +7,10 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 	"time"
 
 	"repro/internal/aging"
@@ -23,6 +25,12 @@ import (
 const year = 365.25 * 24 * 3600
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Whole-stack instrumentation: the same registry relsim serves over
 	// HTTP; this example prints a cost summary from it at the end.
 	reg := obs.NewRegistry()
@@ -31,13 +39,13 @@ func main() {
 	cfg := analog.DefaultOTA()
 	o, err := analog.NewOTA(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	s, err := o.Measure()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("two-stage OTA at %s: gain %.1f dB, GBW %s, PM %.0f°, CMRR %.0f dB\n\n",
+	fmt.Fprintf(w, "two-stage OTA at %s: gain %.1f dB, GBW %s, PM %.0f°, CMRR %.0f dB\n\n",
 		cfg.Tech.Name, s.DCGainDB, report.SI(s.GBW, "Hz"), s.PhaseMarginDeg, s.CMRRDB)
 
 	// Offset distribution over fabricated instances. The campaign keeps
@@ -61,10 +69,10 @@ func main() {
 	}}
 	res, err := camp.Run(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if res.Failures > 0 {
-		fmt.Printf("failure accounting: %d/%d dies failed %v\n", res.Failures, res.N, res.Stats.ByKind)
+		fmt.Fprintf(w, "failure accounting: %d/%d dies failed %v\n", res.Failures, res.N, res.Stats.ByKind)
 	}
 	var values []float64
 	for _, v := range offsets {
@@ -72,22 +80,22 @@ func main() {
 			values = append(values, v)
 		}
 	}
-	fmt.Printf("input offset over %d dies (%s): σ = %s\n",
+	fmt.Fprintf(w, "input offset over %d dies (%s): σ = %s\n",
 		len(values), res.Elapsed.Round(time.Millisecond), report.SI(res.StdDev(), "V"))
 	lo, hi := mathx.MinMax(values)
 	h := mathx.NewHistogram(lo, hi+1e-12, 12)
 	for _, v := range values {
 		h.Add(v)
 	}
-	fmt.Print(report.TextHist(h, 40))
+	fmt.Fprint(w, report.TextHist(h, 40))
 	y := variation.EstimateYield(values, variation.Spec{Name: "vos", Lo: -5e-3, Hi: 5e-3})
-	fmt.Printf("offset yield |Vos| < 5 mV: %s\n\n", y)
+	fmt.Fprintf(w, "offset yield |Vos| < 5 mV: %s\n\n", y)
 
 	// Gain over a 10-year 400 K mission: the aging scheduler extracts the
 	// real bias stress of every device at each checkpoint.
 	o2, err := analog.NewOTA(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ager := aging.NewCircuitAger(o2.Circuit,
 		aging.Models{NBTI: aging.DefaultNBTI(), HCI: aging.DefaultHCI()}, 400, 3)
@@ -105,33 +113,31 @@ func main() {
 	record(0)
 	prev := 0.0
 	for _, age := range aging.LogCheckpoints(1e5, 10*year, 6) {
-		stress := aging.ExtractStressOP(o2.Circuit, 400)
-		for _, name := range ager.SortedAgerNames() {
-			ager.Ager(name).Step(stress[name], age-prev)
-		}
+		ager.Step(age - prev)
 		prev = age
 		record(age)
 	}
-	fmt.Println(tbl)
+	fmt.Fprintln(w, tbl)
 
 	nbti, _ := ager.Ager("MTAIL").Shifts()
-	fmt.Printf("tail-source NBTI after 10 years: ΔVT = %s\n", report.SI(nbti, "V"))
-	fmt.Println("\nThe always-on pMOS bias devices soak up >100 mV of NBTI, yet the gain")
-	fmt.Println("barely moves: the symmetric topology cancels common-mode degradation,")
-	fmt.Println("exactly the ratiometric resilience good analog design buys. What cannot")
-	fmt.Println("cancel is the differential part — the input offset doubles over life —")
-	fmt.Println("and that is where the paper's calibration and monitoring (§5) aim.")
+	fmt.Fprintf(w, "tail-source NBTI after 10 years: ΔVT = %s\n", report.SI(nbti, "V"))
+	fmt.Fprintln(w, "\nThe always-on pMOS bias devices soak up >100 mV of NBTI, yet the gain")
+	fmt.Fprintln(w, "barely moves: the symmetric topology cancels common-mode degradation,")
+	fmt.Fprintln(w, "exactly the ratiometric resilience good analog design buys. What cannot")
+	fmt.Fprintln(w, "cancel is the differential part — the input offset doubles over life —")
+	fmt.Fprintln(w, "and that is where the paper's calibration and monitoring (§5) aim.")
 
 	// What the study cost, from the instrument registry.
 	snap := reg.Snapshot()
 	ops, _ := snap.Counter("circuit_op_total")
 	iters, _ := snap.Counter("circuit_newton_iterations_total")
 	steps, _ := snap.Counter("aging_steps_total")
-	fmt.Printf("\nrun cost (obs): %d operating points, %d Newton iterations, %d aging steps",
+	fmt.Fprintf(w, "\nrun cost (obs): %d operating points, %d Newton iterations, %d aging steps",
 		ops, iters, steps)
 	if h := snap.Histogram("variation_trial_seconds"); h != nil && h.Count > 0 {
-		fmt.Printf("; MC trial p50 %s, p99 %s",
+		fmt.Fprintf(w, "; MC trial p50 %s, p99 %s",
 			report.SI(h.P50, "s"), report.SI(h.P99, "s"))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }

@@ -7,7 +7,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/aging"
@@ -31,16 +33,22 @@ RD  d 0 20k
 const year = 365.25 * 24 * 3600
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	d, err := netlist.Parse(deck)
 	if err != nil {
-		log.Fatalf("parse: %v", err)
+		return fmt.Errorf("parse: %w", err)
 	}
 	sol, err := d.Circuit.OperatingPoint()
 	if err != nil {
-		log.Fatalf("operating point: %v", err)
+		return fmt.Errorf("operating point: %w", err)
 	}
 	vnom := sol.Voltage("d")
-	fmt.Printf("fresh operating point: V(d) = %s\n", report.SI(vnom, "V"))
+	fmt.Fprintf(w, "fresh operating point: V(d) = %s\n", report.SI(vnom, "V"))
 
 	// Age this single die over ten years at 350 K and watch the output
 	// drift as NBTI raises the pMOS threshold. Stepping checkpoint by
@@ -50,8 +58,7 @@ func main() {
 	t.AddRow("0yr", report.SI(vnom, "V"), "0V")
 	prev := 0.0
 	for _, age := range aging.LogCheckpoints(3600, 10*year, 8) {
-		stress := aging.ExtractStressOP(d.Circuit, 350)
-		ager.Ager("M1").Step(stress["M1"], age-prev)
+		ager.Step(age - prev)
 		prev = age
 		cp, err := d.Circuit.OperatingPoint()
 		if err != nil {
@@ -62,7 +69,7 @@ func main() {
 			report.SI(cp.Voltage("d"), "V"),
 			report.SI(d.MOSFETs["M1"].Dev.Damage.DeltaVT, "V"))
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 
 	// Monte-Carlo yield over life: every trial fabricates a die with
 	// Pelgrom mismatch and ages it through the mission. The run is bounded
@@ -95,7 +102,7 @@ func main() {
 	res, err := sim.RunCtx(ctx, 100, core.Mission{Duration: 10 * year, TempK: 350, Checkpoints: 6})
 	if err != nil {
 		if !errors.Is(err, variation.ErrCancelled) {
-			log.Fatalf("monte carlo: %v", err)
+			return fmt.Errorf("monte carlo: %w", err)
 		}
 		log.Printf("warning: %v — reporting partial results", err)
 	}
@@ -103,13 +110,14 @@ func main() {
 	for k := range res.Times {
 		yt.AddRow(report.Years(res.Times[k]), res.Yield[k].String())
 	}
-	fmt.Println(yt)
-	fmt.Printf("median time to failure: %s\n", report.Years(res.MedianTTF()))
+	fmt.Fprintln(w, yt)
+	fmt.Fprintf(w, "median time to failure: %s\n", report.Years(res.MedianTTF()))
 	tel := res.Telemetry
-	fmt.Printf("run telemetry: %d/%d trials in %s, %d Newton iterations, %d errors, %d cancelled\n",
+	fmt.Fprintf(w, "run telemetry: %d/%d trials in %s, %d Newton iterations, %d errors, %d cancelled\n",
 		tel.Completed, res.Trials, tel.WallTime.Round(time.Millisecond),
 		tel.NewtonIterations, res.Errors, res.Cancelled)
 	for _, te := range res.TrialErrors {
-		fmt.Printf("  %s failure in %v\n", te.Kind(), te)
+		fmt.Fprintf(w, "  %s failure in %v\n", te.Kind(), te)
 	}
+	return nil
 }

@@ -111,16 +111,7 @@ func RunMission(ager *aging.CircuitAger, ctrl *Controller, checkpoints []float64
 		// Solve the OP at the applied configuration so stress extraction
 		// sees the true bias, then age the interval.
 		if err := ager.Circuit.SolveOP(); err == nil {
-			stress := aging.ExtractStressOP(ager.Circuit, ager.TempK)
-			for _, name := range ager.SortedAgerNames() {
-				s := stress[name]
-				if ager.DutyOverride != nil {
-					if d, ok := ager.DutyOverride[name]; ok {
-						s.Duty = d
-					}
-				}
-				ager.Ager(name).Step(s, t-prev)
-			}
+			ager.Step(t - prev)
 		}
 		prev = t
 		if err := observe(t); err != nil {

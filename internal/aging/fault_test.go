@@ -22,7 +22,7 @@ func TestAgeToDeterministicTrajectories(t *testing.T) {
 			t.Fatal(err)
 		}
 		dmg := make(map[string]device.Damage)
-		for _, m := range c.MOSFETs() {
+		for _, m := range c.MOSFETList() {
 			dmg[m.Name()] = m.Dev.Damage
 		}
 		return traj, dmg

@@ -25,11 +25,7 @@ func finalShift(t *testing.T, phases []MissionPhase) float64 {
 	if _, err := ager.AgeProfile(phases); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.MOSFETByName("M1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.Dev.Damage.DeltaVT
+	return c.MOSFETList()[0].Dev.Damage.DeltaVT
 }
 
 func TestAgeProfileHotPhaseAgesMore(t *testing.T) {

@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -177,18 +178,6 @@ func (a *DeviceAger) BDMode() BDMode {
 // Shifts returns the separate NBTI and HCI threshold-shift components.
 func (a *DeviceAger) Shifts() (nbti, hci float64) { return a.nbtiShift, a.hciShift }
 
-// ExtractStressOP derives per-device stress from the operating points
-// captured at the circuit's last converged solution, assuming DC bias
-// (duty = 1). tempK sets the junction temperature.
-func ExtractStressOP(c *circuit.Circuit, tempK float64) map[string]Stress {
-	out := make(map[string]Stress)
-	for _, m := range c.MOSFETs() {
-		vgs, vds, vbs := m.BiasVoltages()
-		out[m.Name()] = Stress{Vgs: vgs, Vds: vds, Vbs: vbs, Duty: 1, TempK: tempK}
-	}
-	return out
-}
-
 // CircuitAger runs the full simulate→stress→degrade loop over a circuit.
 type CircuitAger struct {
 	Circuit *circuit.Circuit
@@ -206,7 +195,8 @@ type CircuitAger struct {
 	// circuit.
 	OnCheckpoint func(done int, cp Checkpoint)
 
-	agers map[string]*DeviceAger
+	devs  []*circuit.MOSFET // the circuit's name-sorted MOSFETList, shared
+	agers []*DeviceAger     // agers[i] tracks devs[i]
 }
 
 // NewCircuitAger prepares agers for every MOSFET in the circuit. seed fixes
@@ -214,19 +204,43 @@ type CircuitAger struct {
 // on every run.
 func NewCircuitAger(c *circuit.Circuit, models Models, tempK float64, seed uint64) *CircuitAger {
 	root := mathx.NewRNG(seed)
+	devs := c.MOSFETList()
 	a := &CircuitAger{
 		Circuit: c, Models: models, TempK: tempK,
-		agers: make(map[string]*DeviceAger),
+		devs: devs, agers: make([]*DeviceAger, len(devs)),
 	}
-	mosfets := c.MOSFETs()
-	for i, m := range mosfets {
-		a.agers[m.Name()] = NewDeviceAger(models, m.Dev, root.Split(uint64(i)))
+	for i, m := range devs {
+		a.agers[i] = NewDeviceAger(models, m.Dev, root.Split(uint64(i)))
 	}
 	return a
 }
 
-// Ager returns the per-device wear tracker.
-func (a *CircuitAger) Ager(name string) *DeviceAger { return a.agers[name] }
+// Ager returns the named device's wear tracker (nil if the circuit had no
+// such MOSFET when the ager was built).
+func (a *CircuitAger) Ager(name string) *DeviceAger {
+	i, ok := slices.BinarySearchFunc(a.devs, name, func(m *circuit.MOSFET, n string) int {
+		return strings.Compare(m.Name(), n)
+	})
+	if !ok {
+		return nil
+	}
+	return a.agers[i]
+}
+
+// Step ages every device by dt seconds, in name order, under the DC
+// stress of the circuit's last converged solution: each device's
+// captured bias at duty 1 and TempK, with DutyOverride applied. It
+// allocates nothing.
+func (a *CircuitAger) Step(dt float64) {
+	for i, m := range a.devs {
+		vgs, vds, vbs := m.BiasVoltages()
+		s := Stress{Vgs: vgs, Vds: vds, Vbs: vbs, Duty: 1, TempK: a.TempK}
+		if d, ok := a.DutyOverride[m.Name()]; ok {
+			s.Duty = d
+		}
+		a.agers[i].Step(s, dt)
+	}
+}
 
 // Checkpoint is one point of an aging trajectory.
 type Checkpoint struct {
@@ -266,23 +280,12 @@ func (a *CircuitAger) AgeToCtx(ctx context.Context, checkpoints []float64) ([]Ch
 	}
 	traj = append(traj, Checkpoint{Time: 0, Solution: sol})
 
-	names := a.SortedAgerNames()
 	prev := 0.0
 	for ck, t := range checkpoints {
 		if err := ctx.Err(); err != nil {
 			return traj, fmt.Errorf("aging: cancelled at t=%g: %w", prev, err)
 		}
-		stress := ExtractStressOP(a.Circuit, a.TempK)
-		dt := t - prev
-		for _, name := range names {
-			s := stress[name]
-			if a.DutyOverride != nil {
-				if d, ok := a.DutyOverride[name]; ok {
-					s.Duty = d
-				}
-			}
-			a.agers[name].Step(s, dt)
-		}
+		a.Step(t - prev)
 		prev = t
 		if m := met.Load(); m != nil {
 			m.checkpoints.Inc()
@@ -322,16 +325,5 @@ func LinCheckpoints(tEnd float64, n int) []float64 {
 	for i := range out {
 		out[i] = tEnd * float64(i+1) / float64(n)
 	}
-	return out
-}
-
-// SortedAgerNames returns the device names with agers, sorted, for
-// deterministic reporting.
-func (a *CircuitAger) SortedAgerNames() []string {
-	out := make([]string, 0, len(a.agers))
-	for n := range a.agers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }

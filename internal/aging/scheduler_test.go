@@ -23,23 +23,46 @@ func mirrorCircuit(tech *device.Technology) *circuit.Circuit {
 	return c
 }
 
-func TestExtractStressOP(t *testing.T) {
+// TestCircuitAgerStep checks Step's stress: a device held at duty 0
+// stays fresh while its neighbour ages, and a hotter TempK ages more.
+func TestCircuitAgerStep(t *testing.T) {
 	tech := device.MustTech("90nm")
-	c := mirrorCircuit(tech)
+	step := func(tempK float64, duty map[string]float64) (m1, m2 device.Damage) {
+		c := mirrorCircuit(tech)
+		if _, err := c.OperatingPoint(); err != nil {
+			t.Fatal(err)
+		}
+		ager := NewCircuitAger(c, DefaultModels(), tempK, 1)
+		ager.DutyOverride = duty
+		ager.Step(3.15e7)
+		devs := c.MOSFETList()
+		return devs[0].Dev.Damage, devs[1].Dev.Damage
+	}
+	m1, m2 := step(330, map[string]float64{"M1": 0})
+	if m1 != device.FreshDamage() {
+		t.Errorf("M1 at duty 0 aged: %+v", m1)
+	}
+	if m2.DeltaVT <= 0 {
+		t.Errorf("M2 at duty 1 did not age: %+v", m2)
+	}
+	_, cool := step(330, nil)
+	_, hot := step(400, nil)
+	if hot.DeltaVT <= cool.DeltaVT {
+		t.Errorf("ΔVT at 400 K %g not above ΔVT at 330 K %g", hot.DeltaVT, cool.DeltaVT)
+	}
+}
+
+// TestCircuitAgerStepZeroAllocs pins Step as allocation-free once the
+// circuit has solved, duty override included.
+func TestCircuitAgerStepZeroAllocs(t *testing.T) {
+	c := mirrorCircuit(device.MustTech("90nm"))
 	if _, err := c.OperatingPoint(); err != nil {
 		t.Fatal(err)
 	}
-	stress := ExtractStressOP(c, 330)
-	if len(stress) != 2 {
-		t.Fatalf("extracted %d stresses", len(stress))
-	}
-	s1 := stress["M1"]
-	if s1.Vgs <= 0 || s1.Duty != 1 || s1.TempK != 330 {
-		t.Errorf("M1 stress implausible: %+v", s1)
-	}
-	// Diode-connected: vgs == vds.
-	if !mathx.ApproxEqual(s1.Vgs, s1.Vds, 1e-9, 1e-12) {
-		t.Errorf("diode-connected device must have vgs=vds: %+v", s1)
+	ager := NewCircuitAger(c, DefaultModels(), 350, 1)
+	ager.DutyOverride = map[string]float64{"M2": 0.5}
+	if n := testing.AllocsPerRun(100, func() { ager.Step(3600) }); n != 0 {
+		t.Errorf("Step allocated %g times per call, want 0", n)
 	}
 }
 
@@ -130,9 +153,13 @@ func TestCircuitAgerMirrorDrifts(t *testing.T) {
 	if drift < 1e-4 || drift > 0.5 {
 		t.Errorf("10-year drift %g V implausible", drift)
 	}
-	names := ager.SortedAgerNames()
-	if len(names) != 2 || names[0] != "M1" {
-		t.Errorf("SortedAgerNames = %v", names)
+	for _, name := range []string{"M1", "M2"} {
+		if ager.Ager(name) == nil {
+			t.Errorf("no ager for %s", name)
+		}
+	}
+	if ager.Ager("RL") != nil {
+		t.Error("a resistor got an ager")
 	}
 }
 

@@ -262,29 +262,10 @@ func (c *Circuit) nodeName(i int) string {
 	return c.nodeNames[i]
 }
 
-// MOSFETByName returns the MOSFET element with the given name.
-func (c *Circuit) MOSFETByName(name string) (*MOSFET, error) {
-	e, ok := c.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("circuit: no element %q", name)
-	}
-	m, ok := e.(*MOSFET)
-	if !ok {
-		return nil, fmt.Errorf("circuit: element %q is %T, not a MOSFET", name, e)
-	}
-	return m, nil
-}
-
-// MOSFETs returns all MOSFET elements, sorted by name, in a fresh slice
-// the caller owns.
-func (c *Circuit) MOSFETs() []*MOSFET {
-	return append([]*MOSFET(nil), c.MOSFETList()...)
-}
-
 // MOSFETList returns the circuit's cached name-sorted MOSFET list without
-// copying it — the per-trial path of Monte-Carlo mismatch sampling. The
-// slice is shared: callers must not modify it. Adding an element builds a
-// new list and leaves slices handed out earlier untouched.
+// copying it, so per-trial mismatch sampling and aging allocate nothing.
+// The slice is shared: callers must not modify it. Adding an element
+// builds a new list and leaves slices handed out earlier untouched.
 func (c *Circuit) MOSFETList() []*MOSFET {
 	if c.mosfets == nil {
 		out := []*MOSFET{}

@@ -92,8 +92,7 @@ func TestNMOSCommonSourceOP(t *testing.T) {
 	c.AddVSource("VDD", "vdd", "0", DC(1.8))
 	c.AddVSource("VG", "g", "0", DC(0.9))
 	c.AddResistor("RD", "vdd", "d", 10e3)
-	m := device.NewMosfet(tech.NMOSParams(2e-6, 180e-9, 300))
-	c.AddMOSFET("M1", "d", "g", "0", "0", m)
+	mos := c.AddMOSFET("M1", "d", "g", "0", "0", device.NewMosfet(tech.NMOSParams(2e-6, 180e-9, 300)))
 	sol, err := c.OperatingPoint()
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +103,6 @@ func TestNMOSCommonSourceOP(t *testing.T) {
 	}
 	// KCL check: resistor current equals drain current.
 	ir := (1.8 - vd) / 10e3
-	mos, err := c.MOSFETByName("M1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !mathx.ApproxEqual(ir, mos.OP().ID, 1e-6, 1e-12) {
 		t.Errorf("KCL violated: IR=%g ID=%g", ir, mos.OP().ID)
 	}
@@ -300,14 +295,12 @@ func TestACMOSFETAmplifierGain(t *testing.T) {
 	vin := c.AddVSource("VG", "g", "0", DC(0.7))
 	vin.ACMag = 1
 	c.AddResistor("RD", "vdd", "d", 20e3)
-	m := device.NewMosfet(tech.NMOSParams(4e-6, 360e-9, 300))
-	c.AddMOSFET("M1", "d", "g", "0", "0", m)
+	mos := c.AddMOSFET("M1", "d", "g", "0", "0", device.NewMosfet(tech.NMOSParams(4e-6, 360e-9, 300)))
 	pts, err := c.AC([]float64{1e3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gain := pts[0].Mag("d")
-	mos, _ := c.MOSFETByName("M1")
 	op := mos.OP()
 	want := op.Gm / (1.0/20e3 + op.Gds)
 	if !mathx.ApproxEqual(gain, want, 0.01, 0) {
@@ -398,17 +391,8 @@ func TestElementAccessors(t *testing.T) {
 	if _, err := c.VSourceByName("I1"); err == nil {
 		t.Error("wrong type accepted")
 	}
-	if _, err := c.MOSFETByName("M1"); err != nil {
-		t.Error(err)
-	}
-	if _, err := c.MOSFETByName("V1"); err == nil {
-		t.Error("wrong type accepted")
-	}
-	if _, err := c.MOSFETByName("nope"); err == nil {
-		t.Error("missing element accepted")
-	}
-	if got := len(c.MOSFETs()); got != 1 {
-		t.Errorf("MOSFETs() returned %d", got)
+	if got := len(c.MOSFETList()); got != 1 {
+		t.Errorf("MOSFETList() returned %d", got)
 	}
 	names := c.ElementNames()
 	if len(names) != 3 || names[0] != "I1" {

@@ -17,8 +17,8 @@ func TestOPEvaluatedAtLastConvergedBias(t *testing.T) {
 	c := New()
 	c.AddVSource("VDD", "vdd", "0", DC(1.1))
 	c.AddVSource("VIN", "in", "0", Pulse{Low: 0.2, High: 0.9, Rise: 2e-10, Fall: 2e-10, Width: 1e-9, Period: 3e-9})
-	c.AddMOSFET("MN", "out", "in", "0", "0", device.NewMosfet(tech.NMOSParams(1e-6, tech.Lmin, 300)))
-	c.AddMOSFET("MP", "out", "in", "vdd", "vdd", device.NewMosfet(tech.PMOSParams(2e-6, tech.Lmin, 300)))
+	mn := c.AddMOSFET("MN", "out", "in", "0", "0", device.NewMosfet(tech.NMOSParams(1e-6, tech.Lmin, 300)))
+	mp := c.AddMOSFET("MP", "out", "in", "vdd", "vdd", device.NewMosfet(tech.PMOSParams(2e-6, tech.Lmin, 300)))
 	c.AddResistor("RL", "out", "0", 200e3)
 	c.AddCapacitor("CL", "out", "0", 5e-15)
 
@@ -26,8 +26,6 @@ func TestOPEvaluatedAtLastConvergedBias(t *testing.T) {
 	// v of the last converged solution, and its OP with Eval there.
 	check := func(stage string, v func(node string) float64) {
 		t.Helper()
-		mn, _ := c.MOSFETByName("MN")
-		mp, _ := c.MOSFETByName("MP")
 		for _, tc := range []struct {
 			m          *MOSFET
 			d, g, s, b string
@@ -81,7 +79,6 @@ func TestOPEvaluatedAtLastConvergedBias(t *testing.T) {
 	check("adaptive", lastSample(wf))
 
 	// OP reads the device as it is now, at the recorded bias.
-	mn, _ := c.MOSFETByName("MN")
 	before := mn.OP()
 	mn.Dev.Mismatch.DeltaVT0 = 0.05
 	if after := mn.OP(); after.VTeff == before.VTeff {

@@ -98,7 +98,7 @@ func TestMOSFETAllTerminalsTied(t *testing.T) {
 	c := New()
 	c.AddVSource("V1", "a", "0", DC(1))
 	c.AddResistor("R1", "a", "0", 1e3)
-	c.AddMOSFET("M1", "0", "0", "0", "0", device.NewMosfet(tech.NMOSParams(1e-6, 90e-9, 300)))
+	m := c.AddMOSFET("M1", "0", "0", "0", "0", device.NewMosfet(tech.NMOSParams(1e-6, 90e-9, 300)))
 	sol, err := c.OperatingPoint()
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,6 @@ func TestMOSFETAllTerminalsTied(t *testing.T) {
 	if sol.Voltage("a") != 1 {
 		t.Error("grounded MOSFET perturbed an unrelated node")
 	}
-	m, _ := c.MOSFETByName("M1")
 	if m.OP().ID != 0 {
 		t.Errorf("all-grounded device conducts %g", m.OP().ID)
 	}

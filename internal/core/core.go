@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -97,10 +96,6 @@ type Result struct {
 	Times []float64
 	// Yield[k] is the fraction of trials meeting every spec at Times[k].
 	Yield []variation.YieldEstimate
-	// MetricMeans[k][m] is the mean of metric m over surviving evaluations
-	// at checkpoint k — the MeanValue projection of MetricStats, kept for
-	// compatibility.
-	MetricMeans [][]float64
 	// MetricStats[k][m] is the mergeable moment summary (count, mean,
 	// variance, extrema) of metric m over surviving evaluations at
 	// Times[k], so dispersion over life is available without retaining
@@ -121,7 +116,7 @@ type Result struct {
 	TrialErrors []*variation.TrialError
 	// Telemetry summarises run execution for operators.
 	Telemetry RunTelemetry
-	// MetricNames echoes the metric order of MetricMeans.
+	// MetricNames echoes the metric order of MetricStats.
 	MetricNames []string
 }
 
@@ -204,7 +199,7 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 
 	outs := make([]trialOut, nTrials)
 	pool := &variation.DiePool{Build: s.Build}
-	pool.Guess = nominalGuess(pool)
+	pool.WarmStart()
 	camp := variation.Campaign{
 		Trials: nTrials,
 		Seed:   s.Seed,
@@ -238,7 +233,6 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 		res.MetricNames = append(res.MetricNames, m.Name)
 	}
 	res.Yield = make([]variation.YieldEstimate, nCk)
-	res.MetricMeans = make([][]float64, nCk)
 	res.MetricStats = make([][]mathx.Moments, nCk)
 	for k := 0; k < nCk; k++ {
 		pass, total := 0, 0
@@ -264,11 +258,6 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 			}
 		}
 		res.Yield[k] = variation.YieldFromCounts(pass, total)
-		means := make([]float64, nMet)
-		for m := range means {
-			means[m] = stats[m].MeanValue()
-		}
-		res.MetricMeans[k] = means
 		res.MetricStats[k] = stats
 	}
 	for _, o := range outs {
@@ -307,28 +296,6 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 	return res, nil
 }
 
-// nominalGuess solves a nominal die from pool once and hands its solution
-// to every trial as a warm start: mismatch and corners only perturb the
-// bias point, so each trial's first Newton solve starts next to its answer
-// instead of climbing the cold homotopy ladder. The die then goes back to
-// the pool as the first trial's die. The guess is read-only and shared;
-// trials that diverge from it fall back to the cold ladder inside
-// OperatingPoint, so this is purely a performance hint — a failing or even
-// panicking nominal build or solve just disables it.
-func nominalGuess(pool *variation.DiePool) (guess []float64) {
-	defer func() { _ = recover() }()
-	die, err := pool.Get()
-	if err != nil {
-		return nil
-	}
-	sol, err := die.Circuit.OperatingPoint()
-	if err != nil {
-		return nil
-	}
-	pool.Put(die)
-	return sol.X
-}
-
 // runTrialOn ages and measures one die on an already-built (possibly
 // reused) circuit. A panic anywhere in the trial pipeline is recovered
 // here and converted into a structured TrialError tagged with the phase
@@ -343,7 +310,7 @@ func (s *Simulator) runTrialOn(c *circuit.Circuit, index int, rng *mathx.RNG, ti
 		if r := recover(); r != nil {
 			out = trialOut{newton: out.newton, err: &variation.TrialError{
 				Index: index, Phase: phase,
-				Cause: &variation.PanicError{Value: r, Stack: debug.Stack()},
+				Cause: &variation.PanicError{Value: r},
 			}}
 		}
 	}()
@@ -392,16 +359,7 @@ func (s *Simulator) runTrialOn(c *circuit.Circuit, index int, rng *mathx.RNG, ti
 			out.ok = true
 			return
 		}
-		stress := aging.ExtractStressOP(c, mission.TempK)
-		for _, name := range ager.SortedAgerNames() {
-			st := stress[name]
-			if mission.Duty != nil {
-				if d, ok := mission.Duty[name]; ok {
-					st.Duty = d
-				}
-			}
-			ager.Ager(name).Step(st, times[k]-prev)
-		}
+		ager.Step(times[k] - prev)
 		prev = times[k]
 		measure(k)
 	}

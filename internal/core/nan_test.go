@@ -46,7 +46,7 @@ func TestNaNMetricExcludedFromMomentsButCountedInYield(t *testing.T) {
 	if st.Count == 0 || st.Count == trials {
 		t.Fatalf("finite-die count = %d of %d: the NaN split did not bite", st.Count, trials)
 	}
-	if math.IsNaN(st.Mean) || math.IsNaN(res.MetricMeans[0][0]) {
+	if math.IsNaN(st.Mean) || math.IsNaN(st.MeanValue()) {
 		t.Error("NaN die poisoned the moment summary")
 	}
 	// Every NaN die still reached a verdict: full denominator, and a NaN

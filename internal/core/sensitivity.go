@@ -30,7 +30,7 @@ func VTSensitivities(c *circuit.Circuit, metric func(*circuit.Circuit) (float64,
 	if deltaVT <= 0 {
 		return nil, fmt.Errorf("core: perturbation must be positive, got %g", deltaVT)
 	}
-	mosfets := c.MOSFETs()
+	mosfets := c.MOSFETList()
 	if len(mosfets) == 0 {
 		return nil, fmt.Errorf("core: circuit has no MOSFETs")
 	}

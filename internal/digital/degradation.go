@@ -32,21 +32,16 @@ func AgeRing(ro *RingOscillator, missionSeconds, tempK float64, models aging.Mod
 	// operating-point extraction would see the metastable mid-rail DC
 	// solution, which is not what a toggling gate experiences, so the
 	// stress is imposed explicitly.
-	for _, name := range ager.SortedAgerNames() {
-		m, err := ro.Circuit.MOSFETByName(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, m := range ro.Circuit.MOSFETList() {
 		vgs := vdd
 		if m.Dev.Params.Type.String() == "pmos" {
 			vgs = -vdd
 		}
 		st := aging.Stress{Vgs: vgs, Vds: vgs, Duty: 0.5, TempK: tempK}
-		ager.Ager(name).Step(st, missionSeconds)
+		ager.Ager(m.Name()).Step(st, missionSeconds)
 	}
 	res := &DegradationResult{FreshHz: fresh}
-	for _, name := range ager.SortedAgerNames() {
-		m, _ := ro.Circuit.MOSFETByName(name)
+	for _, m := range ro.Circuit.MOSFETList() {
 		if dvt := m.Dev.Damage.DeltaVT; dvt > res.WorstDeltaVT {
 			res.WorstDeltaVT = dvt
 		}

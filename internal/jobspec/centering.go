@@ -20,7 +20,7 @@ func executeCentering(ctx context.Context, text string, deck *netlist.Deck, spec
 	p := spec.Centering
 	devices := p.Devices
 	if len(devices) == 0 {
-		for _, m := range deck.Circuit.MOSFETs() {
+		for _, m := range deck.Circuit.MOSFETList() {
 			devices = append(devices, m.Name())
 		}
 	}
@@ -49,7 +49,7 @@ func executeCentering(ctx context.Context, text string, deck *netlist.Deck, spec
 			Trials: p.Trials,
 			Seed:   spec.Seed,
 			Spec:   &vspec,
-			Trial:  voltageTrial(pool, deck.Tech, nil, p.Node),
+			Trial:  voltageTrial(pool, deck.Tech, variation.NominalCorner(), p.Node),
 		}
 		return camp.Run(ctx)
 	}

@@ -207,7 +207,7 @@ func executeOP(deck *netlist.Deck, spec *Spec, res *Result) error {
 		out.Nodes = append(out.Nodes, NodeVoltage{Node: n, V: sol.Voltage(n)})
 	}
 	if len(deck.MOSFETs) > 0 {
-		for _, m := range deck.Circuit.MOSFETs() {
+		for _, m := range deck.Circuit.MOSFETList() {
 			op := m.OP()
 			out.Devices = append(out.Devices, DeviceOP{
 				Name: m.Name(), ID: op.ID, Gm: op.Gm, Region: op.Region,
@@ -332,13 +332,12 @@ func executeAge(ctx context.Context, deck *netlist.Deck, spec *Spec, res *Result
 		}
 		out.Checkpoints = append(out.Checkpoints, ck)
 	}
-	for _, name := range ager.SortedAgerNames() {
-		m := deck.MOSFETs[name]
+	for _, m := range deck.Circuit.MOSFETList() {
 		out.Devices = append(out.Devices, DeviceDamage{
-			Name:           name,
+			Name:           m.Name(),
 			DeltaVT:        m.Dev.Damage.DeltaVT,
 			MobilityFactor: m.Dev.Damage.MobilityFactor,
-			BDMode:         ager.Ager(name).BDMode().String(),
+			BDMode:         ager.Ager(m.Name()).BDMode().String(),
 		})
 	}
 	res.Age = out
@@ -462,20 +461,16 @@ func parsedFirst(deck *netlist.Deck, build func() (*circuit.Circuit, error)) fun
 }
 
 // voltageTrial returns a Campaign trial that takes a die from pool,
-// applies fresh mismatch (with the systematic part pinned at corner when
-// non-nil) and measures node's operating-point voltage. Only a die whose
-// solve converged goes back to the pool.
-func voltageTrial(pool *variation.DiePool, tech *device.Technology, corner *variation.Corner, node string) variation.Trial {
+// applies fresh mismatch on top of corner's systematic shift and measures
+// node's operating-point voltage. Only a die whose solve converged goes
+// back to the pool.
+func voltageTrial(pool *variation.DiePool, tech *device.Technology, corner variation.Corner, node string) variation.Trial {
 	return func(rng *mathx.RNG, _ int) (float64, error) {
 		die, err := pool.Get()
 		if err != nil {
 			return 0, err
 		}
-		if corner != nil {
-			variation.ApplyRandomMismatchAtCorner(die.Circuit, tech, *corner, rng)
-		} else {
-			variation.ApplyRandomMismatch(die.Circuit, tech, variation.NominalCorner(), rng)
-		}
+		variation.ApplyRandomMismatch(die.Circuit, tech, corner, rng)
 		if err := die.Circuit.SolveOP(); err != nil {
 			return 0, err
 		}
@@ -513,12 +508,7 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 	// on reuse). The first die is the deck Execute already parsed, and the
 	// nominal deck's Tech serves every die.
 	pool := &variation.DiePool{Build: parsedFirst(deck, deckBuilder(text, nil))}
-	if die, err := pool.Get(); err == nil {
-		if sol, err := die.Circuit.OperatingPoint(); err == nil {
-			pool.Guess = sol.X
-			pool.Put(die)
-		}
-	}
+	pool.WarmStart()
 	from, to := 0, p.Trials
 	if p.Range != nil {
 		from, to = p.Range.From, p.Range.To
@@ -538,13 +528,13 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 	}
 	// A corner-pinned campaign holds the systematic (die-to-die) component
 	// at a named corner while the local Pelgrom part still varies per die.
-	var pinned *variation.Corner
+	pinned := variation.NominalCorner()
 	if p.Corner != nil {
 		co, ok := variation.CornerByName(p.Corner.Name, p.Corner.SigmaVT, p.Corner.SigmaBeta)
 		if !ok {
 			return fmt.Errorf("jobspec: unknown mc corner %q", p.Corner.Name)
 		}
-		pinned = &co
+		pinned = co
 	}
 	trial := mcTrial(pool, deck.Tech, pinned, p.Node)
 	var chunks []variation.ChunkStat

@@ -105,7 +105,7 @@ func executeValues(t *testing.T, s *Spec) (*Result, []float64) {
 	ok := make([]bool, s.MC.Trials)
 	saved := mcTrial
 	defer func() { mcTrial = saved }()
-	mcTrial = func(pool *variation.DiePool, tech *device.Technology, corner *variation.Corner, node string) variation.Trial {
+	mcTrial = func(pool *variation.DiePool, tech *device.Technology, corner variation.Corner, node string) variation.Trial {
 		trial := saved(pool, tech, corner, node)
 		return func(rng *mathx.RNG, i int) (float64, error) {
 			v, err := trial(rng, i)
@@ -235,29 +235,25 @@ func TestWarmTrialZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name, deck, node string
 		sparse           bool
-		corner           *variation.Corner
+		corner           variation.Corner
 	}{
-		{"fig3", fig3Deck, "out", false, nil},
-		{"fig3-ss", fig3Deck, "out", false, &ss},
-		{"ladder128", ladderDeck(128), "n0127", true, nil},
+		{"fig3", fig3Deck, "out", false, variation.NominalCorner()},
+		{"fig3-ss", fig3Deck, "out", false, ss},
+		{"ladder128", ladderDeck(128), "n0127", true, variation.NominalCorner()},
 	} {
 		deck, err := netlist.Parse(tc.deck)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pool := &variation.DiePool{Build: parsedFirst(deck, deckBuilder(tc.deck, nil))}
+		pool.WarmStart()
 		die, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := die.Circuit.OperatingPoint()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if die.Circuit.UsingSparse() != tc.sparse {
 			t.Fatalf("%s: sparse backend %v, want %v", tc.name, die.Circuit.UsingSparse(), tc.sparse)
 		}
-		pool.Guess = sol.X
 		pool.Put(die)
 
 		trial := voltageTrial(pool, deck.Tech, tc.corner, tc.node)

@@ -582,46 +582,34 @@ func wearOutRollup(deck *netlist.Deck, p *SignoffParams) (*wearOut, error) {
 	// TDDB: each MOSFET's gate oxide is a Weibull-distributed breakdown
 	// channel at its DC operating-point field; MTTF = η·Γ(1+1/β) turns
 	// the characteristic life into a mean for the rate roll-up.
-	stress := aging.ExtractStressOP(deck.Circuit, p.TempK)
-	if len(stress) > 0 {
+	if mosfets := deck.Circuit.MOSFETList(); len(mosfets) > 0 {
 		tddb := aging.DefaultTDDB()
 		beta := tddb.WeibullSlope(deck.Tech.ToxNM)
 		gamma := math.Gamma(1 + 1/beta)
-		sec := &signoff.TDDBSection{Beta: beta}
-		names := make([]string, 0, len(stress))
-		for n := range stress {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		sec := &signoff.TDDBSection{Beta: beta, Devices: len(mosfets)}
 		worstEta := math.Inf(1)
 		var lamTDDB float64
-		for _, name := range names {
-			m, ok := deck.MOSFETs[name]
-			if !ok {
-				continue
-			}
+		for _, m := range mosfets {
+			vgs, _, _ := m.BiasVoltages()
 			area := m.Dev.Params.W * m.Dev.Params.L
-			eox := math.Abs(stress[name].Vgs) / deck.Tech.Tox()
+			eox := math.Abs(vgs) / deck.Tech.Tox()
 			eta := tddb.Eta(eox, p.TempK, area, deck.Tech.ToxNM)
-			sec.Devices++
 			if eta < worstEta {
 				worstEta = eta
-				sec.WorstDevice = name
+				sec.WorstDevice = m.Name()
 			}
 			if mttf := eta * gamma; mttf > 0 && !math.IsInf(mttf, 1) {
 				lamTDDB += 3600 / mttf
 			}
 		}
-		if sec.Devices > 0 {
-			if !math.IsInf(worstEta, 1) {
-				sec.WorstEtaYears = signoff.Ptr(worstEta / yearSeconds)
-			}
-			if lamTDDB > 0 {
-				sec.FIT = signoff.Ptr(1e9 * lamTDDB)
-				lambdaPerHour += lamTDDB
-			}
-			w.TDDB = sec
+		if !math.IsInf(worstEta, 1) {
+			sec.WorstEtaYears = signoff.Ptr(worstEta / yearSeconds)
 		}
+		if lamTDDB > 0 {
+			sec.FIT = signoff.Ptr(1e9 * lamTDDB)
+			lambdaPerHour += lamTDDB
+		}
+		w.TDDB = sec
 	}
 
 	w.LambdaPerHour = lambdaPerHour

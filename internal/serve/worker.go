@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/jobspec"
@@ -95,7 +94,7 @@ func (s *Server) runJob(j *Job) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("serve: job panicked: %w",
-					&variation.PanicError{Value: r, Stack: debug.Stack()})
+					&variation.PanicError{Value: r})
 			}
 		}()
 		res, err = s.cfg.Execute(ctx, j.Spec, opts)

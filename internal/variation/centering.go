@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
-	"repro/internal/mathx"
 )
 
 // CornerByName returns the named standard corner at the given 3σ levels
@@ -21,26 +20,6 @@ func CornerByName(name string, sigmaVT, sigmaBeta float64) (Corner, bool) {
 		}
 	}
 	return Corner{}, false
-}
-
-// ApplyRandomMismatchAtCorner samples fresh local mismatch for every
-// MOSFET on top of a named die corner's per-polarity shift — the
-// composition corner-pinned Monte-Carlo uses: the systematic component
-// is held at the corner while the Pelgrom part still varies per die.
-// The RNG draw order matches ApplyRandomMismatch, so a TT corner at
-// zero sigma reproduces the nominal campaign bit-for-bit.
-func ApplyRandomMismatchAtCorner(c *circuit.Circuit, tech *device.Technology, co Corner, rng *mathx.RNG) {
-	for _, m := range c.MOSFETList() {
-		mm := SampleMismatch(tech, m.Dev.Params.W, m.Dev.Params.L, rng)
-		if m.Dev.Params.Type == device.PMOS {
-			mm.DeltaVT0 += co.DeltaVTP
-			mm.BetaFactor *= co.BetaP
-		} else {
-			mm.DeltaVT0 += co.DeltaVTN
-			mm.BetaFactor *= co.BetaN
-		}
-		m.Dev.Mismatch = mm
-	}
 }
 
 // ResizeMOSFET re-derives a MOSFET's parameter set at scale× its current

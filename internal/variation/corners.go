@@ -30,7 +30,7 @@ func StandardCorners(sigmaVT, sigmaBeta float64) []Corner {
 	slowVT, fastVT := +sigmaVT, -sigmaVT
 	slowB, fastB := 1-sigmaBeta, 1+sigmaBeta
 	return []Corner{
-		{Name: "TT", BetaN: 1, BetaP: 1},
+		NominalCorner(),
 		{Name: "SS", DeltaVTN: slowVT, DeltaVTP: slowVT, BetaN: slowB, BetaP: slowB},
 		{Name: "FF", DeltaVTN: fastVT, DeltaVTP: fastVT, BetaN: fastB, BetaP: fastB},
 		{Name: "SF", DeltaVTN: slowVT, DeltaVTP: fastVT, BetaN: slowB, BetaP: fastB},

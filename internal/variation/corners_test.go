@@ -79,7 +79,7 @@ func TestCornerSweepResetsState(t *testing.T) {
 	if _, err := CornerSweep(c, StandardCorners(0.05, 0.05), switchPoint); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range c.MOSFETs() {
+	for _, m := range c.MOSFETList() {
 		if m.Dev.Mismatch != device.NominalMismatch() {
 			t.Fatal("corner sweep left mismatch applied")
 		}

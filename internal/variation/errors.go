@@ -47,17 +47,14 @@ func (k FailureKind) String() string {
 // with errors.Is and still receive the partial result alongside it.
 var ErrCancelled = errors.New("variation: run cancelled")
 
-// PanicError carries a panic recovered from a worker goroutine, with the
-// stack captured at the panic site. It converts a crash of one trial into
-// data the run can account for.
+// PanicError carries a panic recovered from a worker goroutine. It
+// converts a crash of one trial into data the run can account for.
 type PanicError struct {
 	// Value is the value passed to panic().
 	Value any
-	// Stack is the formatted goroutine stack at recovery.
-	Stack []byte
 }
 
-// Error formats the panic value; the stack is available on the field.
+// Error formats the panic value.
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // TrialError is the structured failure record of a single trial: which

@@ -63,9 +63,6 @@ func TestMonteCarloPanicIsolated(t *testing.T) {
 		if !errors.As(sl.err, &pe) {
 			t.Fatalf("cause of %v is not a *PanicError", sl.err)
 		}
-		if len(pe.Stack) == 0 {
-			t.Error("recovered panic lost its stack")
-		}
 	}
 	// The scratch is reused chunk after chunk: a chunk cancelled before
 	// any dispatch leaves every slot unrun, never holding the outcome of

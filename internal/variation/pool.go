@@ -1,7 +1,6 @@
 package variation
 
 import (
-	"runtime/debug"
 	"sync"
 
 	"repro/internal/circuit"
@@ -14,16 +13,15 @@ import (
 // whose trials never fail builds at most one die per concurrent worker.
 // Every die it hands out is in its as-built state: on reuse the device
 // damage is restored from a snapshot taken at build, the solver's
-// warm-start state is reset and Guess is re-seeded. Mismatch is not
-// restored: a trial must overwrite it in full, as ApplyRandomMismatch
-// does, for reuse never to change a result. A DiePool is safe for
-// concurrent use.
+// warm-start state is reset and the WarmStart guess is re-seeded.
+// Mismatch is not restored: a trial must overwrite it in full, as
+// ApplyRandomMismatch does, for reuse never to change a result. A DiePool
+// is safe for concurrent use once WarmStart, if called, has returned.
 type DiePool struct {
 	// Build constructs a fresh nominal circuit on every call.
 	Build func() (*circuit.Circuit, error)
-	// Guess, when non-nil, warm-starts every die (best effort: a
-	// mis-sized guess is ignored).
-	Guess []float64
+
+	guess []float64 // set by WarmStart; seeds every die handed out
 
 	mu   sync.Mutex
 	free []*Die
@@ -57,6 +55,28 @@ func (p *DiePool) Get() (*Die, error) {
 	return d, nil
 }
 
+// WarmStart solves one nominal die and keeps its solution as the initial
+// guess of every die the pool hands out, then puts the die back for the
+// first trial. Mismatch and corners only perturb the bias point, so each
+// trial's first Newton solve starts next to its answer instead of
+// climbing the cold homotopy ladder; trials that diverge from the guess
+// fall back to that ladder inside the solver. It is best effort: a failing
+// or even panicking build or solve only leaves the pool without a warm
+// start. Call it before the pool is shared.
+func (p *DiePool) WarmStart() {
+	defer func() { _ = recover() }()
+	d, err := p.Get()
+	if err != nil {
+		return
+	}
+	sol, err := d.Circuit.OperatingPoint()
+	if err != nil {
+		return
+	}
+	p.guess = sol.X
+	p.Put(d)
+}
+
 // Put takes back a die whose trial finished cleanly; a die whose trial
 // errored must not be returned, since its state is suspect.
 func (p *DiePool) Put(d *Die) {
@@ -70,7 +90,7 @@ func (p *DiePool) Put(d *Die) {
 func (p *DiePool) build() (d *Die, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			d, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+			d, err = nil, &PanicError{Value: r}
 		}
 	}()
 	c, err := p.Build()
@@ -87,8 +107,8 @@ func (p *DiePool) build() (d *Die, err error) {
 }
 
 func (p *DiePool) seed(c *circuit.Circuit) {
-	if p.Guess != nil {
+	if p.guess != nil {
 		// A mis-sized guess only costs the warm start, never a result.
-		_ = c.SetInitialGuess(p.Guess)
+		_ = c.SetInitialGuess(p.guess)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -378,7 +377,7 @@ func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Tr
 			if r := recover(); r != nil {
 				slots[g-from] = trialSlot{done: true, err: &TrialError{
 					Index: g, Phase: "trial",
-					Cause: &PanicError{Value: r, Stack: debug.Stack()},
+					Cause: &PanicError{Value: r},
 				}}
 			}
 		}()

@@ -52,34 +52,31 @@ func LERSigmaVT(tech *device.Technology, w float64) float64 {
 	return k * math.Sqrt(wref/w)
 }
 
-// GlobalCorner is a die-to-die process shift applied identically to every
-// device on a die (systematic component; the local Pelgrom part rides on
-// top).
-type GlobalCorner struct {
-	// DeltaVT0 shifts every threshold in volts.
-	DeltaVT0 float64
-	// BetaFactor scales every current factor.
-	BetaFactor float64
-}
+// NominalCorner returns the typical-typical corner: no systematic shift.
+func NominalCorner() Corner { return Corner{Name: "TT", BetaN: 1, BetaP: 1} }
 
-// NominalCorner returns the typical-typical corner.
-func NominalCorner() GlobalCorner { return GlobalCorner{BetaFactor: 1} }
-
-// SampleGlobalCorner draws a die-level corner with the given sigmas.
-func SampleGlobalCorner(sigmaVT, sigmaBeta float64, rng *mathx.RNG) GlobalCorner {
-	return GlobalCorner{
-		DeltaVT0:   sigmaVT * rng.Norm(),
-		BetaFactor: 1 + sigmaBeta*rng.Norm(),
-	}
+// SampleGlobalCorner draws an unnamed die-level corner with the given
+// sigmas, shifting n- and p-channel devices alike.
+func SampleGlobalCorner(sigmaVT, sigmaBeta float64, rng *mathx.RNG) Corner {
+	dvt := sigmaVT * rng.Norm()
+	beta := 1 + sigmaBeta*rng.Norm()
+	return Corner{DeltaVTN: dvt, DeltaVTP: dvt, BetaN: beta, BetaP: beta}
 }
 
 // ApplyRandomMismatch samples fresh local mismatch for every MOSFET in the
-// circuit on top of the given global corner. Existing damage is preserved.
-func ApplyRandomMismatch(c *circuit.Circuit, tech *device.Technology, corner GlobalCorner, rng *mathx.RNG) {
+// circuit on top of the die corner's per-polarity shift: the systematic
+// component is held at the corner while the Pelgrom part varies per die.
+// Existing damage is preserved.
+func ApplyRandomMismatch(c *circuit.Circuit, tech *device.Technology, co Corner, rng *mathx.RNG) {
 	for _, m := range c.MOSFETList() {
 		mm := SampleMismatch(tech, m.Dev.Params.W, m.Dev.Params.L, rng)
-		mm.DeltaVT0 += corner.DeltaVT0
-		mm.BetaFactor *= corner.BetaFactor
+		if m.Dev.Params.Type == device.PMOS {
+			mm.DeltaVT0 += co.DeltaVTP
+			mm.BetaFactor *= co.BetaP
+		} else {
+			mm.DeltaVT0 += co.DeltaVTN
+			mm.BetaFactor *= co.BetaN
+		}
 		m.Dev.Mismatch = mm
 	}
 }

@@ -78,27 +78,30 @@ func TestApplyRandomMismatch(t *testing.T) {
 	for _, nm := range []string{"M1", "M2", "M3"} {
 		c.AddMOSFET(nm, "vdd", "vdd", "0", "0", device.NewMosfet(tech.NMOSParams(1e-6, 65e-9, 300)))
 	}
+	c.AddMOSFET("MP", "0", "0", "vdd", "vdd", device.NewMosfet(tech.PMOSParams(1e-6, 65e-9, 300)))
 	rng := mathx.NewRNG(7)
-	corner := GlobalCorner{DeltaVT0: 0.05, BetaFactor: 0.9}
+	// Slow n, fast p: each polarity takes its own shift.
+	corner := Corner{DeltaVTN: 0.05, DeltaVTP: -0.05, BetaN: 0.9, BetaP: 1.1}
 	ApplyRandomMismatch(c, tech, corner, rng)
 	seen := map[float64]bool{}
-	for _, m := range c.MOSFETs() {
-		dv := m.Dev.Mismatch.DeltaVT0
+	for _, m := range c.MOSFETList() {
+		dv, beta := m.Dev.Mismatch.DeltaVT0, m.Dev.Mismatch.BetaFactor
 		if seen[dv] {
 			t.Error("two devices got identical mismatch — RNG reuse?")
 		}
 		seen[dv] = true
-		// The global corner must dominate the local sigma here (50 mV vs
-		// ~2 mV), so all shifts should be clearly positive.
-		if dv < 0.02 {
-			t.Errorf("corner not applied: DeltaVT0 = %g", dv)
-		}
-		if m.Dev.Mismatch.BetaFactor > 1.0 {
-			t.Errorf("corner beta not applied: %g", m.Dev.Mismatch.BetaFactor)
+		// The corner must dominate the local sigma here (50 mV vs ~2 mV),
+		// so every shift should clearly carry its polarity's sign.
+		if m.Dev.Params.Type == device.PMOS {
+			if dv > -0.02 || beta < 1.0 {
+				t.Errorf("%s: p corner not applied: DeltaVT0 = %g, BetaFactor = %g", m.Name(), dv, beta)
+			}
+		} else if dv < 0.02 || beta > 1.0 {
+			t.Errorf("%s: n corner not applied: DeltaVT0 = %g, BetaFactor = %g", m.Name(), dv, beta)
 		}
 	}
 	ResetMismatch(c)
-	for _, m := range c.MOSFETs() {
+	for _, m := range c.MOSFETList() {
 		if m.Dev.Mismatch != device.NominalMismatch() {
 			t.Error("ResetMismatch did not restore nominal")
 		}
@@ -274,8 +277,11 @@ func TestGlobalCornerSampling(t *testing.T) {
 	var vts, betas mathx.Running
 	for i := 0; i < 50000; i++ {
 		c := SampleGlobalCorner(0.03, 0.05, rng)
-		vts.Add(c.DeltaVT0)
-		betas.Add(c.BetaFactor)
+		if c.DeltaVTP != c.DeltaVTN || c.BetaP != c.BetaN {
+			t.Fatalf("global corner shifts the polarities apart: %+v", c)
+		}
+		vts.Add(c.DeltaVTN)
+		betas.Add(c.BetaN)
 	}
 	if !mathx.ApproxEqual(vts.StdDev(), 0.03, 0.05, 0) {
 		t.Errorf("corner VT σ = %g", vts.StdDev())
