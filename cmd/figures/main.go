@@ -9,23 +9,39 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/figures"
 )
 
 func main() {
-	only := flag.String("only", "", "generate a single artefact: fig1..fig6, eq1..eq4")
-	fast := flag.Bool("fast", false, "reduced Monte-Carlo sizes")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the selected artefacts to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	only := fs.String("only", "", "generate a single artefact: fig1..fig6, eq1..eq4")
+	fast := fs.Bool("fast", false, "reduced Monte-Carlo sizes")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	nMC := 20000
-	dacMC := 60
+	dacMC := 1000
 	if *fast {
 		nMC = 3000
-		dacMC = 30
+		dacMC = 200
 	}
 
 	gens := []struct {
@@ -53,10 +69,12 @@ func main() {
 			continue
 		}
 		found = true
-		fmt.Println(g.run())
+		if _, err := fmt.Fprintln(w, g.run()); err != nil {
+			return err
+		}
 	}
 	if !found {
-		fmt.Fprintf(os.Stderr, "figures: unknown artefact %q (use fig1..fig6, eq1..eq4)\n", *only)
-		os.Exit(1)
+		return fmt.Errorf("unknown artefact %q (use fig1..fig6, eq1..eq4)", *only)
 	}
+	return nil
 }

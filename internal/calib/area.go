@@ -3,7 +3,7 @@ package calib
 import (
 	"context"
 	"fmt"
-	"math"
+	"sort"
 
 	"repro/internal/mathx"
 	"repro/internal/variation"
@@ -17,22 +17,7 @@ func INLYield(cfg DACConfig, limit float64, calibrated bool, nMC int, seed uint6
 	if nMC <= 0 {
 		return variation.YieldEstimate{}, fmt.Errorf("calib: nMC must be positive")
 	}
-	camp := variation.Campaign{
-		Trials: nMC,
-		Seed:   seed,
-		Spec:   &variation.Spec{Name: "INL", Lo: 0, Hi: limit},
-		Trial: func(rng *mathx.RNG, _ int) (float64, error) {
-			d, err := NewDAC(cfg, rng)
-			if err != nil {
-				return 0, err
-			}
-			if calibrated {
-				d.CalibrateSSPA(0, rng)
-			}
-			return d.MaxINL(), nil
-		},
-	}
-	res, err := camp.Run(context.Background())
+	res, err := runINL(cfg, calibrated, &variation.Spec{Name: "INL", Lo: 0, Hi: limit}, make([]float64, nMC), seed)
 	if err != nil {
 		return variation.YieldEstimate{}, err
 	}
@@ -40,39 +25,66 @@ func INLYield(cfg DACConfig, limit float64, calibrated bool, nMC int, seed uint6
 	return variation.YieldFromCounts(res.Stats.Pass, int(res.Stats.Moments.Count)), nil
 }
 
-// RequiredSigmaUnit returns the largest unit-source sigma that still meets
-// the INL limit with at least targetYield, found by bisection over
-// Monte-Carlo yield. This is the quantity that sets analog area: matching
-// improves with device area as σ ∝ 1/√A (Pelgrom), so area ∝ 1/σ².
+// runINL fabricates len(inl) DACs at cfg, runs SSPA on each when
+// calibrated, and folds each die's worst |INL| against spec (when non-nil)
+// into the returned stats; die i's value also goes to inl[i].
+func runINL(cfg DACConfig, calibrated bool, spec *variation.Spec, inl []float64, seed uint64) (*variation.MCResult, error) {
+	camp := variation.Campaign{
+		Trials: len(inl),
+		Seed:   seed,
+		Spec:   spec,
+		Trial: func(rng *mathx.RNG, i int) (float64, error) {
+			d, err := NewDAC(cfg, rng)
+			if err != nil {
+				return 0, err
+			}
+			if calibrated {
+				d.CalibrateSSPA(0, rng)
+			}
+			inl[i] = d.MaxINL()
+			return inl[i], nil
+		},
+	}
+	return camp.Run(context.Background())
+}
+
+// RequiredSigmaUnit returns the largest unit-source sigma at which at
+// least targetYield of INLYield's nMC dies meet the INL limit. This is the
+// quantity that sets analog area: matching improves with device area as
+// σ ∝ 1/√A (Pelgrom), so area ∝ 1/σ². A die's errors are σ·√w times its
+// deviates and SSPA orders the deviates, so its worst INL is σ times its
+// worst INL q at σ = 1: with q_1 <= … <= q_m over the m measured dies and
+// k the least count with k/m >= targetYield, the answer is limit/q_k.
+// cfg.SigmaUnit is ignored.
 func RequiredSigmaUnit(cfg DACConfig, limit, targetYield float64, calibrated bool, nMC int, seed uint64) (float64, error) {
-	if targetYield <= 0 || targetYield >= 1 {
+	switch {
+	case targetYield <= 0 || targetYield >= 1:
 		return 0, fmt.Errorf("calib: target yield %g out of (0,1)", targetYield)
+	case nMC <= 0 || limit <= 0:
+		return 0, fmt.Errorf("calib: need nMC > 0 and an INL limit > 0, got %d and %g", nMC, limit)
 	}
-	meets := func(sigma float64) bool {
-		c := cfg
-		c.SigmaUnit = sigma
-		y, err := INLYield(c, limit, calibrated, nMC, seed)
-		if err != nil {
-			return false
-		}
-		return y.Yield >= targetYield
+	cfg.SigmaUnit = 1
+	q := make([]float64, nMC)
+	res, err := runINL(cfg, calibrated, nil, q, seed)
+	if err != nil {
+		return 0, err
 	}
-	lo, hi := 1e-6, 0.5
-	if !meets(lo) {
-		return 0, fmt.Errorf("calib: spec unreachable even at σ=%g", lo)
+	// Failed and NaN dies are missing data, as in INLYield. A failed die's
+	// entry stays 0 and a NaN die's is NaN; both sort before every
+	// measured die, so the measured dies are the last m.
+	m := int(res.Stats.Moments.Count)
+	if m == 0 {
+		return 0, fmt.Errorf("calib: none of %d dies measured (first failure: %q)", nMC, res.Stats.First)
 	}
-	if meets(hi) {
-		return hi, nil
+	sort.Float64s(q)
+	k := 1
+	for float64(k)/float64(m) < targetYield {
+		k++
 	}
-	for i := 0; i < 40; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection, σ spans decades
-		if meets(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	if qk := q[nMC-m+k-1]; qk > 0 {
+		return limit / qk, nil
 	}
-	return lo, nil
+	return 0, fmt.Errorf("calib: INL is zero at any σ")
 }
 
 // AreaStudy is the Fig. 5 reproduction result.

@@ -10,6 +10,7 @@ package calib
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/mathx"
 )
@@ -54,6 +55,8 @@ func Paper14Bit(sigmaUnit float64) DACConfig {
 // DAC is one fabricated instance: nominal weights plus sampled errors.
 type DAC struct {
 	Config DACConfig
+	// unaryZ[i] is unary source i's standard-normal deviate.
+	unaryZ []float64
 	// unaryErr[i] is the absolute error (in LSB) of unary source i.
 	unaryErr []float64
 	// binErr[b] is the absolute error (in LSB) of binary source b (weight
@@ -64,39 +67,23 @@ type DAC struct {
 	seq []int
 }
 
-// NewDAC fabricates a DAC instance, sampling all source errors from the
-// configured mismatch level.
+// NewDAC fabricates a DAC instance at the configured mismatch level: it
+// draws every source's deviate from rng and hands them to NewDACFromErrors.
 func NewDAC(cfg DACConfig, rng *mathx.RNG) (*DAC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nUnary := (1 << cfg.UnaryBits) - 1
-	unaryWeight := float64(int(1) << cfg.BinaryBits)
-	d := &DAC{
-		Config:   cfg,
-		unaryErr: make([]float64, nUnary),
-		binErr:   make([]float64, cfg.BinaryBits),
-		seq:      make([]int, nUnary),
+	z := make([]float64, (1<<cfg.UnaryBits)-1+cfg.BinaryBits)
+	for i := range z {
+		z[i] = rng.Norm()
 	}
-	for i := range d.unaryErr {
-		d.unaryErr[i] = cfg.SigmaUnit * math.Sqrt(unaryWeight) * rng.Norm()
-		d.seq[i] = i
-	}
-	for b := range d.binErr {
-		w := float64(int(1) << b)
-		d.binErr[b] = cfg.SigmaUnit * math.Sqrt(w) * rng.Norm()
-	}
-	return d, nil
+	return NewDACFromErrors(cfg, z[:len(z)-cfg.BinaryBits], z[len(z)-cfg.BinaryBits:])
 }
 
 // NewDACFromErrors builds a DAC with externally supplied standard-normal
 // deviates for each source (unary first, then binary LSB→MSB), scaled by
-// the configured SigmaUnit and the √weight law. This is the hook for
-// stratified (Latin-hypercube) sampling, which needs control over the
-// underlying normals.
-//
-// test seam: BenchmarkAblationSampling in the root package draws its
-// DACs by Latin-hypercube sampling through it.
+// the configured SigmaUnit and the √weight law. NewDAC draws them from an
+// RNG; stratified (Latin-hypercube) sampling supplies its own.
 func NewDACFromErrors(cfg DACConfig, unaryZ, binZ []float64) (*DAC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -109,6 +96,7 @@ func NewDACFromErrors(cfg DACConfig, unaryZ, binZ []float64) (*DAC, error) {
 	unaryWeight := float64(int(1) << cfg.BinaryBits)
 	d := &DAC{
 		Config:   cfg,
+		unaryZ:   append([]float64(nil), unaryZ...),
 		unaryErr: make([]float64, nUnary),
 		binErr:   make([]float64, cfg.BinaryBits),
 		seq:      make([]int, nUnary),
@@ -245,30 +233,30 @@ func (d *DAC) MaxDNL() float64 { return MaxAbs(DNL(d.TransferCurve())) }
 // sequence so the running error sum stays as close to zero as possible.
 // The random-walk INL of the thermometer order collapses to a bounded
 // ripple. measurementNoise adds σ (LSB) of comparator noise to each
-// measured error, 0 for ideal measurement.
+// measured error, 0 for ideal measurement, which balances the sources'
+// deviates instead: they rank as the errors do (each is σ·√w times its
+// deviate), and the sequence is then the same at every σ.
 func (d *DAC) CalibrateSSPA(measurementNoise float64, rng *mathx.RNG) {
 	n := len(d.unaryErr)
-	measured := make([]float64, n)
-	for i, e := range d.unaryErr {
-		measured[i] = e
-		if measurementNoise > 0 {
-			measured[i] += measurementNoise * rng.Norm()
+	x := append([]float64(nil), d.unaryZ...)
+	if measurementNoise > 0 {
+		for i, e := range d.unaryErr {
+			x[i] = e + measurementNoise*rng.Norm()
 		}
 	}
-	// The total error S = Σ measured is fixed by fabrication — no ordering
+	// The total error S = Σ x is fixed by fabrication — no ordering
 	// changes it — and endpoint-corrected INL measures the deviation of
 	// the running sum from the ramp k·S/n. Subtracting the per-step ramp
 	// increment turns the problem into classic prefix-sum balancing:
 	// arrange x_i = e_i − S/n (which sum to exactly 0) so that every
 	// prefix stays as close to zero as possible.
 	total := 0.0
-	for _, e := range measured {
+	for _, e := range x {
 		total += e
 	}
 	step := total / float64(n)
-	x := make([]float64, n)
-	for i, e := range measured {
-		x[i] = e - step
+	for i := range x {
+		x[i] -= step
 	}
 
 	// order: indices sorted by |x| descending, computed once.
@@ -276,62 +264,59 @@ func (d *DAC) CalibrateSSPA(measurementNoise float64, rng *mathx.RNG) {
 	for i := range order {
 		order[i] = i
 	}
-	for i := 1; i < n; i++ { // insertion sort, n ≤ 65535 sources but tiny in practice
-		for j := i; j > 0 && math.Abs(x[order[j]]) > math.Abs(x[order[j-1]]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	sort.SliceStable(order, func(a, b int) bool { return math.Abs(x[order[a]]) > math.Abs(x[order[b]]) })
 
 	// Greedy prefix balancing: at each position pick the unused element —
 	// preferring the most dangerous (largest |x|) on ties via the
-	// pre-sorted candidate order — that keeps the running sum closest to
-	// zero. The ordering-independent total has already been absorbed into
-	// x, so |prefix| IS the segment-boundary INL.
-	used := make([]bool, n)
+	// pre-sorted candidate order, from which used elements are removed —
+	// that keeps the running sum closest to zero. The ordering-independent
+	// total has already been absorbed into x, so |prefix| IS the
+	// segment-boundary INL.
 	seq := make([]int, 0, n)
 	cum := 0.0
-	for len(seq) < n {
-		best := -1
-		bestScore := math.Inf(1)
-		for _, e := range order {
-			if used[e] {
-				continue
-			}
+	for len(order) > 0 {
+		best, bestScore := 0, math.Inf(1)
+		for k, e := range order {
 			if score := math.Abs(cum + x[e]); score < bestScore {
-				bestScore = score
-				best = e
+				best, bestScore = k, score
 			}
 		}
-		used[best] = true
-		seq = append(seq, best)
-		cum += x[best]
+		seq = append(seq, order[best])
+		cum += x[order[best]]
+		order = append(order[:best], order[best+1:]...)
 	}
 
 	// 2-opt refinement: pairwise swaps that reduce the worst prefix
-	// deviation clean up greedy's tail artefacts.
-	maxDev := func(s []int) float64 {
-		c, worst := 0.0, 0.0
+	// deviation clean up greedy's tail artefacts. A swap at (i, j) resumes
+	// from seq[:i]'s running sum c and worst |prefix|, and maxDev stops at
+	// bound, where the swap is rejected anyway.
+	maxDev := func(s []int, c, worst, bound float64) float64 {
 		for _, idx := range s {
 			c += x[idx]
 			if a := math.Abs(c); a > worst {
-				worst = a
+				if worst = a; worst >= bound {
+					break
+				}
 			}
 		}
 		return worst
 	}
-	bestDev := maxDev(seq)
+	bestDev := maxDev(seq, 0, 0, math.Inf(1))
 	for sweep := 0; sweep < 8; sweep++ {
 		improved := false
-		for i := 0; i < n-1; i++ {
+		c, worst := 0.0, 0.0
+		for i := 0; i < n-1 && worst < bestDev; i++ {
 			for j := i + 1; j < n; j++ {
 				seq[i], seq[j] = seq[j], seq[i]
-				if dv := maxDev(seq); dv < bestDev {
+				if dv := maxDev(seq[i:], c, worst, bestDev); dv < bestDev {
 					bestDev = dv
 					improved = true
 				} else {
 					seq[i], seq[j] = seq[j], seq[i]
 				}
 			}
+			worst = maxDev(seq[i:i+1], c, worst, math.Inf(1))
+			c += x[seq[i]]
 		}
 		if !improved {
 			break

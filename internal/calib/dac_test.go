@@ -325,3 +325,105 @@ func TestBinaryCarryDNL(t *testing.T) {
 		t.Error("mismatched DAC cannot have zero DNL")
 	}
 }
+
+func TestNewDACMatchesNewDACFromErrors(t *testing.T) {
+	cfg := Paper14Bit(0.0099)
+	rng := mathx.NewRNG(5)
+	unaryZ := make([]float64, 63)
+	binZ := make([]float64, 8)
+	for i := range unaryZ {
+		unaryZ[i] = rng.Norm()
+	}
+	for i := range binZ {
+		binZ[i] = rng.Norm()
+	}
+	a, err := NewDAC(cfg, mathx.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDACFromErrors(cfg, unaryZ, binZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, cb := a.TransferCurve(), b.TransferCurve()
+	for code := range ca {
+		if ca[code] != cb[code] {
+			t.Fatalf("code %d: NewDAC %v, NewDACFromErrors %v", code, ca[code], cb[code])
+		}
+	}
+}
+
+// An ideal comparator ranks sources as their deviates do, so the SSPA
+// sequence of a die must not depend on σ, and its worst INL must scale
+// with σ: RequiredSigmaUnit reads every σ off one run at σ = 1.
+func TestSSPASequenceIsScaleFree(t *testing.T) {
+	const small = 0.0099
+	for seed := uint64(0); seed < 200; seed++ {
+		unit, err := NewDAC(Paper14Bit(1), mathx.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaled, err := NewDAC(Paper14Bit(small), mathx.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit.CalibrateSSPA(0, mathx.NewRNG(seed))
+		scaled.CalibrateSSPA(0, mathx.NewRNG(seed))
+		su, ss := unit.Sequence(), scaled.Sequence()
+		for k := range su {
+			if su[k] != ss[k] {
+				t.Fatalf("seed %d: sequences differ at position %d: σ=1 %v, σ=%g %v", seed, k, su, small, ss)
+			}
+		}
+		if got, want := scaled.MaxINL(), small*unit.MaxINL(); !mathx.ApproxEqual(got, want, 1e-9, 0) {
+			t.Fatalf("seed %d: MaxINL at σ=%g is %g, want σ·MaxINL(1) = %g", seed, small, got, want)
+		}
+	}
+}
+
+// RequiredSigmaUnit must sit on the yield boundary of the same dies:
+// INLYield meets the target just below it and misses it just above.
+func TestRequiredSigmaUnitIsYieldBoundary(t *testing.T) {
+	const limit, target, nMC = 0.5, 0.9, 40
+	for _, seed := range []uint64{11, 13} {
+		for _, calibrated := range []bool{false, true} {
+			sigma, err := RequiredSigmaUnit(Paper14Bit(0), limit, target, calibrated, nMC, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			below, err := INLYield(Paper14Bit(sigma*(1-1e-9)), limit, calibrated, nMC, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			above, err := INLYield(Paper14Bit(sigma*(1+1e-9)), limit, calibrated, nMC, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if below.Yield < target || above.Yield >= target {
+				t.Errorf("seed %d calibrated=%v: σ*=%g, yield %v just below and %v just above, want >= %g then < %g",
+					seed, calibrated, sigma, below, above, target, target)
+			}
+		}
+	}
+}
+
+func TestRequiredSigmaUnitRejects(t *testing.T) {
+	cfg := Paper14Bit(0)
+	cases := []struct {
+		name          string
+		cfg           DACConfig
+		limit, target float64
+		nMC           int
+	}{
+		{"yield zero", cfg, 0.5, 0, 10},
+		{"yield one", cfg, 0.5, 1, 10},
+		{"no dies", cfg, 0.5, 0.9, 0},
+		{"zero limit", cfg, 0, 0.9, 10},
+		{"no die measured", DACConfig{UnaryBits: 0, BinaryBits: 4}, 0.5, 0.9, 10},
+	}
+	for _, c := range cases {
+		if s, err := RequiredSigmaUnit(c.cfg, c.limit, c.target, false, c.nMC, 1); err == nil {
+			t.Errorf("%s: got σ=%g, want an error", c.name, s)
+		}
+	}
+}

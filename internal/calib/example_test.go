@@ -19,5 +19,5 @@ func Example() {
 	d.CalibrateSSPA(0, mathx.NewRNG(1))
 	fmt.Printf("INL %.2f -> %.2f LSB\n", before, d.MaxINL())
 	// Output:
-	// INL 0.89 -> 0.32 LSB
+	// INL 0.89 -> 0.29 LSB
 }

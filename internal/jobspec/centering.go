@@ -42,9 +42,11 @@ func executeCentering(ctx context.Context, text string, deck *netlist.Deck, spec
 	// Each candidate evaluation is a full Monte-Carlo campaign on a deck
 	// resized to the candidate sizing. The seed is held fixed across
 	// candidates (common random numbers), so every sizing sees the same
-	// sequence of dies and the comparison is paired.
+	// sequence of dies and the comparison is paired. The candidate's
+	// nominal solution warm-starts every trial, as in an MC job.
 	evaluate := func(ctx context.Context, scales map[string]float64) (*variation.MCResult, error) {
 		pool := &variation.DiePool{Build: deckBuilder(text, scales)}
+		pool.WarmStart()
 		camp := &variation.Campaign{
 			Trials: p.Trials,
 			Seed:   spec.Seed,

@@ -69,25 +69,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return y
 }
 
-// MulVecInto computes y = m·x into caller-provided y without allocating.
-// y and x must not alias. It panics on dimension mismatch.
-//
-// test seam: the sparse package's TestDenseMulVecIntoMatchesMulVec pins
-// it to MulVec with zero allocations.
-func (m *Matrix) MulVecInto(y, x []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVecInto dimension mismatch y=%d x=%d vs %dx%d", len(y), len(x), m.Rows, m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder

@@ -347,26 +347,3 @@ func TestVecSubInto(t *testing.T) {
 		}
 	}
 }
-
-func TestDenseMulVecIntoMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := linalg.NewMatrix(5, 5)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := m.MulVec(x)
-	got := make([]float64, 5)
-	allocs := testing.AllocsPerRun(20, func() { m.MulVecInto(got, x) })
-	if allocs != 0 {
-		t.Fatalf("MulVecInto allocated %v times, want 0", allocs)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MulVecInto[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}

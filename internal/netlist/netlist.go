@@ -265,30 +265,27 @@ func lineErr(lineNo int, format string, args ...interface{}) error {
 }
 
 // splitFields splits on whitespace but keeps function-call groups like
-// SIN(0 1 1k) together as single fields.
+// SIN(0 1 1k) together as single fields. The fields are substrings of line.
+// Every byte it tests is ASCII, so scanning bytes splits valid UTF-8
+// exactly where scanning runes would.
 func splitFields(line string) []string {
 	var out []string
-	var cur strings.Builder
-	depth := 0
-	for _, r := range line {
-		switch {
-		case r == '(':
+	depth, start := 0, 0
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c == '(':
 			depth++
-			cur.WriteRune(r)
-		case r == ')':
+		case c == ')':
 			depth--
-			cur.WriteRune(r)
-		case (r == ' ' || r == '\t') && depth == 0:
-			if cur.Len() > 0 {
-				out = append(out, cur.String())
-				cur.Reset()
+		case (c == ' ' || c == '\t') && depth == 0:
+			if i > start {
+				out = append(out, line[start:i])
 			}
-		default:
-			cur.WriteRune(r)
+			start = i + 1
 		}
 	}
-	if cur.Len() > 0 {
-		out = append(out, cur.String())
+	if start < len(line) {
+		out = append(out, line[start:])
 	}
 	return out
 }
