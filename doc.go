@@ -3,6 +3,6 @@
 // circuit-simulation substrate plus variability, aging (NBTI/HCI/TDDB),
 // electromigration, EMC and resilience (calibration, knobs & monitors)
 // layers. The public surface lives in the internal packages and the
-// cmd/ and examples/ binaries; bench_test.go regenerates every figure and
+// cmd/ and examples/ binaries; cmd/figures regenerates every figure and
 // equation of the paper's evaluation.
 package repro

@@ -6,12 +6,22 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"repro/internal/em"
 	"repro/internal/report"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's transcript to w.
+func run(w io.Writer) error {
 	model := em.DefaultBlack()
 	const (
 		tempK  = 378.0               // 105 °C junction
@@ -32,47 +42,47 @@ func main() {
 	t := report.NewTable(
 		fmt.Sprintf("EM sign-off @ %.0f K, target %s", tempK, report.Years(target)),
 		"wire", "J [MA/cm²]", "j·L [A/m]", "MTTF", "status")
-	for _, w := range wires {
-		j := w.CurrentDensity()
+	for _, wire := range wires {
+		j := wire.CurrentDensity()
 		status := "ok"
 		switch {
-		case model.BlechImmune(w):
+		case model.BlechImmune(wire):
 			status = "Blech-immune"
-		case model.MTTF(w, tempK) < target:
+		case model.MTTF(wire, tempK) < target:
 			status = "VIOLATION"
 		}
-		if model.IsBamboo(w) {
+		if model.IsBamboo(wire) {
 			status += " (bamboo)"
 		}
-		if w.ViaReservoir {
+		if wire.ViaReservoir {
 			status += " (reservoir)"
 		}
-		t.AddRow(w.Name,
+		t.AddRow(wire.Name,
 			fmt.Sprintf("%.2f", j/1e10), // A/m² → MA/cm²
-			fmt.Sprintf("%.2g", j*w.Length),
-			report.Years(model.MTTF(w, tempK)),
+			fmt.Sprintf("%.2g", j*wire.Length),
+			report.Years(model.MTTF(wire, tempK)),
 			status)
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 
 	if rep.Pass() {
-		fmt.Println("network passes EM sign-off")
+		fmt.Fprintln(w, "network passes EM sign-off")
 	} else {
-		fmt.Printf("%d violation(s); worst wire %q at %s\n",
+		fmt.Fprintf(w, "%d violation(s); worst wire %q at %s\n",
 			len(rep.Violations), rep.WorstWire, report.Years(rep.WorstMTTF))
 		ft := report.NewTable("suggested widening fixes (MTTF ∝ W^(N+1))", "wire", "width now", "width fix")
 		for _, v := range rep.Violations {
 			ft.AddRow(v.Wire.Name, report.SI(v.Wire.Width, "m"), report.SI(v.SuggestedWidth, "m"))
 		}
-		fmt.Println(ft)
+		fmt.Fprintln(w, ft)
 	}
 
 	// Net lifetime of the series-connected supply path.
 	var mttfs []float64
-	for _, w := range wires {
-		mttfs = append(mttfs, model.MTTF(w, tempK))
+	for _, wire := range wires {
+		mttfs = append(mttfs, model.MTTF(wire, tempK))
 	}
-	fmt.Printf("series (weakest-link) net MTTF: %s\n\n", report.Years(em.SeriesMTTF(mttfs)))
+	fmt.Fprintf(w, "series (weakest-link) net MTTF: %s\n\n", report.Years(em.SeriesMTTF(mttfs)))
 
 	// The classic Eq. 4 design chart: maximum J for 10-year life vs
 	// temperature.
@@ -81,5 +91,6 @@ func main() {
 		jm := model.JMax(target, tk, 0.4e-6*0.3e-6)
 		ct.AddRow(fmt.Sprintf("%.0f", tk), fmt.Sprintf("%.2f", jm/1e10))
 	}
-	fmt.Println(ct)
+	fmt.Fprintln(w, ct)
+	return nil
 }

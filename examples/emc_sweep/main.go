@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/device"
 	"repro/internal/emc"
@@ -17,6 +19,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's transcript to w.
+func run(w io.Writer) error {
 	// The emc engine sits beside the core reliability stack, so it wires
 	// its instruments itself; the sweep summary at the end reads them back.
 	reg := obs.NewRegistry()
@@ -27,10 +36,10 @@ func main() {
 
 	sol, err := cr.Circuit.OperatingPoint()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	iout := (sol.Voltage(cr.RailNode) - sol.Voltage(cr.OutNode)) / cr.RLoad
-	fmt.Printf("current reference quiet point: IOUT = %s, V(gate) = %s\n\n",
+	fmt.Fprintf(w, "current reference quiet point: IOUT = %s, V(gate) = %s\n\n",
 		report.SI(iout, "A"), report.SI(sol.Voltage("gate"), "V"))
 
 	ampls := []float64{0.1, 0.2, 0.3, 0.45}
@@ -38,7 +47,7 @@ func main() {
 	sw, err := emc.SweepEMI(cr.Circuit, cr.InjectName, ampls, freqs,
 		cr.OutputCurrentMetric(), emc.DefaultOptions(cr.RecordNodes()...))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	t := report.NewTable("mean IOUT shift vs EMI amplitude and frequency",
 		"ampl \\ freq", report.SI(freqs[0], "Hz"), report.SI(freqs[1], "Hz"),
@@ -50,9 +59,9 @@ func main() {
 		}
 		t.AddRow(row...)
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 	worst, wa, wf := sw.WorstShift()
-	fmt.Printf("worst DC shift: %s (%.1f%% of nominal) at %.2f V, %s\n\n",
+	fmt.Fprintf(w, "worst DC shift: %s (%.1f%% of nominal) at %.2f V, %s\n\n",
 		report.SI(worst, "A"), 100*worst/sw.Baseline, wa, report.SI(wf, "Hz"))
 
 	// Digital immunity: jitter and false switching on a 90 nm inverter.
@@ -61,28 +70,29 @@ func main() {
 	for _, a := range []float64{0.02, 0.08, 0.15} {
 		j, err := emc.InverterJitter(dig, emc.Injection{Ampl: a, Freq: 200e6}, 100e-9, 6)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		jt.AddRow(fmt.Sprintf("%.2f V", a), report.SI(j, "s"))
 	}
-	fmt.Println(jt)
+	fmt.Fprintln(w, jt)
 
 	ft := report.NewTable("inverter false switching (static low input, 5 EMI cycles)", "EMI ampl", "spurious transitions")
 	for _, a := range []float64{0.1, 0.5, 0.9} {
 		n, err := emc.FalseSwitchCount(dig, emc.Injection{Ampl: a, Freq: 50e6}, 5)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ft.AddRow(fmt.Sprintf("%.2f V", a), fmt.Sprintf("%d", n))
 	}
-	fmt.Println(ft)
+	fmt.Fprintln(w, ft)
 
 	// Sweep cost from the instrument registry: grid points measured and
 	// the latency of each rectification pair (baseline + disturbed).
 	snap := reg.Snapshot()
 	points, _ := snap.Counter("emc_sweep_points_total")
 	if h := snap.Histogram("emc_rectification_seconds"); h != nil && h.Count > 0 {
-		fmt.Printf("sweep cost (obs): %d grid points, rectification p50 %s, p99 %s\n",
+		fmt.Fprintf(w, "sweep cost (obs): %d grid points, rectification p50 %s, p99 %s\n",
 			points, report.SI(h.P50, "s"), report.SI(h.P99, "s"))
 	}
+	return nil
 }

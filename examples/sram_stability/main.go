@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/device"
 	"repro/internal/report"
@@ -16,20 +18,27 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's transcript to w.
+func run(w io.Writer) error {
 	tech := device.MustTech("65nm")
 	cell, err := sram.NewCell(sram.DefaultCell(tech))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hold, err := cell.HoldSNM(41)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	read, err := cell.ReadSNM(41)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("65nm 6T cell (nominal): hold SNM = %s, read SNM = %s (VDD = %.1f V)\n\n",
+	fmt.Fprintf(w, "65nm 6T cell (nominal): hold SNM = %s, read SNM = %s (VDD = %.1f V)\n\n",
 		report.SI(hold, "V"), report.SI(read, "V"), tech.VDD)
 
 	// Margin across nodes: the absolute noise budget shrinks with VDD.
@@ -39,16 +48,16 @@ func main() {
 		tt := device.MustTech(node)
 		c, err := sram.NewCell(sram.DefaultCell(tt))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		snm, err := c.ReadSNM(41)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		nt.AddRow(node, fmt.Sprintf("%.1f", tt.VDD),
 			report.SI(snm, "V"), fmt.Sprintf("%.0f%%", 100*snm/tt.VDD))
 	}
-	fmt.Println(nt)
+	fmt.Fprintln(w, nt)
 
 	// NBTI asymmetry: a cell that stored one value for years.
 	at := report.NewTable("read SNM vs NBTI shift on the stressed pull-up (65nm)",
@@ -56,16 +65,16 @@ func main() {
 	for _, dvt := range []float64{0, 0.025, 0.05, 0.1} {
 		c, err := sram.NewCell(sram.DefaultCell(tech))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		c.ApplyNBTIAsymmetry(dvt)
 		snm, err := c.ReadSNM(41)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		at.AddRow(report.SI(dvt, "V"), report.SI(snm, "V"))
 	}
-	fmt.Println(at)
+	fmt.Fprintln(w, at)
 
 	// Stability yield under mismatch: the same 100 mV read-margin
 	// requirement, three nodes. Scaling widens σ/µ until the tail crosses
@@ -76,11 +85,12 @@ func main() {
 	for _, node := range []string{"90nm", "45nm", "32nm"} {
 		y, err := sram.StabilityYield(sram.DefaultCell(device.MustTech(node)), limit, 150, 31, 11)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		yt.AddRow(node, y.String())
 	}
-	fmt.Println(yt)
-	fmt.Println("Scaling erodes both the nominal margin and its σ/µ ratio — the cell-level")
-	fmt.Println("face of the paper's yield-vs-scaling argument.")
+	fmt.Fprintln(w, yt)
+	fmt.Fprintln(w, "Scaling erodes both the nominal margin and its σ/µ ratio — the cell-level")
+	fmt.Fprintln(w, "face of the paper's yield-vs-scaling argument.")
+	return nil
 }

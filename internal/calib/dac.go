@@ -124,9 +124,6 @@ func (d *DAC) Sequence() []int { return append([]int(nil), d.seq...) }
 
 // SetSequence installs an explicit switching sequence (must be a
 // permutation of the unary indices).
-//
-// test seam: BenchmarkAblationSSPA in the root package installs the
-// ablated switching sequences through it.
 func (d *DAC) SetSequence(seq []int) error {
 	if len(seq) != len(d.seq) {
 		return fmt.Errorf("calib: sequence length %d, want %d", len(seq), len(d.seq))

@@ -142,9 +142,7 @@ func Eq3() (*Eq3Result, string) {
 	// complicates the evaluation of NBTI").
 	res.MSMDelays = []float64{1e-6, 1e-3, 1, 100}
 	exps, err := aging.ExponentVsDelay(m, eox, temp, mathx.Logspace(1, 1e6, 12), res.MSMDelays)
-	if err != nil {
-		panic(fmt.Sprintf("figures: MSM sweep failed: %v", err))
-	}
+	must("MSM sweep", err)
 	res.MSMExponents = exps
 
 	var b strings.Builder

@@ -22,14 +22,10 @@ type RingResult struct {
 func Ring() (*RingResult, string) {
 	tech := device.MustTech("65nm")
 	ro, err := digital.BuildRingOscillator(tech, 5, digital.DefaultInverter(tech), 2e-15)
-	if err != nil {
-		panic(fmt.Sprintf("figures: ring build failed: %v", err))
-	}
+	must("ring build", err)
 	res, err := digital.AgeRing(ro, 10*Year, 400,
 		aging.Models{NBTI: aging.DefaultNBTI(), HCI: aging.DefaultHCI()}, 7)
-	if err != nil {
-		panic(fmt.Sprintf("figures: ring aging failed: %v", err))
-	}
+	must("ring aging", err)
 	txt := fmt.Sprintf(
 		"Ring-oscillator degradation: fresh %.3g GHz -> aged %.3g GHz (%.1f%% slowdown, worst ΔVT %.0f mV)",
 		res.FreshHz/1e9, res.AgedHz/1e9, res.SlowdownPct, res.WorstDeltaVT*1e3)
@@ -55,9 +51,7 @@ func Immunity() (*ImmunityResult, string) {
 	}
 	freqs := []float64{1e6, 10e6, 100e6}
 	curve, err := s.ImmunityCurve(cr.Circuit, freqs, 0.5e-6)
-	if err != nil {
-		panic(fmt.Sprintf("figures: immunity curve failed: %v", err))
-	}
+	must("immunity curve", err)
 	res := &ImmunityResult{Freqs: freqs, Thresholds: curve}
 	var b strings.Builder
 	b.WriteString("Immunity thresholds for a 0.5uA output shift (DPI-style)\n")

@@ -1,7 +1,8 @@
 // Package figures regenerates every evaluation artefact of the paper —
-// Figures 1-6 and Equations 1-4 — as text series plus structured results
-// that the benchmark harness asserts on. Each generator is deterministic
-// for a fixed seed.
+// Figures 1-6 and Equations 1-4 — together with the studies around them
+// and the design-choice ablations of DESIGN.md, as text series plus
+// structured results that the package's tests assert on. cmd/figures
+// prints them. Each generator is deterministic for a fixed seed.
 package figures
 
 import (
@@ -18,6 +19,14 @@ import (
 
 // Year is one year in seconds.
 const Year = 365.25 * 24 * 3600
+
+// must panics with the failing step's name: the generators run fixed,
+// known-good studies, so an error is a bug.
+func must(what string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("figures: %s failed: %v", what, err))
+	}
+}
 
 // Fig1Result is the mismatch-trend reproduction: AVT versus oxide
 // thickness, Monte-Carlo-extracted from simulated device pairs, against
@@ -66,7 +75,9 @@ func Fig1(nPairs int, seed uint64) (*Fig1Result, string) {
 	for i := range res.ToxNM {
 		t.AddRowf(res.ToxNM[i], res.ExtractedAVT[i], res.Benchmark[i])
 	}
-	return res, t.String()
+	return res, t.String() + fmt.Sprintf(
+		"Tox ≥ 10 nm: within %.1f%% of the benchmark; below 10 nm: extracted/benchmark ≥ %.2f\n",
+		100*res.MaxRelErrAbove10nm, res.MinRatioBelow10nm)
 }
 
 // Fig2Result is the fresh vs degraded I-V reproduction.

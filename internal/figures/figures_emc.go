@@ -25,9 +25,7 @@ func Fig3() (*Fig3Result, string) {
 	tech := device.MustTech("180nm")
 	cr := emc.BuildCurrentReference(tech, true)
 	sol, err := cr.Circuit.OperatingPoint()
-	if err != nil {
-		panic(fmt.Sprintf("figures: Fig3 bias point failed: %v", err))
-	}
+	must("Fig3 bias point", err)
 	res := &Fig3Result{
 		IOutQuiet: (sol.Voltage(cr.RailNode) - sol.Voltage(cr.OutNode)) / cr.RLoad,
 		VGate:     sol.Voltage("gate"),
@@ -66,9 +64,7 @@ func Fig4(ampls, freqs []float64) (*Fig4Result, string) {
 	cr := emc.BuildCurrentReference(tech, true)
 	opts := emc.DefaultOptions(cr.RecordNodes()...)
 	sw, err := emc.SweepEMI(cr.Circuit, cr.InjectName, ampls, freqs, cr.OutputCurrentMetric(), opts)
-	if err != nil {
-		panic(fmt.Sprintf("figures: Fig4 sweep failed: %v", err))
-	}
+	must("Fig4 sweep", err)
 	res := &Fig4Result{Sweep: sw, MonotoneInAmplitude: true}
 	res.WorstShift, res.WorstAmpl, res.WorstFreq = sw.WorstShift()
 	for j := range freqs {
@@ -83,9 +79,7 @@ func Fig4(ampls, freqs []float64) (*Fig4Result, string) {
 	r, err := emc.MeasureRectification(crNF.Circuit, crNF.InjectName,
 		emc.Injection{Ampl: res.WorstAmpl, Freq: res.WorstFreq},
 		crNF.OutputCurrentMetric(), emc.DefaultOptions(crNF.RecordNodes()...))
-	if err != nil {
-		panic(fmt.Sprintf("figures: Fig4 filterless comparison failed: %v", err))
-	}
+	must("Fig4 filterless comparison", err)
 	res.FilterlessShiftAtWorst = r.Shift
 
 	var b strings.Builder

@@ -33,29 +33,21 @@ type Fig5Result struct {
 func Fig5(nMC int, seed uint64) (*Fig5Result, string) {
 	cfg := calib.Paper14Bit(0)
 	study, err := calib.RunAreaStudy(cfg, 0.5, 0.9, nMC, seed)
-	if err != nil {
-		panic(fmt.Sprintf("figures: Fig5 area study failed: %v", err))
-	}
+	must("Fig5 area study", err)
 	res := &Fig5Result{Study: study, PaperAreaRatio: 0.06}
 
 	// One demonstration instance at the calibrated design point.
 	d, err := calib.NewDAC(calib.Paper14Bit(study.SigmaCalibrated), mathx.NewRNG(seed))
-	if err != nil {
-		panic(err)
-	}
+	must("Fig5 example DAC", err)
 	res.ExampleINLBefore = d.MaxINL()
 	d.CalibrateSSPA(0, mathx.NewRNG(seed+1))
 	res.ExampleINLAfter = d.MaxINL()
 
 	resY, err := calib.INLYield(calib.Paper14Bit(study.SigmaCalibrated), 0.5, false, nMC, seed+2)
-	if err != nil {
-		panic(err)
-	}
+	must("Fig5 intrinsic yield", err)
 	res.YieldIntrinsic = resY
 	resC, err := calib.INLYield(calib.Paper14Bit(study.SigmaCalibrated), 0.5, true, nMC, seed+2)
-	if err != nil {
-		panic(err)
-	}
+	must("Fig5 calibrated yield", err)
 	res.YieldCalibrated = resC
 
 	var b strings.Builder
@@ -110,18 +102,13 @@ func Fig6(missionYears float64, checkpoints int) (*Fig6Result, string) {
 		c, knob, gain := build()
 		ctrl, err := adapt.NewController([]*adapt.Knob{knob}, []adapt.Monitor{gain},
 			[]variation.Spec{gainSpec}, adapt.Exhaustive)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := ctrl.Tune(c); err != nil {
-			panic(fmt.Sprintf("figures: Fig6 initial tune failed: %v", err))
-		}
+		must("Fig6 controller", err)
+		_, err = ctrl.Tune(c)
+		must("Fig6 initial tune", err)
 		ager := aging.NewCircuitAger(c,
 			aging.Models{NBTI: aging.DefaultNBTI(), HCI: aging.DefaultHCI()}, 400, 99)
 		res, err := adapt.RunMission(ager, ctrl, times, adaptive)
-		if err != nil {
-			panic(fmt.Sprintf("figures: Fig6 mission failed: %v", err))
-		}
+		must("Fig6 mission", err)
 		return res
 	}
 

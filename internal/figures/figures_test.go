@@ -200,3 +200,58 @@ func TestScalingStudyTrends(t *testing.T) {
 		t.Error("missing title")
 	}
 }
+
+func TestAblateMCSamplesCIShrinks(t *testing.T) {
+	a, _ := AblateMCSamples()
+	for i := 1; i < len(a.Values); i++ {
+		if a.Values[i] >= a.Values[i-1] {
+			t.Errorf("CI width %.3g%% at %s dies not below %.3g%% at %s", a.Values[i], a.Arms[i], a.Values[i-1], a.Arms[i-1])
+		}
+	}
+}
+
+func TestAblateSSPABeatsThermometer(t *testing.T) {
+	a, _ := AblateSSPA() // thermometer, random, SSPA
+	if a.Values[2] >= a.Values[0] || a.Values[2] >= a.Values[1] {
+		t.Errorf("SSPA mean INL %.3g LSB not below thermometer %.3g and random %.3g", a.Values[2], a.Values[0], a.Values[1])
+	}
+}
+
+func TestAblateControllerGreedyCheaper(t *testing.T) {
+	a, _ := AblateController() // exhaustive, greedy
+	for i, ok := range a.InSpec {
+		if !ok {
+			t.Errorf("%s controller failed to reach spec", a.Arms[i])
+		}
+	}
+	if a.Values[1] >= a.Values[0] {
+		t.Errorf("greedy spent %g evaluations, exhaustive %g", a.Values[1], a.Values[0])
+	}
+}
+
+func TestAblateAdaptiveStepFewerPoints(t *testing.T) {
+	a, _ := AblateAdaptiveStep() // fixed, adaptive
+	if a.Values[1] >= a.Values[0] {
+		t.Errorf("adaptive stepping took %g points, fixed %g", a.Values[1], a.Values[0])
+	}
+}
+
+func TestAblateIntegratorTrapezoidalMoreAccurate(t *testing.T) {
+	a, _ := AblateIntegrator() // backward Euler, trapezoidal
+	if a.Values[1] >= a.Values[0] {
+		t.Errorf("trapezoidal error %.3g nA not below Backward-Euler %.3g nA", a.Values[1], a.Values[0])
+	}
+}
+
+func TestSRAMStabilityFallsWithScaling(t *testing.T) {
+	res, _ := SRAMStability() // 90nm, 32nm
+	if res.Yield[1].Yield >= res.Yield[0].Yield {
+		t.Errorf("32nm yield %v not below 90nm %v", res.Yield[1], res.Yield[0])
+	}
+	if res.NominalSNM[1] >= res.NominalSNM[0] {
+		t.Errorf("32nm nominal SNM %g not below 90nm %g", res.NominalSNM[1], res.NominalSNM[0])
+	}
+	if res.NBTICost <= 0 {
+		t.Errorf("NBTI asymmetry cost %g V of margin, want a loss", res.NBTICost)
+	}
+}

@@ -619,9 +619,11 @@ func (s *Server) forwardJob(w http.ResponseWriter, r *http.Request, id string, t
 			resp.Body.Close()
 			continue // not there either
 		}
+		// Counted before the relay, so a client that reads /metrics as
+		// soon as its forwarded answer arrives sees the forward.
+		s.met.fleetForwards.Inc()
 		relayResponse(w, resp)
 		resp.Body.Close()
-		s.met.fleetForwards.Inc()
 		return true
 	}
 	return false

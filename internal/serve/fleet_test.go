@@ -588,6 +588,64 @@ func TestFleetForwarding(t *testing.T) {
 	}
 }
 
+// firstByteWriter calls snap once, at the first WriteHeader or Write:
+// the moment the response starts to reach the client.
+type firstByteWriter struct {
+	http.ResponseWriter
+	once sync.Once
+	snap func()
+}
+
+func (w *firstByteWriter) WriteHeader(code int) {
+	w.once.Do(w.snap)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *firstByteWriter) Write(p []byte) (int, error) {
+	w.once.Do(w.snap)
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *firstByteWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestFleetForwardCountedBeforeResponse: a forwarded poll is counted
+// before the first byte of the relayed answer leaves the forwarding
+// node, so a client that reads /metrics as soon as its poll returns
+// sees the forward. No load or timing is involved: B's registry is read
+// at the first byte B writes.
+func TestFleetForwardCountedBeforeResponse(t *testing.T) {
+	regB := obs.NewRegistry()
+	var mu sync.Mutex
+	var atFirstByte []int64
+	wrapB := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+				h.ServeHTTP(w, r)
+				return
+			}
+			h.ServeHTTP(&firstByteWriter{ResponseWriter: w, snap: func() {
+				n, _ := regB.Snapshot().Counter("serve_fleet_forwards_total")
+				mu.Lock()
+				atFirstByte = append(atFirstByte, n)
+				mu.Unlock()
+			}}, r)
+		})
+	}
+	_, _, urlA, urlB := startFleet(t,
+		Config{QueueDepth: 8, Workers: 1, Tenants: twoTenants()},
+		Config{QueueDepth: 8, Workers: 1, Registry: regB, Tenants: twoTenants()}, wrapB)
+
+	v := submitURL(t, urlA, "k-acme", mcSpec(8))
+	if _, status := getURL(t, urlB, "k-acme", v.ID); status != http.StatusOK {
+		t.Fatalf("forwarded GET: status %d, want 200", status)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(atFirstByte) != 1 || atFirstByte[0] != 1 {
+		t.Errorf("serve_fleet_forwards_total at the first response byte = %v, want [1]", atFirstByte)
+	}
+}
+
 // TestFleetShardCacheHitStaysInternal: a fleet-internal shard submission
 // answered from the result cache is admitted exactly like one that
 // queues — journaled internal, and skipped by the per-tenant

@@ -36,9 +36,6 @@ func LatinHypercube(n, dims int, seed uint64) [][]float64 {
 // LHSNormals returns n stratified standard-normal sample vectors of the
 // given dimensionality (LatinHypercube pushed through the normal inverse
 // CDF).
-//
-// test seam: the root package's BenchmarkAblationSampling draws its
-// stratified DACs with it.
 func LHSNormals(n, dims int, seed uint64) [][]float64 {
 	u := LatinHypercube(n, dims, seed)
 	for _, row := range u {
