@@ -142,42 +142,47 @@ func (d *DAC) SetSequence(seq []int) error {
 // TransferCurve returns the analog output, in LSB units and including all
 // source errors, for every input code.
 func (d *DAC) TransferCurve() []float64 {
-	// Incremental evaluation: O(codes) instead of O(codes × sources).
-	n := d.Config.Codes()
-	out := make([]float64, n)
-	binBits := d.Config.BinaryBits
-	binMask := (1 << binBits) - 1
-	unaryWeight := float64(int(1) << binBits)
+	bases, bin := d.segments()
+	out := make([]float64, 0, d.Config.Codes())
+	for _, base := range bases {
+		for _, b := range bin {
+			out = append(out, base+b)
+		}
+	}
+	return out
+}
 
-	// Precompute binary sub-curve for one segment.
-	binCurve := make([]float64, 1<<binBits)
-	for c := 1; c < len(binCurve); c++ {
+// segments evaluates the transfer curve incrementally, O(codes) instead
+// of O(codes × sources): code k's output is bases[k>>BinaryBits] +
+// bin[k&(2^BinaryBits−1)], where bases[s] is the output with the first s
+// unary sources of the sequence on and bin is one segment's binary
+// sub-curve.
+func (d *DAC) segments() (bases, bin []float64) {
+	binBits := d.Config.BinaryBits
+	unaryWeight := float64(int(1) << binBits)
+	bin = make([]float64, 1<<binBits)
+	for c := 1; c < len(bin); c++ {
 		v := 0.0
 		for b := 0; b < binBits; b++ {
 			if c&(1<<b) != 0 {
 				v += float64(int(1)<<b) + d.binErr[b]
 			}
 		}
-		binCurve[c] = v
+		bin[c] = v
 	}
-	base := 0.0
-	seg := -1
-	for code := 0; code < n; code++ {
-		s := code >> binBits
-		if s != seg {
-			if s > 0 {
-				base += unaryWeight + d.unaryErr[d.seq[s-1]]
-			}
-			seg = s
-		}
-		out[code] = base + binCurve[code&binMask]
+	bases = make([]float64, len(d.seq)+1)
+	for s, src := range d.seq {
+		bases[s+1] = bases[s] + (unaryWeight + d.unaryErr[src])
 	}
-	return out
+	return bases, bin
 }
 
 // INL returns the endpoint-corrected integral nonlinearity in LSB for a
 // transfer curve: the deviation from the straight line through the first
 // and last points.
+//
+// test seam: the reference curve TestMaxINLMatchesCurve holds MaxINL to,
+// bit for bit.
 func INL(curve []float64) []float64 {
 	n := len(curve)
 	if n < 2 {
@@ -218,8 +223,24 @@ func MaxAbs(xs []float64) float64 {
 }
 
 // MaxINL fabricates nothing: it reports the worst |INL| of this DAC
-// instance with its current switching sequence.
-func (d *DAC) MaxINL() float64 { return MaxAbs(INL(d.TransferCurve())) }
+// instance with its current switching sequence. It is
+// MaxAbs(INL(d.TransferCurve())), bit for bit, without storing the curve.
+func (d *DAC) MaxINL() float64 {
+	bases, bin := d.segments()
+	first := bases[0] + bin[0]
+	last := bases[len(bases)-1] + bin[len(bin)-1]
+	slope := (last - first) / float64(d.Config.Codes()-1)
+	m, code := 0.0, 0
+	for _, base := range bases {
+		for _, b := range bin {
+			if a := math.Abs(base + b - (first + slope*float64(code))); a > m {
+				m = a
+			}
+			code++
+		}
+	}
+	return m
+}
 
 // MaxDNL reports the worst |DNL| of this instance.
 func (d *DAC) MaxDNL() float64 { return MaxAbs(DNL(d.TransferCurve())) }

@@ -66,6 +66,25 @@ func TestTransferCurveMatchesOutput(t *testing.T) {
 	}
 }
 
+func TestMaxINLMatchesCurve(t *testing.T) {
+	for _, cfg := range []DACConfig{Paper14Bit(0.01), {UnaryBits: 4, BinaryBits: 5, SigmaUnit: 0.02}, {UnaryBits: 3, BinaryBits: 0, SigmaUnit: 0.05}} {
+		for seed := uint64(0); seed < 5; seed++ {
+			d, err := NewDAC(cfg, mathx.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(sequence string) {
+				if got, want := d.MaxINL(), MaxAbs(INL(d.TransferCurve())); got != want {
+					t.Fatalf("%+v seed %d %s: MaxINL = %v, from the curve %v", cfg, seed, sequence, got, want)
+				}
+			}
+			check("thermometer")
+			d.CalibrateSSPA(0, nil)
+			check("SSPA")
+		}
+	}
+}
+
 func TestINLDNLDefinitions(t *testing.T) {
 	// Hand-built curve: ideal 0,1,2,3 with a bump at code 2.
 	curve := []float64{0, 1, 2.5, 3}

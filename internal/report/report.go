@@ -1,9 +1,9 @@
 // Package report renders analysis results as aligned ASCII tables, CSV
-// series and text histograms — the output format of the cmd/ tools and the
-// benchmark harness, chosen so every paper figure regenerates as a series
-// that can be eyeballed in a terminal or piped into a plotting tool. The
-// figure generators in internal/figures emit their Fig. 1-6 artefacts
-// through these renderers.
+// series and text histograms — the output format of the cmd/ tools,
+// chosen so every paper figure regenerates as a series that can be
+// eyeballed in a terminal or piped into a plotting tool. The generators in
+// internal/figures emit their Fig. 1-6 artefacts and ablations through
+// these renderers.
 package report
 
 import (
