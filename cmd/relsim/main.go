@@ -67,9 +67,11 @@
 // serves previously completed results without recomputation and re-runs
 // jobs that were still queued. Running Monte-Carlo campaigns are
 // checkpointed chunk by chunk: after a crash the restarted server
-// resumes them from the last journaled checkpoint, re-running at most
-// the chunk that was in flight, instead of failing them; interrupted
-// jobs of other kinds still fail with a structured interrupted error.
+// resumes them from the last journaled checkpoint instead of failing
+// them, re-running at most the chunk that was in flight (after a power
+// loss, also the chunks of one 50 ms checkpoint commit window);
+// interrupted jobs of other kinds still fail with a structured
+// interrupted error.
 // -keep-jobs / -keep-age bound the retained terminal jobs in memory and
 // on disk (the journal is compacted as evictions accumulate; a resumable
 // campaign's checkpoints are never evicted or compacted away):

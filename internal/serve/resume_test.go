@@ -241,3 +241,94 @@ func TestResumedResultMatchesUninterrupted(t *testing.T) {
 		t.Errorf("resumed %d chunks, want 2", got.MC.Resumed)
 	}
 }
+
+// TestResumedAfterPowerLossMatchesUninterrupted restarts a server over
+// the journal as a power loss can leave it: cut at its length at the
+// last fsync, so the checkpoints group-committed after it are gone. The
+// campaign resumes from the synced checkpoints alone and serves a
+// result byte-identical to an uninterrupted run's.
+func TestResumedAfterPowerLossMatchesUninterrupted(t *testing.T) {
+	const trials = 96 // chunk size 24 → a 4-chunk campaign grid
+	spec := mcSpec(trials)
+	spec.Seed = 23
+	spec.ApplyDefaults()
+	var ckpts []jobspec.Checkpoint
+	ref, err := jobspec.ExecuteOpts(context.Background(), spec, jobspec.Options{
+		OnCheckpoint: func(cp jobspec.Checkpoint) { ckpts = append(ckpts, cp) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maskRunFields(t, refJSON)
+
+	// Journal three of the four chunks, the first two a second apart and
+	// the third within the commit window of the second, noting the
+	// journal's length and checkpoint count at every fsync.
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st := mustStore(t, dir, reg)
+	t.Cleanup(func() { st.Close() })
+	journal := filepath.Join(dir, "journal.ndjson")
+	var fsyncs, syncedLen int64
+	written, synced := 0, 0
+	note := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := reg.Snapshot().Counter("store_journal_fsyncs_total"); n != fsyncs {
+			fi, err := os.Stat(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fsyncs, syncedLen, synced = n, fi.Size(), written
+		}
+	}
+	now := time.Now()
+	note(st.JobSubmitted("job-000001", spec, spec.CanonicalHash(), store.SubmitMeta{}, now))
+	note(st.JobRunning("job-000001", now))
+	for i, at := range []time.Duration{time.Second, 2 * time.Second, 2*time.Second + time.Millisecond} {
+		written++
+		note(st.JobCheckpoint("job-000001", ckpts[i].Seq, ckpts[i].Data, now.Add(at)))
+	}
+	if synced == 0 || synced == written {
+		t.Fatalf("%d of %d checkpoints synced: the cut must keep some and lose some", synced, written)
+	}
+	b, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cut, "journal.ndjson"), b[:syncedLen], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := mustStore(t, cut, nil)
+	t.Cleanup(func() { st2.Close() })
+	s := NewServer(Config{QueueDepth: 2, Workers: 1, Store: st2})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		ts.Close()
+	})
+	fin := waitTerminal(t, ts, "job-000001")
+	if fin.State != StateDone {
+		t.Fatalf("resumed campaign = %s (error %q), want done", fin.State, fin.Error)
+	}
+	if got := maskRunFields(t, fin.Result); got != want {
+		t.Errorf("resumed result\n%s\ndiffers from the uninterrupted one\n%s", got, want)
+	}
+	var got jobspec.Result
+	if err := json.Unmarshal(fin.Result, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.MC.Resumed != synced {
+		t.Errorf("resumed %d chunks, want the %d synced ones", got.MC.Resumed, synced)
+	}
+}

@@ -78,7 +78,8 @@ type Config struct {
 	// interrupted jobs of other kinds are failed with a structured
 	// InterruptedError.
 	// Workers journal one checkpoint per completed campaign chunk, so a
-	// crash loses at most the chunk that was in flight.
+	// process crash loses at most the chunk that was in flight (a power
+	// loss also the checkpoints of one store commit window).
 	Store *store.Store
 	// Fleet, when set, federates this server with the other nodes of the
 	// table: node-prefixed job IDs, request forwarding to owners,

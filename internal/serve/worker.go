@@ -75,8 +75,9 @@ func (s *Server) runJob(j *Job) {
 	if !j.internal {
 		opts.OnProgress = j.addProgress
 		opts.ProgressEvery = s.cfg.ProgressEvery
-		// Journal every completed campaign chunk: the durable unit of
-		// resume. A crash from here on loses at most the chunk in flight.
+		// Journal every completed campaign chunk: the unit of resume. A
+		// process crash from here on loses at most the chunk in flight; a
+		// power loss also loses the checkpoints of one commit window.
 		opts.OnCheckpoint = func(cp jobspec.Checkpoint) {
 			s.storeErr(s.cfg.Store.JobCheckpoint(j.ID, cp.Seq, cp.Data, time.Now()))
 			s.met.checkpoints.Inc()

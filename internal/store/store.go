@@ -19,6 +19,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -51,6 +52,21 @@ const (
 	// campaign instead of failing it.
 	StateCheckpoint = "checkpoint"
 )
+
+// commitWindow is how long a checkpoint record may sit in the kernel
+// without an fsync of its own: a checkpoint written within commitWindow
+// of the journal's last fsync (by record time) skips it, and the next
+// fsync — a lifecycle record's, a compaction's, Close's, or the first
+// checkpoint's past the window — makes it durable along with everything
+// before it. A power loss therefore costs at most the checkpoints of one
+// window, whose chunks resume re-runs bit-identically; a process crash
+// costs none, since their bytes already left the process.
+const commitWindow = 50 * time.Millisecond
+
+// maxRecordBuf caps the journal's reused encoding buffer: after a larger
+// record (a submitted record carrying a big inline deck) the buffer is
+// dropped rather than held for the store's lifetime.
+const maxRecordBuf = 64 << 10
 
 // InterruptedError is the structured cause attached to a job that was
 // running when the process died: the journal holds its running record
@@ -219,6 +235,14 @@ type Store struct {
 	// mem holds an in-memory store's result snapshots by job id (the
 	// caller's bytes, never copied); nil marks a disk store.
 	mem map[string][]byte
+	// buf and enc encode every journal record into one reused buffer.
+	buf bytes.Buffer
+	enc *json.Encoder
+	// size is the journal's length; synced is its length at the last
+	// fsync (at Open, the replayed file), and syncedAt that fsync's record
+	// time, which commitWindow is measured from.
+	size, synced int64
+	syncedAt     time.Time
 }
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, "journal.ndjson") }
@@ -254,6 +278,10 @@ func Open(dir string, reg *obs.Registry, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.f = f
+	if err := s.resetSizeLocked(); err != nil {
+		f.Close()
+		return nil, err
+	}
 	if dirty {
 		s.mu.Lock()
 		err = s.compactLocked()
@@ -271,8 +299,22 @@ func Open(dir string, reg *obs.Registry, opts Options) (*Store, error) {
 
 // newStore builds an empty store over dir for Open or ReadJournal.
 func newStore(dir string, reg *obs.Registry, opts Options) *Store {
-	return &Store{dir: dir, opts: opts, met: newMetrics(reg),
+	s := &Store{dir: dir, opts: opts, met: newMetrics(reg),
 		jobs: make(map[string]*jobRec), cache: make(map[string]string)}
+	s.enc = json.NewEncoder(&s.buf)
+	return s
+}
+
+// resetSizeLocked takes the open journal's length as both its size and
+// its synced length: what a replay read, or what a compaction just
+// synced.
+func (s *Store) resetSizeLocked() error {
+	fi, err := s.f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.size, s.synced = fi.Size(), fi.Size()
+	return nil
 }
 
 // replay reads the journal into the jobs map. It returns whether the
@@ -459,23 +501,36 @@ func (s *Store) Jobs() int {
 	return len(s.jobs)
 }
 
-// appendLocked writes one journal record and fsyncs it. An in-memory
-// store has no journal: its state lives in the maps alone.
-func (s *Store) appendLocked(rec record) error {
+// appendLocked writes one journal record and, unless mayWait allows
+// otherwise, fsyncs the journal. Lifecycle records never wait: their
+// fsync also makes every earlier checkpoint durable. A checkpoint
+// (mayWait) skips its own fsync while its record time is within
+// commitWindow of the last one. An in-memory store has no journal: its
+// state lives in the maps alone.
+func (s *Store) appendLocked(rec record, mayWait bool) error {
 	if s.mem != nil {
 		return nil
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
+	s.buf.Reset()
+	if err := s.enc.Encode(rec); err != nil {
 		return fmt.Errorf("store: encoding journal record: %w", err)
 	}
-	if _, err := s.f.Write(append(b, '\n')); err != nil {
+	n, err := s.f.Write(s.buf.Bytes())
+	s.size += int64(n)
+	if s.buf.Cap() > maxRecordBuf {
+		s.buf = bytes.Buffer{}
+	}
+	if err != nil {
 		return fmt.Errorf("store: appending journal: %w", err)
 	}
 	s.met.appends.Inc()
+	if mayWait && rec.Time.Sub(s.syncedAt) < commitWindow {
+		return nil
+	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: fsync journal: %w", err)
 	}
+	s.synced, s.syncedAt = s.size, rec.Time
 	s.met.fsyncs.Inc()
 	return nil
 }
@@ -498,7 +553,7 @@ func (s *Store) JobSubmitted(id string, spec *jobspec.Spec, hash string, meta Su
 	r.node, r.internal = meta.Node, meta.Internal
 	s.met.jobs.Set(float64(len(s.jobs)))
 	return s.appendLocked(record{Time: t, Job: id, State: StateSubmitted, Spec: spec, Hash: hash,
-		Tenant: meta.Tenant, Class: meta.Class, Node: meta.Node, Internal: meta.Internal})
+		Tenant: meta.Tenant, Class: meta.Class, Node: meta.Node, Internal: meta.Internal}, false)
 }
 
 // JobRunning journals a job's queued → running transition.
@@ -508,13 +563,15 @@ func (s *Store) JobRunning(id string, t time.Time) error {
 	if r, ok := s.jobs[id]; ok {
 		r.started = t
 	}
-	return s.appendLocked(record{Time: t, Job: id, State: StateRunning})
+	return s.appendLocked(record{Time: t, Job: id, State: StateRunning}, false)
 }
 
 // JobCheckpoint journals one completed campaign chunk of a running job:
-// the durable unit of resume. A crash after this append loses at most
-// the chunk that was in flight — replay hands the payloads back on the
-// job's RecoveredJob.Checkpoints.
+// the unit of resume, which replay hands back on the job's
+// RecoveredJob.Checkpoints. The record reaches the kernel before this
+// returns, so a process crash loses no checkpoint; it is group-committed
+// with the next fsync (see commitWindow), so a power loss loses at most
+// the checkpoints written within one commit window.
 func (s *Store) JobCheckpoint(id string, chunk int, data []byte, t time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,7 +582,7 @@ func (s *Store) JobCheckpoint(id string, chunk int, data []byte, t time.Time) er
 		r.ckpts[chunk] = ckptRec{t: t, data: json.RawMessage(data)}
 	}
 	s.met.checkpoints.Inc()
-	return s.appendLocked(record{Time: t, Job: id, State: StateCheckpoint, Chunk: chunk, Data: data})
+	return s.appendLocked(record{Time: t, Job: id, State: StateCheckpoint, Chunk: chunk, Data: data}, true)
 }
 
 // JobTerminal journals a job's terminal transition. The result snapshot
@@ -559,7 +616,7 @@ func (s *Store) JobTerminal(id, state, errMsg string, result []byte, cacheable b
 		cached = true
 	}
 	r.cached = cached
-	return s.appendLocked(record{Time: t, Job: id, State: state, Error: errMsg, Cached: cached})
+	return s.appendLocked(record{Time: t, Job: id, State: state, Error: errMsg, Cached: cached}, false)
 }
 
 // CachedResult looks up a terminal result by canonical spec hash and
@@ -604,7 +661,7 @@ func (s *Store) Evict(ids []string, t time.Time) error {
 		if !r.terminal() {
 			continue
 		}
-		if err := s.appendLocked(record{Time: t, Job: id, State: StateEvicted}); err != nil {
+		if err := s.appendLocked(record{Time: t, Job: id, State: StateEvicted}, false); err != nil {
 			return err
 		}
 		s.dropResultLocked(id)
@@ -683,6 +740,9 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: compact: reopening journal: %w", err)
 	}
 	s.f = nf
+	if err := s.resetSizeLocked(); err != nil {
+		return err
+	}
 	s.evictions = 0
 	s.met.compactions.Inc()
 	return nil
